@@ -17,7 +17,6 @@ _SUBMODULE_OF = {
     "LowRankKernel": "kernels",
     "HadamardKernel": "kernels",
     "CenteredDiscriminativeKernel": "kernels",
-    "gaussian_eval": "kernels",
     "select_landmarks": "kernels",
     "nystrom_factor": "kernels",
     "lowrank_matvec": "kernels",
@@ -27,7 +26,6 @@ _SUBMODULE_OF = {
     "load_factor": "kernels",
     "CrfProblem": "crf",
     "to_indicator": "crf",
-    "to_labeling": "crf",
     "to_vectorized": "crf",
     "energy": "crf",
     "lifted_energy": "crf",
@@ -40,7 +38,6 @@ _SUBMODULE_OF = {
     "PsdFactor": "eig",
     "EigenConvergenceError": "eig",
     "leading_psd_part": "eig",
-    "psd_frob_norm_sq": "eig",
     "PottsSdp": "sdp",
     "GeneralSdp": "sdp",
     "make_sdp": "sdp",

@@ -108,17 +108,6 @@ def to_indicator(labels, n_labels):
     return x
 
 
-def to_labeling(indicator):
-    """Integer labeling from a one-hot indicator matrix."""
-    x = np.asarray(indicator, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("indicator must be an N x L matrix")
-    if not np.array_equal(np.sort(x, axis=1)[:, :-1], np.zeros_like(x[:, :-1])) \
-            or not np.allclose(x.max(axis=1), 1.0):
-        raise ValueError("indicator rows must be one-hot")
-    return np.argmax(x, axis=1)
-
-
 def to_vectorized(indicator):
     """Row-major vectorization y with ``y[i*L + l] = X[i, l]``."""
     return np.asarray(indicator, dtype=np.float64).reshape(-1)

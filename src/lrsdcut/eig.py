@@ -63,23 +63,6 @@ class EigenConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-def psd_frob_norm_sq(factor):
-    """Squared Frobenius norm of the represented PSD matrix, sum(values^2)."""
-    return factor.frob_norm_sq()
-
-
-def symmetry_defect(op, n_probes=8, seed=0):
-    """max |d'(A e) - e'(A d)| / (|d||e|) over random probe pairs."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        d = rng.standard_normal(op.n)
-        e = rng.standard_normal(op.n)
-        gap = abs(d @ op.apply(e) - e @ op.apply(d))
-        worst = max(worst, gap / (np.linalg.norm(d) * np.linalg.norm(e)))
-    return worst
-
-
 def _dense_spectrum(op):
     mat = np.column_stack([op.apply(col) for col in np.eye(op.n)])
     mat = 0.5 * (mat + mat.T)

@@ -99,29 +99,6 @@ def _as_feature_blocks(blocks):
     return out
 
 
-def gaussian_eval(fi_blocks, fj_blocks, thetas):
-    """Evaluate exp(-sum_b |fi_b - fj_b|^2 / (2 theta_b^2)) for one pair.
-
-    ``fi_blocks`` and ``fj_blocks`` are sequences of 1-D feature blocks
-    aligned with the per-block bandwidths ``thetas``.  The value lies in
-    (0, 1].
-    """
-    if len(fi_blocks) != len(fj_blocks) or len(fi_blocks) != len(thetas):
-        raise ValueError("feature blocks and bandwidths must align")
-    expo = 0.0
-    for fi, fj, theta in zip(fi_blocks, fj_blocks, thetas):
-        fi = np.asarray(fi, dtype=np.float64).ravel()
-        fj = np.asarray(fj, dtype=np.float64).ravel()
-        if fi.shape != fj.shape:
-            raise ValueError("feature dimensions do not match")
-        theta = float(theta)
-        if theta <= 0.0:
-            raise ValueError("bandwidths must be positive")
-        diff = fi - fj
-        expo += diff @ diff / (2.0 * theta * theta)
-    return float(np.exp(-expo))
-
-
 def select_landmarks(features, n_landmarks, n_iters=25, seed=0):
     """Pick landmark indices as the data points nearest to k-means centroids.
 

@@ -150,8 +150,7 @@ def dense_sdp_pieces(sdp, u):
     evaluates the dual value and gradient with exact projectors.
 
     Returns a dict with keys 'A', 'B', 'b', 'C', 'C_plus', 'dual', 'grad'.
-    The dual value carries the same shift correction as the fast path so
-    the two are directly comparable.  Guarded to n <= 200.
+    Guarded to n <= 200.
     """
     n = sdp.n
     if n > 200:
@@ -175,7 +174,6 @@ def dense_sdp_pieces(sdp, u):
                                                                    u_mat)
         constraints = general_constraint_matrices(n_vars, n_labels)
 
-    a_mat = a_mat - sdp.nu * np.eye(n)
     u = np.asarray(u, dtype=np.float64)
     c_mat = -a_mat - sum(ui * bi for ui, (bi, _) in zip(u, constraints))
     vals, vecs = np.linalg.eigh(c_mat)
@@ -183,7 +181,7 @@ def dense_sdp_pieces(sdp, u):
     c_plus = (vecs * pos) @ vecs.T
     b_vec = np.asarray([rhs for _, rhs in constraints])
     dual = (-0.5 * sdp.gamma * float(np.sum(pos ** 2)) - float(u @ b_vec)
-            - sdp.eta ** 2 / (2.0 * sdp.gamma) + sdp.nu * sdp.eta)
+            - sdp.eta ** 2 / (2.0 * sdp.gamma))
     grad = np.asarray([sdp.gamma * float(np.sum(c_plus * bi)) - rhs
                        for bi, rhs in constraints])
     return {"A": a_mat, "B": [bi for bi, _ in constraints], "b": b_vec,

@@ -8,7 +8,8 @@ dual eliminates the matrix variable:
 
 so one dual evaluation only needs the positive eigenpairs of C(u), which a
 matrix-free Lanczos solver obtains from structured O(N) matvecs.  The
-solver ascends the dual with limited-memory BFGS, rounds the implicit
+solver starts at a dual point where C(u) = -A + nu I has low positive
+rank, ascends the dual with limited-memory BFGS, rounds the implicit
 primal matrix ``Y = gamma (C(u))_+`` to a feasible labeling at every
 iteration, keeps the best, and stops early once the relative dual
 improvement falls below a threshold.  Any untruncated dual value is a
@@ -36,7 +37,64 @@ def _ltri(values, size, rows, cols):
     return m + m.T
 
 
-class PottsSdp:
+class SdpLifting:
+    """Penalized SDP data shared by the two liftings.
+
+    A lifting has an n x n matrix variable Y, q constraints
+    ``<Y, B_i> = b_i`` that force trace(Y) = eta, and a constant q-vector
+    ``identity`` whose weighted constraint matrices sum to the identity,
+    ``sum_i identity_i B_i = I`` with ``identity @ b = eta``.  Subclasses
+    supply the products with A and with ``sum_i u_i B_i``, the gradient
+    from a positive-part factor and the rounding hooks.
+    """
+
+    def __init__(self, problem, gamma, n, eta, b, identity):
+        if gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        self.problem = problem
+        self.gamma = float(gamma)
+        self.n_vars = problem.n_vars
+        self.n_labels = problem.n_labels
+        self.n = n
+        self.eta = float(eta)
+        self.b = b
+        self.q = b.size
+        self.identity = identity
+
+    def _vector(self, d):
+        d = np.asarray(d, dtype=np.float64)
+        if d.shape != (self.n,):
+            raise ValueError(f"expected vector of length {self.n}, got {d.shape}")
+        return d
+
+    def operator(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        return SymmetricOperator(self.n, lambda d: self.c_matvec(u, d))
+
+    def dual_objective(self, u, psd):
+        """Dual value at u given the positive part of C(u) for that exact u.
+
+        The value is a lower bound on the optimal lifted energy whenever
+        the factor is untruncated (the ``truncated`` flag on the factor
+        marks the exceptions).
+        """
+        return (-0.5 * self.gamma * psd.frob_norm_sq() - u @ self.b
+                - self.eta ** 2 / (2.0 * self.gamma))
+
+    def primal_objective(self, psd):
+        """<Y, A> for Y = gamma (C(u))_+."""
+        total = 0.0
+        for r in range(psd.rank):
+            v = psd.vectors[:, r]
+            total += psd.values[r] * (v @ self.a_matvec(v))
+        return self.gamma * total
+
+    def constraint_values(self, psd):
+        """<Y, B_i> for Y = gamma (C(u))_+, ordered like the dual vector."""
+        return self.dual_gradient(np.zeros(self.q), psd) + self.b
+
+
+class PottsSdp(SdpLifting):
     """Penalized SDP data for the compact Potts lifting.
 
     The matrix variable has dimension n = N + L and represents
@@ -45,46 +103,36 @@ class PottsSdp:
     variable row to the label block with row-sum one, and fix the variable
     diagonal to one; q = 2N + L(L+1)/2 in total, and the constraints force
     trace(Y) = eta = N + L.  Dual variables are packed as
-    ``u = [u1 (L); u2 (L(L-1)/2, lower-triangle order); u3 (N); u4 (N)]``.
+    ``u = [u1 (L); u2 (L(L-1)/2, lower-triangle order); u3 (N); u4 (N)]``;
+    the u1 and u4 diagonal constraints sum to the identity.
     """
 
     def __init__(self, problem, gamma=1000.0):
         if not problem.is_potts:
             raise ValueError("PottsSdp requires a Potts problem")
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        self.problem = problem
-        self.gamma = float(gamma)
         n_vars, n_labels = problem.n_vars, problem.n_labels
-        self.n_vars = n_vars
-        self.n_labels = n_labels
-        self.n = n_vars + n_labels
-        self.eta = float(n_vars + n_labels)
         self.tril_rows, self.tril_cols = np.tril_indices(n_labels, -1)
         n_pairs = self.tril_rows.size
-        self.q = 2 * n_vars + n_labels + n_pairs
-        self.b = np.concatenate([np.ones(n_labels), np.zeros(n_pairs),
-                                 np.ones(n_vars), np.ones(n_vars)])
-        self.nu = 0.0  # spectral shift applied to A, set by spectral_shift_init
+        b = np.concatenate([np.ones(n_labels), np.zeros(n_pairs),
+                            np.ones(n_vars), np.ones(n_vars)])
+        identity = np.concatenate([np.ones(n_labels), np.zeros(n_pairs),
+                                   np.zeros(n_vars), np.ones(n_vars)])
+        super().__init__(problem, gamma, n=n_vars + n_labels,
+                         eta=n_vars + n_labels, b=b, identity=identity)
 
     def split_u(self, u):
         L, N = self.n_labels, self.n_vars
         p = self.tril_rows.size
         return (u[:L], u[L:L + p], u[L + p:L + p + N], u[L + p + N:])
 
-    def a_matvec(self, d, shifted=True):
-        """Product with A = [[0, H']; [H, -K]] / 2 (minus nu*I when shifted)."""
+    def a_matvec(self, d):
+        """Product with A = [[0, H']; [H, -K]] / 2."""
         L = self.n_labels
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {d.shape}")
+        d = self._vector(d)
         d1, d2 = d[:L], d[L:]
         h = self.problem.unary
-        out = np.concatenate([0.5 * (h.T @ d2),
-                              0.5 * (h @ d1 - self.problem.kernel_matvec(d2))])
-        if shifted and self.nu != 0.0:
-            out -= self.nu * d
-        return out
+        return np.concatenate([0.5 * (h.T @ d2),
+                               0.5 * (h @ d1 - self.problem.kernel_matvec(d2))])
 
     def constraint_matvec(self, u, d):
         """Product with sum_i u_i B_i exploiting the block structure."""
@@ -97,27 +145,9 @@ class PottsSdp:
         return np.concatenate([top, bottom])
 
     def c_matvec(self, u, d):
-        """C(u) d = -(A - nu I) d - (sum_i u_i B_i) d in O(NL + N R_K)."""
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {d.shape}")
+        """C(u) d = -A d - (sum_i u_i B_i) d in O(NL + N R_K)."""
+        d = self._vector(d)
         return -self.a_matvec(d) - self.constraint_matvec(u, d)
-
-    def operator(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return SymmetricOperator(self.n, lambda d: self.c_matvec(u, d))
-
-    def dual_objective(self, u, psd):
-        """Dual value at u given the positive part of C(u) for that exact u.
-
-        The spectral shift moves every feasible objective by -nu*eta, so
-        nu*eta is added back here; the returned value is a lower bound on
-        the optimal lifted energy whenever the factor is untruncated (the
-        ``truncated`` flag on the factor marks the exceptions).
-        """
-        raw = (-0.5 * self.gamma * psd.frob_norm_sq() - u @ self.b
-               - self.eta ** 2 / (2.0 * self.gamma))
-        return raw + self.nu * self.eta
 
     def dual_gradient(self, u, psd):
         """Gradient entries gamma <(C(u))_+, B_i> - b_i from the factor.
@@ -141,18 +171,6 @@ class PottsSdp:
         inner = np.concatenate([inner_u1, inner_u2, inner_u3, inner_u4])
         return self.gamma * inner - self.b
 
-    def primal_objective(self, psd):
-        """<Y, A> for Y = gamma (C(u))_+ against the *unshifted* A."""
-        total = 0.0
-        for r in range(psd.rank):
-            v = psd.vectors[:, r]
-            total += psd.values[r] * (v @ self.a_matvec(v, shifted=False))
-        return self.gamma * total
-
-    def constraint_values(self, psd):
-        """<Y, B_i> for Y = gamma (C(u))_+, ordered like the dual vector."""
-        return self.dual_gradient(np.zeros(self.q), psd) + self.b
-
     def rounding_rows(self, psd):
         """Rows of the implicit square root corresponding to variables."""
         return psd.vectors[self.n_labels:]
@@ -161,58 +179,45 @@ class PottsSdp:
         return lifted_energy(self.problem, to_indicator(labels, self.n_labels))
 
 
-class GeneralSdp:
+class GeneralSdp(SdpLifting):
     """Penalized SDP data for the general label-compatibility lifting.
 
     The matrix variable has dimension n = N*L and represents ``y y'`` for
     the one-hot vectorization y.  Per-variable constraints fix the
     diagonal block trace to one and zero its symmetrized off-diagonals;
     q = N + N L(L-1)/2 and trace(Y) = eta = N.  Dual variables are packed
-    as ``u = [u1 (N); u2 (N blocks of L(L-1)/2)]``.
+    as ``u = [u1 (N); u2 (N blocks of L(L-1)/2)]``; the u1 block-trace
+    constraints sum to the identity, so ``identity`` equals ``b``.
     """
 
     def __init__(self, problem, gamma=1000.0):
         if problem.is_potts:
             raise ValueError("GeneralSdp requires an explicit compatibility matrix")
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        self.problem = problem
-        self.gamma = float(gamma)
         n_vars, n_labels = problem.n_vars, problem.n_labels
-        self.n_vars = n_vars
-        self.n_labels = n_labels
-        self.n = n_vars * n_labels
-        self.eta = float(n_vars)
         self.tril_rows, self.tril_cols = np.tril_indices(n_labels, -1)
         self.n_pairs = self.tril_rows.size
-        self.q = n_vars + n_vars * self.n_pairs
-        self.b = np.concatenate([np.ones(n_vars),
-                                 np.zeros(n_vars * self.n_pairs)])
+        b = np.concatenate([np.ones(n_vars), np.zeros(n_vars * self.n_pairs)])
+        super().__init__(problem, gamma, n=n_vars * n_labels, eta=n_vars,
+                         b=b, identity=b)
         self.u_mat = problem.mu - 1.0
         self.h = problem.unary.reshape(-1)
-        self.nu = 0.0
 
     def split_u(self, u):
         n_vars = self.n_vars
         return u[:n_vars], u[n_vars:].reshape(n_vars, self.n_pairs)
 
-    def a_matvec(self, d, shifted=True):
+    def a_matvec(self, d):
         """Product with A = Diag(h) + (Kronecker-structured pairwise)/2.
 
         The pairwise part applies K to the N x L unfolding of d per label
         column and multiplies by U = mu - 11' on the right, costing
         O(N L R_K + N L^2) without forming the Kronecker product.
         """
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {d.shape}")
+        d = self._vector(d)
         unfolded = d.reshape(self.n_vars, self.n_labels)
         kd = np.column_stack([self.problem.kernel_matvec(unfolded[:, l])
                               for l in range(self.n_labels)])
-        out = self.h * d + 0.5 * (kd @ self.u_mat).reshape(-1)
-        if shifted and self.nu != 0.0:
-            out -= self.nu * d
-        return out
+        return self.h * d + 0.5 * (kd @ self.u_mat).reshape(-1)
 
     def constraint_matvec(self, u, d):
         u1, u2 = self.split_u(u)
@@ -226,19 +231,8 @@ class GeneralSdp:
         return (out + 0.5 * tri).reshape(-1)
 
     def c_matvec(self, u, d):
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {d.shape}")
+        d = self._vector(d)
         return -self.a_matvec(d) - self.constraint_matvec(u, d)
-
-    def operator(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return SymmetricOperator(self.n, lambda d: self.c_matvec(u, d))
-
-    def dual_objective(self, u, psd):
-        raw = (-0.5 * self.gamma * psd.frob_norm_sq() - u @ self.b
-               - self.eta ** 2 / (2.0 * self.gamma))
-        return raw + self.nu * self.eta
 
     def dual_gradient(self, u, psd):
         lam = psd.values
@@ -250,16 +244,6 @@ class GeneralSdp:
         inner_u2 = block_gram[:, self.tril_rows, self.tril_cols].reshape(-1)
         inner = np.concatenate([inner_u1, inner_u2])
         return self.gamma * inner - self.b
-
-    def primal_objective(self, psd):
-        total = 0.0
-        for r in range(psd.rank):
-            v = psd.vectors[:, r]
-            total += psd.values[r] * (v @ self.a_matvec(v, shifted=False))
-        return self.gamma * total
-
-    def constraint_values(self, psd):
-        return self.dual_gradient(np.zeros(self.q), psd) + self.b
 
     def rounding_rows(self, psd):
         return psd.vectors
@@ -275,22 +259,21 @@ def make_sdp(problem, gamma=1000.0):
 
 
 def spectral_shift_init(sdp, r, tol=1e-8, seed=0):
-    """Shift A by its r-th smallest eigenvalue so rank((C(0))_+) <= r.
+    """Dual start u0 with rank((C(u0))_+) <= r.
 
-    At u = 0 the operator is C(0) = -A + nu I, whose positive eigenvalues
-    correspond to eigenvalues of A strictly below nu; choosing nu as the
-    r-th smallest eigenvalue of A (computed by Lanczos on -A) caps the
-    initial positive rank at r (exactly r - 1 for a simple spectrum).  The
-    shift does not change the optimizer because the constraints fix
-    trace(Y); it is stored on the problem and undone in reported values.
+    Returns ``u0 = -nu * sdp.identity``, for which C(u0) = -A + nu I
+    because the identity-weighted constraint matrices sum to I.  Its
+    positive eigenvalues correspond to eigenvalues of A strictly below nu;
+    choosing nu as the r-th smallest eigenvalue of A (computed by Lanczos
+    on -A) caps the initial positive rank at r (exactly r - 1 for a simple
+    spectrum).  The start is an ordinary dual point, so its dual value is
+    a valid bound like any other.
     """
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
-    sdp.nu = 0.0
-    neg_a = SymmetricOperator(sdp.n, lambda d: -sdp.a_matvec(d, shifted=False))
+    neg_a = SymmetricOperator(sdp.n, lambda d: -sdp.a_matvec(d))
     vals, _ = leading_eigpairs(neg_a, r, tol=tol, seed=seed)
-    sdp.nu = float(-vals[r - 1])
-    return sdp.nu
+    return vals[r - 1] * sdp.identity
 
 
 @dataclass
@@ -461,11 +444,11 @@ class SolveReport:
     """Result of a solve.
 
     Energies and dual values include the constant pairwise offset
-    ``0.5 * 1'K1`` (and undo the spectral shift), so ``best_energy``,
-    ``lower_bound`` and every trajectory entry are directly comparable to
-    full CRF energies of labelings and across methods.  ``lower_bound`` is
-    the best dual value among iterations whose eigenfactor was not
-    truncated; it is None when every iteration was truncated.
+    ``0.5 * 1'K1``, so ``best_energy``, ``lower_bound`` and every
+    trajectory entry are directly comparable to full CRF energies of
+    labelings and across methods.  ``lower_bound`` is the best dual value
+    among iterations whose eigenfactor was not truncated; it is None when
+    every iteration was truncated.
     """
 
     method: str
@@ -490,7 +473,7 @@ class SolveReport:
 
 
 def lr_sdcut_solve(problem, params=None, **overrides):
-    """Run the full low-rank dual ascent (initial shift, per-iteration
+    """Run the full low-rank dual ascent (spectral dual start, per-iteration
     quasi-Newton step + rounding + best-keeping, relative-improvement exit).
 
     All randomness (Lanczos start vectors, rounding projections) derives
@@ -516,8 +499,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
 
     offset = energy_offset(problem)
     rank_init = min(params.rank_init, sdp.n)
-    spectral_shift_init(sdp, rank_init, tol=params.eig_tol,
-                        seed=next_seed(np.random.default_rng(shift_ss)))
+    u0 = spectral_shift_init(sdp, rank_init, tol=params.eig_tol,
+                             seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
     # warm state across dual evaluations: consecutive C(u) are close, so the
     # previous positive part both sizes the next request and starts Lanczos
@@ -557,7 +540,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             ms=1e3 * (time.perf_counter() - started)))
 
     started = time.perf_counter()
-    optimizer = LbfgsAscent(obj_grad, np.zeros(sdp.q), memory=params.memory)
+    optimizer = LbfgsAscent(obj_grad, u0, memory=params.memory)
     record(0, optimizer.value, optimizer.payload, started)
     previous = optimizer.value
     for k in range(1, params.k_max + 1):
@@ -585,6 +568,6 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         labels=best_labels,
         trajectory=trajectory,
         warnings=warnings,
-        extras={"gamma": params.gamma, "nu": sdp.nu, "offset": offset,
+        extras={"gamma": params.gamma, "offset": offset,
                 "dual_evals": optimizer.n_evals},
     )

@@ -1,5 +1,14 @@
 """Shared builders for seeded random test problems."""
 
+import os
+
+# One BLAS thread, set before numpy loads, so timing criteria such as the
+# linear-scaling test measure the solver rather than thread scheduling even
+# where threadpoolctl is not installed.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

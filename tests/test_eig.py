@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lrsdcut.eig import (EigenConvergenceError, PsdFactor, SymmetricOperator,
-                         leading_eigpairs, leading_psd_part, psd_frob_norm_sq,
-                         symmetry_defect)
+                         leading_eigpairs, leading_psd_part)
 
 
 def operator_from(matrix):
@@ -105,26 +104,15 @@ class TestLeadingPsdPart:
 class TestPsdFrobNormSq:
     def test_empty_factor(self):
         factor = PsdFactor(np.zeros((5, 0)), np.zeros(0))
-        assert psd_frob_norm_sq(factor) == 0.0
+        assert factor.frob_norm_sq() == 0.0
 
     def test_small_arithmetic(self):
         factor = PsdFactor(np.eye(4)[:, :2], np.array([3.0, 1.0]))
-        assert psd_frob_norm_sq(factor) == pytest.approx(10.0)
+        assert factor.frob_norm_sq() == pytest.approx(10.0)
 
     def test_matches_dense_frobenius(self, rng):
         a = rng.standard_normal((20, 20))
         a = 0.5 * (a + a.T)
         factor = leading_psd_part(operator_from(a), max_rank=20)
         dense = np.linalg.norm(factor.reconstruct()) ** 2
-        assert psd_frob_norm_sq(factor) == pytest.approx(dense, abs=1e-10)
-
-
-class TestSymmetryProbe:
-    def test_symmetric_operator_has_tiny_defect(self, rng):
-        a = rng.standard_normal((15, 15))
-        a = 0.5 * (a + a.T)
-        assert symmetry_defect(operator_from(a)) < 1e-8
-
-    def test_asymmetric_operator_detected(self, rng):
-        a = rng.standard_normal((15, 15))
-        assert symmetry_defect(operator_from(a)) > 1e-3
+        assert factor.frob_norm_sq() == pytest.approx(dense, abs=1e-10)

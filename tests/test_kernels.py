@@ -1,15 +1,13 @@
 """Kernel layer: factored matvecs against dense references, Nystrom quality."""
 
-import math
-
 import numpy as np
 import pytest
 
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, GaussianKernel,
                              HadamardKernel, LowRankFactor, LowRankKernel,
-                             centered_discriminative_factor, gaussian_eval,
-                             hadamard_matvec, load_factor, lowrank_matvec,
-                             nystrom_factor, save_factor, select_landmarks)
+                             centered_discriminative_factor, hadamard_matvec,
+                             load_factor, lowrank_matvec, nystrom_factor,
+                             save_factor, select_landmarks)
 
 
 def dense_gaussian(blocks, thetas):
@@ -19,40 +17,6 @@ def dense_gaussian(blocks, thetas):
         sq = np.sum(b * b, axis=1)
         expo += (sq[:, None] + sq[None, :] - 2.0 * b @ b.T) / (2.0 * t * t)
     return np.exp(-np.clip(expo, 0.0, None))
-
-
-class TestGaussianEval:
-    def test_identical_points_give_one(self):
-        f = [np.array([1.0, -2.0]), np.array([0.3])]
-        assert gaussian_eval(f, f, [2.0, 0.5]) == pytest.approx(1.0)
-
-    def test_single_block_closed_form(self):
-        # distance 60 with bandwidth 60 forces exp(-1/2)
-        val = gaussian_eval([np.array([0.0, 0.0])], [np.array([60.0, 0.0])],
-                            [60.0])
-        assert val == pytest.approx(math.exp(-0.5), abs=1e-12)
-
-    def test_matches_independent_scalar_form(self, rng):
-        # oracle: write the exponent out by hand, scalar arithmetic only
-        for _ in range(3):
-            fi = [rng.standard_normal(2), rng.standard_normal(3)]
-            fj = [rng.standard_normal(2), rng.standard_normal(3)]
-            thetas = [0.7, 1.3]
-            expected = 0.0
-            for a, b, t in zip(fi, fj, thetas):
-                for x, y in zip(a, b):
-                    expected += (x - y) ** 2 / (2.0 * t * t)
-            expected = math.exp(-expected)
-            assert gaussian_eval(fi, fj, thetas) == pytest.approx(
-                expected, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_eval([np.zeros(2)], [np.zeros(3)], [1.0])
-
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_eval([np.zeros(2)], [np.zeros(2)], [0.0])
 
 
 class TestSelectLandmarks:

@@ -1,4 +1,4 @@
-"""Dual solver: structured operators, gradients, shifts, ascent, rounding."""
+"""Dual solver: structured operators, gradients, dual start, ascent, rounding."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from lrsdcut.crf import CrfProblem, build_problem, energy
 from lrsdcut.eig import PsdFactor, SymmetricOperator, leading_psd_part
 from lrsdcut.generate import gen_clusters
 from lrsdcut.kernels import LowRankFactor, LowRankKernel
-from lrsdcut.oracle import brute_force_map, dense_sdp_pieces
+from lrsdcut.oracle import (brute_force_map, dense_sdp_pieces,
+                            general_constraint_matrices,
+                            potts_constraint_matrices)
 from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, lr_sdcut_solve,
                          make_sdp, round_solution, spectral_shift_init)
 
@@ -35,7 +37,6 @@ class TestPottsMatvec:
 
     def test_matches_dense_constraint_matrices(self, rng):
         sdp = make_sdp(random_potts_problem(6, 3, seed=1), gamma=25.0)
-        spectral_shift_init(sdp, 4)
         u = rng.standard_normal(sdp.q)
         pieces = dense_sdp_pieces(sdp, u)
         for _ in range(20):
@@ -57,7 +58,6 @@ class TestGeneralMatvec:
 
     def test_matches_dense_kronecker_operator(self, rng):
         sdp = make_sdp(random_general_problem(4, 3, seed=4), gamma=25.0)
-        spectral_shift_init(sdp, 3)
         u = rng.standard_normal(sdp.q)
         pieces = dense_sdp_pieces(sdp, u)
         for _ in range(20):
@@ -91,7 +91,6 @@ class TestDualObjective:
 
     def test_matches_dense_evaluation(self, rng):
         sdp = make_sdp(random_potts_problem(6, 2, seed=6), gamma=100.0)
-        spectral_shift_init(sdp, 3)
         for _ in range(10):
             u = 0.5 * rng.standard_normal(sdp.q)
             pieces = dense_sdp_pieces(sdp, u)
@@ -111,7 +110,6 @@ class TestDualGradient:
 
     def test_matches_finite_differences(self, rng):
         sdp = make_sdp(random_potts_problem(6, 2, seed=7), gamma=100.0)
-        spectral_shift_init(sdp, 3)
         step = 1e-5
         worst = 0.0
         for _ in range(20):
@@ -146,41 +144,39 @@ class TestDualGradient:
 
 
 class _DiagonalStub:
-    """Minimal problem stand-in exposing what spectral_shift_init needs."""
+    """Minimal problem stand-in exposing what spectral_shift_init needs:
+    A is diagonal and each coordinate is its own constraint, B_i = e_i e_i'."""
 
     def __init__(self, diag):
         self.diag = np.asarray(diag, dtype=np.float64)
         self.n = self.diag.size
-        self.nu = 0.0
+        self.identity = np.ones(self.n)
 
-    def a_matvec(self, d, shifted=True):
-        out = self.diag * d
-        if shifted and self.nu:
-            out -= self.nu * d
-        return out
+    def a_matvec(self, d):
+        return self.diag * d
 
 
 class TestSpectralShift:
     def test_diagonal_example(self):
         stub = _DiagonalStub([1.0, 2.0, 3.0])
-        nu = spectral_shift_init(stub, r=2)
-        assert nu == pytest.approx(2.0)
-        # C(0) = -A + nu I = Diag([1, 0, -1]): positive rank 1
-        op = SymmetricOperator(3, lambda d: -stub.a_matvec(d))
+        u0 = spectral_shift_init(stub, r=2)
+        np.testing.assert_allclose(-u0, 2.0 * stub.identity)
+        # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]): positive rank 1
+        op = SymmetricOperator(3, lambda d: -stub.a_matvec(d) - u0 * d)
         factor = leading_psd_part(op, max_rank=3)
         assert factor.rank == 1
         assert factor.values[0] == pytest.approx(1.0)
 
     def test_r_equal_one_empties_initial_positive_part(self):
         sdp = make_sdp(random_potts_problem(6, 2, seed=10), gamma=10.0)
-        spectral_shift_init(sdp, r=1)
-        factor = exact_factor(sdp, np.zeros(sdp.q))
+        u0 = spectral_shift_init(sdp, r=1)
+        factor = exact_factor(sdp, u0)
         assert factor.rank == 0
 
     def test_rank_after_shift_bounded_by_r(self, rng):
         sdp = make_sdp(random_potts_problem(8, 2, seed=11), gamma=10.0)
-        spectral_shift_init(sdp, r=5)
-        pieces = dense_sdp_pieces(sdp, np.zeros(sdp.q))
+        u0 = spectral_shift_init(sdp, r=5)
+        pieces = dense_sdp_pieces(sdp, u0)
         vals = np.linalg.eigvalsh(pieces["C"])
         measured = int(np.sum(vals > 1e-10))
         assert measured in (4, 5)
@@ -189,6 +185,23 @@ class TestSpectralShift:
         sdp = make_sdp(random_potts_problem(3, 2, seed=12), gamma=10.0)
         with pytest.raises(ValueError):
             spectral_shift_init(sdp, r=0)
+
+
+class TestIdentityWeights:
+    """The dual start needs no correction term: the identity-weighted
+    constraint matrices sum to I and their right-hand sides to eta."""
+
+    @pytest.mark.parametrize("problem, dense", [
+        (random_potts_problem(5, 3, seed=20), potts_constraint_matrices),
+        (random_general_problem(4, 3, seed=21), general_constraint_matrices),
+    ], ids=["potts", "general"])
+    def test_weighted_constraints_sum_to_identity(self, problem, dense):
+        sdp = make_sdp(problem)
+        constraints = dense(problem.n_vars, problem.n_labels)
+        total = sum(w * mat for w, (mat, _) in zip(sdp.identity, constraints))
+        np.testing.assert_array_equal(total, np.eye(sdp.n))
+        b = np.array([rhs for _, rhs in constraints])
+        assert sdp.identity @ b == sdp.eta
 
 
 class TestLbfgsAscent:
@@ -262,8 +275,8 @@ class TestRoundSolution:
     def test_output_rows_are_valid_labels(self, rng):
         problem = random_potts_problem(7, 3, seed=13)
         sdp = make_sdp(problem, gamma=100.0)
-        spectral_shift_init(sdp, 4)
-        factor = exact_factor(sdp, 0.1 * rng.standard_normal(sdp.q))
+        u0 = spectral_shift_init(sdp, 4)
+        factor = exact_factor(sdp, u0 + 0.1 * rng.standard_normal(sdp.q))
         labels, value = round_solution(factor, sdp, seed=5, n_samples=7)
         assert labels.shape == (7,)
         assert labels.min() >= 0 and labels.max() < 3
@@ -272,8 +285,8 @@ class TestRoundSolution:
     def test_argmax_invariant_under_positive_rescaling(self, rng):
         problem = random_potts_problem(9, 2, seed=14)
         sdp = make_sdp(problem, gamma=100.0)
-        spectral_shift_init(sdp, 4)
-        factor = exact_factor(sdp, 0.1 * rng.standard_normal(sdp.q))
+        u0 = spectral_shift_init(sdp, 4)
+        factor = exact_factor(sdp, u0 + 0.1 * rng.standard_normal(sdp.q))
         scaled = PsdFactor(factor.vectors, 7.3 * factor.values,
                            factor.truncated)
         labels_a, _ = round_solution(factor, sdp, seed=77, n_samples=5)
@@ -289,9 +302,8 @@ class TestRoundSolution:
             problem = build_problem(instance)
             _, optimum = brute_force_map(problem)
             sdp = make_sdp(problem, gamma=1000.0)
-            spectral_shift_init(sdp, min(8, sdp.n))
-            opt = LbfgsAscent(
-                lambda u: _dual_eval(sdp, u), np.zeros(sdp.q))
+            u0 = spectral_shift_init(sdp, min(8, sdp.n))
+            opt = LbfgsAscent(lambda u: _dual_eval(sdp, u), u0)
             for _ in range(30):
                 if opt.step().converged:
                     break
@@ -356,8 +368,8 @@ class TestLrSdcutSolve:
     def test_primal_feasibility_at_convergence(self):
         problem = random_potts_problem(6, 2, seed=17, weight=0.8)
         sdp = make_sdp(problem, gamma=1000.0)
-        spectral_shift_init(sdp, sdp.n)
-        opt = LbfgsAscent(lambda u: _dual_eval(sdp, u), np.zeros(sdp.q))
+        u0 = spectral_shift_init(sdp, sdp.n)
+        opt = LbfgsAscent(lambda u: _dual_eval(sdp, u), u0)
         previous = opt.value
         for _ in range(3000):
             step = opt.step()
