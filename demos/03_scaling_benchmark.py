@@ -4,9 +4,10 @@ Each solver iteration costs one partial eigendecomposition driven by
 O(N)-cost matvecs, plus rounding; nothing materializes an N x N matrix.
 This script times grid instances that sample the same synthetic scene at
 increasing resolution and prints the median per-iteration wall time.
-Growth is roughly proportional; the largest size drifts above it because
-the denser kernel spectrum costs the eigensolver extra Lanczos steps, not
-because any operation is quadratic.  Run on one core for stable numbers.
+Growth is roughly proportional: each Lanczos request asks for only two
+pairs beyond the last positive rank, because surplus pairs sit in the
+slowly converging cluster of eigenvalues just below zero and would cost
+extra Lanczos steps at every size.  Run on one core for stable numbers.
 """
 
 import numpy as np

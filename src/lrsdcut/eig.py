@@ -75,9 +75,13 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50, v0=None):
 
     Uses ARPACK with a seeded pseudo-random unit start vector (or the
     caller's ``v0``, e.g. a warm start from a nearby operator) and Krylov
-    dimension 2k + 10; falls back to a dense eigendecomposition built from
-    n matvecs when k >= n - 1 (ARPACK requires k < n).  Deterministic for
-    fixed (op, seed, v0) in single-threaded mode.
+    dimension ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for
+    small k: a subspace of only 2k + 10 vectors can converge to k Ritz
+    values that are not the top of the spectrum, so a positive part built
+    from them silently misses eigenvalues and its dual value is no bound.
+    Falls back to a dense eigendecomposition built from n matvecs when
+    k >= n - 1 (ARPACK requires k < n).  Deterministic for fixed
+    (op, seed, v0) in single-threaded mode.
     """
     n = op.n
     if not 1 <= k <= n:
@@ -91,7 +95,7 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50, v0=None):
     norm = np.linalg.norm(v0)
     v0 = v0 / norm if norm > 0 else np.full(n, n ** -0.5)
     scipy_op = LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
-    ncv = min(n, 2 * k + 10)
+    ncv = min(n, max(2 * k + 10, 30))
     try:
         vals, vecs = eigsh(scipy_op, k=k, which="LA", v0=v0, ncv=ncv,
                            tol=tol, maxiter=restarts)
@@ -120,7 +124,11 @@ def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
     doubles until the smallest returned eigenvalue drops below the
     positivity threshold (proof that the whole positive spectrum is in
     hand) or the rank cap is reached, in which case the factor is marked
-    truncated.
+    truncated.  A single returned eigenvalue at or below the threshold
+    proves completeness, so a request needs only one or two pairs beyond
+    the expected positive rank; the Krylov floor of
+    :func:`leading_eigpairs` keeps such small requests from stopping on
+    Ritz values that are not the leading ones.
     """
     n = op.n
     if not 1 <= max_rank <= n:

@@ -384,7 +384,10 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
     ``Psi = vectors * sqrt(gamma * values)``.  Each sample projects the
     variable rows of Psi onto Gaussian directions and discretizes by row
     argmax (ties fall to the smallest label); the sample with the lowest
-    lifted energy wins.  Returns ``(labels, lifted_energy)``.
+    lifted energy wins.  For the Potts lifting the block
+    ``Psi_var Psi_lab'`` of Y is the relaxed indicator X itself, so its row
+    argmax is one more candidate, kept only when strictly better than every
+    sample.  Returns ``(labels, lifted_energy)``.
     """
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
     if psd.rank == 0:
@@ -401,6 +404,13 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
             scores = (psi @ rng.standard_normal(psd.rank)).reshape(n_vars,
                                                                    n_labels)
         labels = np.argmax(scores, axis=1)
+        value = sdp.rounded_energy(labels)
+        if value < best_energy:
+            best_energy = value
+            best_labels = labels
+    if isinstance(sdp, PottsSdp):
+        psi_lab = psd.vectors[:n_labels] * np.sqrt(sdp.gamma * psd.values)
+        labels = np.argmax(psi @ psi_lab.T, axis=1)
         value = sdp.rounded_energy(labels)
         if value < best_energy:
             best_energy = value
@@ -503,8 +513,11 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                              seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
     # warm state across dual evaluations: consecutive C(u) are close, so the
-    # previous positive part both sizes the next request and starts Lanczos
-    warm = {"k0": min(rank_init + 10, rank_cap), "v0": None}
+    # previous positive part sizes the next request and starts Lanczos.  Two
+    # pairs beyond the last rank suffice, since one returned eigenvalue at or
+    # below the threshold proves the positive part complete; surplus pairs
+    # sit in the dense cluster just below zero, where Lanczos converges slowly
+    warm = {"k0": min(rank_init + 2, rank_cap), "v0": None}
 
     def obj_grad(u):
         op = sdp.operator(u)
@@ -517,7 +530,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor
         if factor.rank:
-            warm["k0"] = int(np.clip(factor.rank + 6, 10, rank_cap))
+            warm["k0"] = int(np.clip(factor.rank + 2, 2, rank_cap))
             warm["v0"] = factor.vectors @ factor.values
         return sdp.dual_objective(u, factor), sdp.dual_gradient(u, factor), factor
 

@@ -322,3 +322,19 @@ def test_10_nystrom_quality():
            f"planted-rank relative error {rel:.2e}; "
            f"gaussian rank-15 slack {slack:.2e} over optimal {opt:.2e}",
            time.perf_counter() - started, 10)
+
+
+def test_11_multilabel_energy_vs_meanfield():
+    started = time.perf_counter()
+    instances = [("grid40x40 L=4", gen_grid(40, 40, 4, seed=5))]
+    instances += [(f"clusters N=500 L=5 seed {s}", gen_clusters(500, 5, seed=s))
+                  for s in (3, 5, 6)]
+    lines = []
+    for name, instance in instances:
+        problem = build_problem(instance)
+        solved = lr_sdcut_solve(problem, seed=1)
+        baseline = mf_solve(problem, seed=1).energy
+        assert solved.best_energy <= baseline + 1e-9 * max(1.0, abs(baseline))
+        lines.append(f"{name}: {solved.best_energy:.4f} vs {baseline:.4f}")
+    report(11, "multi-label energy vs mean field", "; ".join(lines),
+           time.perf_counter() - started, 30)

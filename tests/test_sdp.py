@@ -6,13 +6,15 @@ import pytest
 from conftest import random_general_problem, random_potts_problem
 from lrsdcut.crf import CrfProblem, build_problem, energy
 from lrsdcut.eig import PsdFactor, SymmetricOperator, leading_psd_part
-from lrsdcut.generate import gen_clusters
+from lrsdcut import sdp as sdp_module
+from lrsdcut.generate import gen_clusters, gen_grid
 from lrsdcut.kernels import LowRankFactor, LowRankKernel
 from lrsdcut.oracle import (brute_force_map, dense_sdp_pieces,
                             general_constraint_matrices,
                             potts_constraint_matrices)
-from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, lr_sdcut_solve,
-                         make_sdp, round_solution, spectral_shift_init)
+from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, SolveParams,
+                         lr_sdcut_solve, make_sdp, round_solution,
+                         spectral_shift_init)
 
 
 def exact_factor(sdp, u):
@@ -408,3 +410,58 @@ class TestLrSdcutSolve:
         np.testing.assert_array_equal(first.labels, second.labels)
         assert [r.dual for r in first.trajectory] == \
             [r.dual for r in second.trajectory]
+
+
+def _record_psd_calls(monkeypatch):
+    """Wrap the solver's positive-part call; returns the list it fills with
+    ``(op, max_rank, k0, factor)`` per dual evaluation."""
+    calls = []
+
+    def recording(op, max_rank, **kwargs):
+        factor = leading_psd_part(op, max_rank, **kwargs)
+        calls.append((op, max_rank, kwargs["k0"], factor))
+        return factor
+
+    monkeypatch.setattr(sdp_module, "leading_psd_part", recording)
+    return calls
+
+
+def _general_n7_l3(seed):
+    """General N=7, L=3 instance; mu is uniform in [0.2, 1] off the
+    diagonal, drawn from ``default_rng([seed, 99])``."""
+    instance = gen_clusters(7, 3, seed=seed)
+    upper = np.triu(np.random.default_rng([seed, 99]).uniform(0.2, 1.0,
+                                                              (3, 3)), 1)
+    instance["compatibility"] = (upper + upper.T).tolist()
+    return build_problem(instance)
+
+
+class TestLanczosRequests:
+    def test_warm_request_is_last_rank_plus_two(self, monkeypatch):
+        problem = build_problem(gen_grid(30, 30, 2, seed=5))
+        calls = _record_psd_calls(monkeypatch)
+        lr_sdcut_solve(problem, seed=1)
+        rank_init = SolveParams().rank_init
+        cap = calls[0][1]
+        assert calls[0][2] == min(rank_init + 2, cap)
+        assert len(calls) > 2
+        for previous, (_, _, k0, _) in zip(calls, calls[1:]):
+            assert k0 == int(np.clip(previous[3].rank + 2, 2, cap))
+
+    # instances on which requests of a few pairs in a Krylov space of
+    # 2k + 10 vectors returned Ritz values below the leading ones
+    @pytest.mark.parametrize("seed", [4, 8, 17, 20, 22, 28])
+    def test_small_requests_find_the_whole_positive_part(self, seed,
+                                                         monkeypatch):
+        problem = _general_n7_l3(seed)
+        calls = _record_psd_calls(monkeypatch)
+        report = lr_sdcut_solve(problem, seed=1)
+        assert not [w for w in report.warnings if "stall" in w]
+        _, optimum = brute_force_map(problem)
+        assert report.lower_bound <= optimum + 1e-9
+        assert optimum <= report.best_energy + 1e-9
+        for op, _, _, factor in calls:
+            dense = np.column_stack([op.apply(col) for col in np.eye(op.n)])
+            vals = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+            expected = np.sum(vals[vals > 0.0] ** 2)
+            assert factor.frob_norm_sq() == pytest.approx(expected, rel=1e-9)
