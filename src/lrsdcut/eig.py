@@ -4,8 +4,9 @@ The solver repeatedly needs the positive spectral part of a symmetric
 operator that is only available through matrix-vector products.  ARPACK's
 implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the
 leading eigenpairs; this module wraps it with a seeded start vector,
-adaptive subspace growth until the positive spectrum is provably captured,
-and a dense fallback for operators too small for ARPACK.
+adaptive subspace growth until the positive spectrum is provably captured
+(or its partial norm passes a caller's limit), and a dense fallback for
+operators too small for ARPACK.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +34,9 @@ class PsdFactor:
     ``vectors`` has orthonormal columns, ``values`` is strictly positive
     and descending; the represented matrix is
     ``vectors @ diag(values) @ vectors.T``.  ``truncated`` marks factors
-    whose positive spectrum may extend past the rank cap, in which case
-    dual values derived from them are not certified lower bounds.
+    whose positive spectrum may extend past the rank cap or an early stop,
+    in which case dual values derived from them are not certified lower
+    bounds.
     Downstream code must depend only on the projector and the eigenvalue
     multiset, never on individual eigenvectors (clusters may rotate).
     """
@@ -70,18 +72,19 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
-def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50, v0=None):
+def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50):
     """Top-k algebraic eigenpairs of a symmetric operator, descending.
 
-    Uses ARPACK with a seeded pseudo-random unit start vector (or the
-    caller's ``v0``, e.g. a warm start from a nearby operator) and Krylov
+    Uses ARPACK with a seeded pseudo-random start vector and Krylov
     dimension ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for
     small k: a subspace of only 2k + 10 vectors can converge to k Ritz
     values that are not the top of the spectrum, so a positive part built
     from them silently misses eigenvalues and its dual value is no bound.
-    Falls back to a dense eigendecomposition built from n matvecs when
-    k >= n - 1 (ARPACK requires k < n).  Deterministic for fixed
-    (op, seed, v0) in single-threaded mode.
+    The start is never warm: Lanczos from a combination of a nearby
+    operator's eigenvectors can miss new positive directions.  Falls back
+    to a dense eigendecomposition built from n matvecs when k >= n - 1
+    (ARPACK requires k < n).  Deterministic for fixed (op, seed) in
+    single-threaded mode.
     """
     n = op.n
     if not 1 <= k <= n:
@@ -90,10 +93,8 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50, v0=None):
         vals, vecs = _dense_spectrum(op)
         return vals[:k], vecs[:, :k]
 
-    if v0 is None:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-    norm = np.linalg.norm(v0)
-    v0 = v0 / norm if norm > 0 else np.full(n, n ** -0.5)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 /= np.linalg.norm(v0)
     scipy_op = LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
     ncv = min(n, max(2 * k + 10, 30))
     try:
@@ -116,7 +117,7 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50, v0=None):
 
 
 def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
-                     v0=None):
+                     frob_limit=np.inf):
     """All eigenpairs with eigenvalue above ``tol * max(|lambda|, 1)``, up
     to ``max_rank`` of them, as a :class:`PsdFactor`.
 
@@ -129,6 +130,13 @@ def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
     the expected positive rank; the Krylov floor of
     :func:`leading_eigpairs` keeps such small requests from stopping on
     Ritz values that are not the leading ones.
+
+    Ritz values never exceed the eigenvalues of the same rank, so the sum
+    of squares of returned positive values is a lower estimate of
+    ``||op_+||_F^2``.  Once it exceeds ``frob_limit`` the growth stops and
+    that partial factor is returned marked truncated: a caller that only
+    needs to know whether the norm passes a limit learns it without the
+    rest of the positive spectrum.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -137,13 +145,13 @@ def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
     k = min(k0 if k0 is not None else min(10, cap), cap)
     while True:
         vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed,
-                                      restarts=restarts, v0=v0)
+                                      restarts=restarts)
         thresh = tol * max(np.abs(vals).max(initial=0.0), 1.0)
         full_spectrum = vals.size >= n  # dense fallback returned everything
         if vals[-1] <= thresh or full_spectrum:
             keep = vals > thresh
             return PsdFactor(vecs[:, keep][:, :cap], vals[keep][:cap],
                              truncated=bool(np.count_nonzero(keep) > cap))
-        if k >= cap:
+        if k >= cap or np.sum(vals ** 2) > frob_limit:
             return PsdFactor(vecs, vals, truncated=True)
         k = min(2 * k, cap)

@@ -513,25 +513,31 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                              seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
     # warm state across dual evaluations: consecutive C(u) are close, so the
-    # previous positive part sizes the next request and starts Lanczos.  Two
-    # pairs beyond the last rank suffice, since one returned eigenvalue at or
-    # below the threshold proves the positive part complete; surplus pairs
-    # sit in the dense cluster just below zero, where Lanczos converges slowly
-    warm = {"k0": min(rank_init + 2, rank_cap), "v0": None}
+    # previous positive part sizes the next request.  Two pairs beyond the
+    # last rank suffice, since one returned eigenvalue at or below the
+    # threshold proves the positive part complete; surplus pairs sit in the
+    # dense cluster just below zero, where Lanczos converges slowly.  "floor"
+    # is the value of the current iterate: a line-search trial needs a value
+    # above it to be accepted, so once a partial positive part already puts
+    # the trial's dual below it, the Lanczos growth stops (the factor comes
+    # back truncated and the trial is rejected, as it would be in full)
+    warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf}
 
     def obj_grad(u):
         op = sdp.operator(u)
+        # d(u) < floor once the partial ||C(u)_+||_F^2 exceeds this
+        frob_limit = (2.0 / sdp.gamma) * (-u @ sdp.b - warm["floor"]
+                                          - sdp.eta ** 2 / (2.0 * sdp.gamma))
         try:
             factor = leading_psd_part(op, rank_cap, tol=params.eig_tol,
                                       seed=next_seed(eig_seed_rng),
-                                      k0=warm["k0"], v0=warm["v0"],
+                                      k0=warm["k0"], frob_limit=frob_limit,
                                       restarts=params.lanczos_restarts)
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor
         if factor.rank:
             warm["k0"] = int(np.clip(factor.rank + 2, 2, rank_cap))
-            warm["v0"] = factor.vectors @ factor.values
         return sdp.dual_objective(u, factor), sdp.dual_gradient(u, factor), factor
 
     trajectory = []
@@ -558,6 +564,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     previous = optimizer.value
     for k in range(1, params.k_max + 1):
         started = time.perf_counter()
+        warm["floor"] = optimizer.value
         step = optimizer.step()
         if step.converged:
             break

@@ -80,6 +80,29 @@ class TestLeadingPsdPart:
         assert factor.truncated
         assert factor.rank == 6
 
+    def test_frob_limit_stops_growth_with_partial_factor(self):
+        # 20 positive eigenvalues 20, 19, ..., 1 with ||A_+||_F^2 = 2870
+        op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
+                                                   -np.arange(1.0, 21.0)])))
+        full = leading_psd_part(op, max_rank=40, k0=4, seed=6)
+        assert full.rank == 20 and not full.truncated
+        # the first request of 4 pairs already passes the limit (1374 > 1000)
+        stopped = leading_psd_part(op, max_rank=40, k0=4, seed=6,
+                                   frob_limit=1000.0)
+        assert stopped.truncated
+        np.testing.assert_allclose(stopped.values, [20.0, 19.0, 18.0, 17.0],
+                                   atol=1e-10)
+        # 1374 < 1500, so the request doubles once (2220 > 1500)
+        doubled = leading_psd_part(op, max_rank=40, k0=4, seed=6,
+                                   frob_limit=1500.0)
+        assert doubled.truncated and doubled.rank == 8
+        for limit in (2870.5, np.inf):
+            same = leading_psd_part(op, max_rank=40, k0=4, seed=6,
+                                    frob_limit=limit)
+            assert not same.truncated
+            assert np.array_equal(same.values, full.values)
+            assert np.array_equal(same.vectors, full.vectors)
+
     def test_nonconvergence_carries_best_effort_factor(self, rng):
         a = rng.standard_normal((300, 300))
         a = 0.5 * (a + a.T)

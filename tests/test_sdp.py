@@ -412,12 +412,14 @@ class TestLrSdcutSolve:
             [r.dual for r in second.trajectory]
 
 
-def _record_psd_calls(monkeypatch):
-    """Wrap the solver's positive-part call; returns the list it fills with
+def _record_psd_calls(monkeypatch, **forced):
+    """Wrap the solver's positive-part call, overriding its keyword
+    arguments with ``forced``; returns the list it fills with
     ``(op, max_rank, k0, factor)`` per dual evaluation."""
     calls = []
 
     def recording(op, max_rank, **kwargs):
+        kwargs.update(forced)
         factor = leading_psd_part(op, max_rank, **kwargs)
         calls.append((op, max_rank, kwargs["k0"], factor))
         return factor
@@ -426,14 +428,20 @@ def _record_psd_calls(monkeypatch):
     return calls
 
 
-def _general_n7_l3(seed):
-    """General N=7, L=3 instance; mu is uniform in [0.2, 1] off the
+def _general_l3(n_vars, seed):
+    """General L=3 cluster instance; mu is uniform in [0.2, 1] off the
     diagonal, drawn from ``default_rng([seed, 99])``."""
-    instance = gen_clusters(7, 3, seed=seed)
+    instance = gen_clusters(n_vars, 3, seed=seed)
     upper = np.triu(np.random.default_rng([seed, 99]).uniform(0.2, 1.0,
                                                               (3, 3)), 1)
     instance["compatibility"] = (upper + upper.T).tolist()
     return build_problem(instance)
+
+
+def _dense_positive_frob_sq(op):
+    dense = np.column_stack([op.apply(col) for col in np.eye(op.n)])
+    vals = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    return np.sum(vals[vals > 0.0] ** 2)
 
 
 class TestLanczosRequests:
@@ -453,7 +461,7 @@ class TestLanczosRequests:
     @pytest.mark.parametrize("seed", [4, 8, 17, 20, 22, 28])
     def test_small_requests_find_the_whole_positive_part(self, seed,
                                                          monkeypatch):
-        problem = _general_n7_l3(seed)
+        problem = _general_l3(7, seed)
         calls = _record_psd_calls(monkeypatch)
         report = lr_sdcut_solve(problem, seed=1)
         assert not [w for w in report.warnings if "stall" in w]
@@ -461,7 +469,53 @@ class TestLanczosRequests:
         assert report.lower_bound <= optimum + 1e-9
         assert optimum <= report.best_energy + 1e-9
         for op, _, _, factor in calls:
-            dense = np.column_stack([op.apply(col) for col in np.eye(op.n)])
-            vals = np.linalg.eigvalsh(0.5 * (dense + dense.T))
-            expected = np.sum(vals[vals > 0.0] ** 2)
-            assert factor.frob_norm_sq() == pytest.approx(expected, rel=1e-9)
+            assert factor.frob_norm_sq() == pytest.approx(
+                _dense_positive_frob_sq(op), rel=1e-9)
+
+    # Lanczos runs started from the previous factor's sum_i lambda_i v_i
+    # missed new positive directions on these instances (N=150 only together
+    # with early-stopped trials), and one non-positive Ritz value then
+    # "proved" the positive part complete: N=80 gave rank-1 factors where the
+    # positive part has rank 2, with ||.||_F^2 off by 2.3%
+    @pytest.mark.parametrize("n_vars, seed", [(80, 8), (150, 10)])
+    def test_cold_start_finds_new_positive_directions(self, n_vars, seed,
+                                                      monkeypatch):
+        problem = _general_l3(n_vars, seed)
+        calls = _record_psd_calls(monkeypatch)
+        lr_sdcut_solve(problem, seed=1)
+        checked = 0
+        for op, _, _, factor in calls:
+            if factor.truncated:
+                continue
+            assert factor.frob_norm_sq() == pytest.approx(
+                _dense_positive_frob_sq(op), rel=1e-9)
+            checked += 1
+        assert checked > 2
+
+
+class TestEarlyStop:
+    """Line-search trials whose partial positive part already puts the dual
+    below the current iterate stop their Lanczos growth."""
+
+    def test_stopped_trials_change_no_accepted_iterate(self, monkeypatch):
+        problem = _general_l3(150, 1)
+        full_calls = _record_psd_calls(monkeypatch, frob_limit=np.inf)
+        full = lr_sdcut_solve(problem, seed=1)
+        calls = _record_psd_calls(monkeypatch)
+        report = lr_sdcut_solve(problem, seed=1)
+        stopped = [(op, factor) for op, cap, _, factor in calls
+                   if factor.truncated and factor.rank < cap]
+        assert stopped
+        # a partial factor's norm is a lower estimate of the full one
+        for op, factor in stopped:
+            dense = _dense_positive_frob_sq(op)
+            assert factor.frob_norm_sq() <= dense * (1.0 + 1e-9)
+        assert not any(rec.truncated for rec in report.trajectory)
+        assert report.extras["dual_evals"] == full.extras["dual_evals"]
+        assert len(calls) == len(full_calls)
+        assert [rec.rank for rec in report.trajectory] == \
+            [rec.rank for rec in full.trajectory]
+        np.testing.assert_allclose([rec.dual for rec in report.trajectory],
+                                   [rec.dual for rec in full.trajectory],
+                                   rtol=1e-9)
+        assert report.lower_bound == pytest.approx(full.lower_bound, rel=1e-9)
