@@ -82,8 +82,9 @@ class CrfProblem:
         return np.ones((L, L)) - np.eye(L)
 
     def kernel_matvec(self, d):
-        """Combined weighted kernel product ``K d`` in O(N R)."""
-        out = np.zeros(self.n_vars)
+        """Combined weighted kernel product ``K d`` in O(N R) per column;
+        ``d`` is an N-vector or an N x m block, e.g. all L label columns."""
+        out = np.zeros(np.shape(d))
         for k in self.kernels:
             out += k.matvec(d)
         return out
@@ -116,14 +117,13 @@ def to_vectorized(indicator):
 def lifted_energy(problem, indicator):
     """Quadratic lifted energy ``<H, X> - 0.5 <X X', K>`` (Potts only).
 
-    The quadratic term is evaluated per label column through factored
-    matvecs, never through the dense kernel.
+    The quadratic term ``<X, K X>`` is evaluated with one factored block
+    product over all label columns, never through the dense kernel.
     """
     if not problem.is_potts:
         raise ValueError("lifted_energy is the Potts form; use lifted_energy_general")
     x = np.asarray(indicator, dtype=np.float64)
-    quad = sum(x[:, l] @ problem.kernel_matvec(x[:, l])
-               for l in range(problem.n_labels))
+    quad = np.sum(x * problem.kernel_matvec(x))
     return float(np.sum(problem.unary * x) - 0.5 * quad)
 
 
@@ -131,17 +131,16 @@ def lifted_energy_general(problem, y):
     """Lifted energy ``h' y + 0.5 y' (U (x) K) y`` with ``U = mu - 11'``.
 
     The Kronecker-structured quadratic reduces to
-    ``0.5 sum_{l,l'} U[l,l'] (X[:,l]' K X[:,l'])`` and is evaluated with L
-    factored matvecs; the L x L Gram of label columns is the only dense
-    object formed.
+    ``0.5 sum_{l,l'} U[l,l'] (X[:,l]' K X[:,l'])`` and is evaluated with one
+    factored block product over the L label columns; the L x L Gram of
+    label columns is the only dense object formed.
     """
     if problem.is_potts:
         raise ValueError("problem has Potts compatibility; use lifted_energy")
     n, L = problem.n_vars, problem.n_labels
     x = np.asarray(y, dtype=np.float64).reshape(n, L)
     u = problem.mu - 1.0
-    kx = np.column_stack([problem.kernel_matvec(x[:, l]) for l in range(L)])
-    gram = x.T @ kx
+    gram = x.T @ problem.kernel_matvec(x)
     return float(np.sum(problem.unary * x) + 0.5 * np.sum(u * gram))
 
 

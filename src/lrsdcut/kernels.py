@@ -2,7 +2,10 @@
 
 Every kernel used by the solvers is represented through a tall factor
 ``phi`` with ``K ~= phi @ phi.T`` so that products ``K @ d`` cost
-``O(N * R)`` instead of ``O(N^2)``.  Three factored forms are supported:
+``O(N * R)`` instead of ``O(N^2)``.  Every product accepts either an
+N-vector or an N x m block ``d`` (m columns, e.g. the label columns of an
+indicator matrix) and returns the same shape, with one BLAS-3 product per
+factor for the whole block.  Three factored forms are supported:
 
 * plain low-rank:        ``K = phi @ phi.T``
 * Hadamard pair:         ``K = (phi_p phi_p') o (phi_c phi_c')``
@@ -187,12 +190,20 @@ def nystrom_factor(column_oracle, landmarks, rank, eig_floor=0.0):
     return LowRankFactor(phi)
 
 
-def lowrank_matvec(factor, d, blocks=None):
-    """Return ``(phi phi') d`` in O(N R); block-diagonal when ``blocks`` given."""
-    phi = factor.phi
+def _check_rows(d, n):
+    """``d`` as a float N-vector or N x m block; anything else is rejected."""
     d = np.asarray(d, dtype=np.float64)
-    if d.shape != (phi.shape[0],):
-        raise ValueError(f"vector length {d.shape} does not match factor n={phi.shape[0]}")
+    if d.ndim not in (1, 2) or d.shape[0] != n:
+        raise ValueError(f"input of shape {d.shape} is neither an N-vector nor "
+                         f"an N x m block for n={n}")
+    return d
+
+
+def lowrank_matvec(factor, d, blocks=None):
+    """Return ``(phi phi') d`` in O(N R) per column; block-diagonal when
+    ``blocks`` given.  ``d`` is an N-vector or an N x m block."""
+    phi = factor.phi
+    d = _check_rows(d, phi.shape[0])
     if blocks is None:
         return phi @ (phi.T @ d)
     offsets = _check_blocks(blocks, phi.shape[0])
@@ -204,28 +215,28 @@ def lowrank_matvec(factor, d, blocks=None):
 
 
 def hadamard_matvec(factor_p, factor_c, d, blocks=None):
-    """Return ``((phi_p phi_p') o (phi_c phi_c')) d`` in O(N R_p R_c).
+    """Return ``((phi_p phi_p') o (phi_c phi_c')) d`` in O(N R_p R_c) per column.
 
     Uses the separated evaluation
     ``((phi_p (phi_p' (Diag(d) phi_c))) o phi_c) 1`` so neither kernel
-    matrix is ever materialized.  With ``blocks``, the product is applied
-    per block (cross-block entries are zero).
+    matrix is ever materialized; the ``Diag(d) phi_c`` of all m columns of
+    an N x m block ``d`` are unfolded into one N x (m R_c) product.  With
+    ``blocks``, the product is applied per block (cross-block entries are
+    zero).
     """
     pp, pc = factor_p.phi, factor_c.phi
-    if pp.shape[0] != pc.shape[0]:
+    n = pp.shape[0]
+    if pc.shape[0] != n:
         raise ValueError("factors must share the same number of rows")
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (pp.shape[0],):
-        raise ValueError(f"vector length {d.shape} does not match n={pp.shape[0]}")
-    if blocks is None:
-        t = pp @ (pp.T @ (d[:, None] * pc))
-        return np.sum(t * pc, axis=1)
-    offsets = _check_blocks(blocks, pp.shape[0])
-    out = np.empty_like(d)
+    d = _check_rows(d, n)
+    offsets = [0, n] if blocks is None else _check_blocks(blocks, n)
+    cols = d.reshape(n, -1)
+    out = np.empty_like(cols)
     for a, b in zip(offsets[:-1], offsets[1:]):
-        t = pp[a:b] @ (pp[a:b].T @ (d[a:b, None] * pc[a:b]))
-        out[a:b] = np.sum(t * pc[a:b], axis=1)
-    return out
+        lifted = (cols[a:b, :, None] * pc[a:b, None, :]).reshape(b - a, -1)
+        t = (pp[a:b] @ (pp[a:b].T @ lifted)).reshape(b - a, cols.shape[1], -1)
+        out[a:b] = np.einsum("imr,ir->im", t, pc[a:b])
+    return out.reshape(d.shape)
 
 
 def centered_discriminative_factor(phi_tilde, kappa):
@@ -323,11 +334,9 @@ class CenteredDiscriminativeKernel:
         return self.factor.n
 
     def matvec(self, d):
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.n,):
-            raise ValueError(f"vector length {d.shape} does not match n={self.n}")
+        d = _check_rows(d, self.n)
         phi = self.factor.phi
-        centered = d - d.mean()
+        centered = d - d.mean(axis=0)
         return self.weight * self.scale * (centered - phi @ (phi.T @ d))
 
     def diag(self):

@@ -7,10 +7,10 @@ is
     Q_i(l)  propto  exp(-psi_i(l) - sum_{j != i} sum_{l'} Q_j(l') mu(l, l') K_ij),
 
 i.e. a softmax of the negated unary plus incoming messages.  The message
-bottleneck ``K q`` per label column runs through factored matvecs; the
-j = i self-interaction is removed explicitly with diag(K) (row norms of
-the factors), which keeps the sequential schedule an exact coordinate
-descent on the variational free energy.
+bottleneck ``K Q`` runs through one factored block product over all label
+columns; the j = i self-interaction is removed explicitly with diag(K)
+(row norms of the factors), which keeps the sequential schedule an exact
+coordinate descent on the variational free energy.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +29,7 @@ def _softmax_rows(scores):
 
 def _messages(problem, marginals):
     """Incoming pairwise messages: ((K Q) - diag(K) o Q) mu, shape N x L."""
-    passed = np.column_stack([problem.kernel_matvec(marginals[:, l])
-                              for l in range(problem.n_labels)])
+    passed = problem.kernel_matvec(marginals)
     passed -= problem.kernel_diag()[:, None] * marginals
     return passed @ problem.mu_matrix()
 
@@ -52,14 +51,15 @@ def mf_init(problem, seed=0, mode="unary"):
 def mf_site_update(problem, marginals, site):
     """Exact coordinate update of one site's marginal; returns a new matrix.
 
-    Costs one factored matvec (the kernel column through a basis vector),
-    so a full sequential sweep is O(N) matvecs; intended for small N.
+    Costs one factored matvec (the kernel column through a basis vector,
+    whose entry at ``site`` is K_ii), so a full sequential sweep is O(N)
+    matvecs; intended for small N.
     """
     n = problem.n_vars
     basis = np.zeros(n)
     basis[site] = 1.0
     k_col = problem.kernel_matvec(basis)
-    incoming = marginals.T @ k_col - problem.kernel_diag()[site] * marginals[site]
+    incoming = marginals.T @ k_col - k_col[site] * marginals[site]
     row = _softmax_rows((-(problem.unary[site] + problem.mu_matrix() @ incoming))[None, :])
     out = marginals.copy()
     out[site] = row[0]
@@ -91,9 +91,7 @@ def mf_free_energy(problem, marginals):
     entropy_term = float(xlogy(q, q).sum())
     unary_term = float(np.sum(problem.unary * q))
     mu = problem.mu_matrix()
-    passed = np.column_stack([problem.kernel_matvec(q[:, l])
-                              for l in range(problem.n_labels)])
-    gram = q.T @ passed
+    gram = q.T @ problem.kernel_matvec(q)
     self_term = np.einsum("i,il,lm,im->", problem.kernel_diag(), q, mu, q)
     pair_term = 0.5 * (float(np.sum(mu * gram)) - float(self_term))
     return entropy_term + unary_term + pair_term

@@ -199,36 +199,35 @@ class GeneralSdp(SdpLifting):
         b = np.concatenate([np.ones(n_vars), np.zeros(n_vars * self.n_pairs)])
         super().__init__(problem, gamma, n=n_vars * n_labels, eta=n_vars,
                          b=b, identity=b)
+        # variable i's symmetric L x L constraint block Diag(u1_i) + ltri(u2_i)/2
+        # is (u * block_weights)[block_gather[i]]: its diagonal reads u1_i and
+        # its entry (l, m) off the diagonal the u2_i entry of the pair {l, m}
+        pair = np.zeros((n_labels, n_labels), dtype=np.intp)
+        pair[self.tril_rows, self.tril_cols] = np.arange(self.n_pairs)
+        var = np.arange(n_vars)[:, None, None]
+        self.block_gather = np.where(np.eye(n_labels, dtype=bool), var,
+                                     n_vars + var * self.n_pairs + pair + pair.T)
+        self.block_weights = np.where(np.arange(self.q) < n_vars, 1.0, 0.5)
         self.u_mat = problem.mu - 1.0
         self.h = problem.unary.reshape(-1)
-
-    def split_u(self, u):
-        n_vars = self.n_vars
-        return u[:n_vars], u[n_vars:].reshape(n_vars, self.n_pairs)
 
     def a_matvec(self, d):
         """Product with A = Diag(h) + (Kronecker-structured pairwise)/2.
 
-        The pairwise part applies K to the N x L unfolding of d per label
-        column and multiplies by U = mu - 11' on the right, costing
+        The pairwise part applies K to the N x L unfolding of d in one block
+        product and multiplies by U = mu - 11' on the right, costing
         O(N L R_K + N L^2) without forming the Kronecker product.
         """
         d = self._vector(d)
-        unfolded = d.reshape(self.n_vars, self.n_labels)
-        kd = np.column_stack([self.problem.kernel_matvec(unfolded[:, l])
-                              for l in range(self.n_labels)])
+        kd = self.problem.kernel_matvec(d.reshape(self.n_vars, self.n_labels))
         return self.h * d + 0.5 * (kd @ self.u_mat).reshape(-1)
 
     def constraint_matvec(self, u, d):
-        u1, u2 = self.split_u(u)
+        """Product with sum_i u_i B_i: the N symmetric L x L per-variable
+        blocks ``Diag(u1_i) + ltri(u2_i)/2``, gathered and applied at once."""
+        blocks = (u * self.block_weights)[self.block_gather]
         unfolded = d.reshape(self.n_vars, self.n_labels)
-        out = unfolded * u1[:, None]
-        tri = np.zeros_like(unfolded)
-        for k in range(self.n_pairs):
-            a, c = self.tril_rows[k], self.tril_cols[k]
-            tri[:, a] += u2[:, k] * unfolded[:, c]
-            tri[:, c] += u2[:, k] * unfolded[:, a]
-        return (out + 0.5 * tri).reshape(-1)
+        return np.einsum("ilm,im->il", blocks, unfolded).reshape(-1)
 
     def c_matvec(self, u, d):
         d = self._vector(d)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from lrsdcut.crf import CrfProblem
-from lrsdcut.kernels import LowRankFactor, LowRankKernel
+from lrsdcut.kernels import (CenteredDiscriminativeKernel, HadamardKernel,
+                             LowRankFactor, LowRankKernel)
 
 
 def random_potts_problem(n, n_labels, seed, kernel_rank=3, weight=1.0):
@@ -33,6 +34,30 @@ def random_general_problem(n, n_labels, seed, kernel_rank=3, weight=1.0):
     unary = rng.standard_normal((n, n_labels))
     phi = rng.standard_normal((n, kernel_rank)) / np.sqrt(kernel_rank)
     return CrfProblem(unary, [LowRankKernel(LowRankFactor(phi), weight)], mu=mu)
+
+
+def mixed_kernel_problem(n, n_labels, seed, general=False):
+    """Random problem over a stack of every kernel type: block-diagonal
+    low-rank, block-diagonal Hadamard and centered discriminative."""
+    rng = np.random.default_rng(seed)
+    fp = LowRankFactor(rng.standard_normal((n, 3)) / np.sqrt(3))
+    fc = LowRankFactor(rng.standard_normal((n, 2)) / np.sqrt(2))
+    blocks = [0, n // 3, n]
+    kernels = [LowRankKernel(fp, 1.2, blocks=blocks),
+               HadamardKernel(fp, fc, 0.8, blocks=blocks),
+               CenteredDiscriminativeKernel(fc, kappa=0.5, weight=0.6)]
+    mu = None
+    if general:
+        mu = rng.uniform(0.0, 1.0, (n_labels, n_labels))
+        mu = 0.5 * (mu + mu.T)
+        np.fill_diagonal(mu, 0.0)
+    return CrfProblem(rng.standard_normal((n, n_labels)), kernels, mu=mu)
+
+
+def per_column_kernel_product(problem, x):
+    """K X formed one label column at a time: the reference for block products."""
+    return np.column_stack([problem.kernel_matvec(x[:, l].copy())
+                            for l in range(x.shape[1])])
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_general_problem, random_potts_problem
+from conftest import (mixed_kernel_problem, per_column_kernel_product,
+                      random_general_problem, random_potts_problem)
 from lrsdcut.crf import (CrfProblem, InstanceFormatError, build_problem,
                          energy, energy_offset, lifted_energy,
                          lifted_energy_general, load_instance, to_indicator,
@@ -120,6 +121,30 @@ class TestLiftedEnergyGeneral:
             y = to_vectorized(to_indicator(labels, 3))
             assert energy(problem, labels) == pytest.approx(
                 lifted_energy_general(problem, y) + offset, abs=1e-9)
+
+
+class TestBlockEvaluators:
+    """Lifted energies from one block product equal the per-column sums."""
+
+    def test_lifted_energy_matches_per_column_reference(self, rng):
+        problem = mixed_kernel_problem(23, 4, seed=15)
+        for x in (rng.dirichlet(np.ones(4), size=23),
+                  to_indicator(rng.integers(0, 4, 23), 4)):
+            kx = per_column_kernel_product(problem, x)
+            ref = np.sum(problem.unary * x) - 0.5 * sum(
+                x[:, l] @ kx[:, l] for l in range(4))
+            assert lifted_energy(problem, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_lifted_energy_general_matches_per_column_reference(self, rng):
+        problem = mixed_kernel_problem(23, 4, seed=16, general=True)
+        for x in (rng.dirichlet(np.ones(4), size=23),
+                  to_indicator(rng.integers(0, 4, 23), 4)):
+            kx = per_column_kernel_product(problem, x)
+            quad = sum((problem.mu[l, m] - 1.0) * (x[:, l] @ kx[:, m])
+                       for l in range(4) for m in range(4))
+            ref = np.sum(problem.unary * x) + 0.5 * quad
+            assert lifted_energy_general(problem, to_vectorized(x)) == \
+                pytest.approx(ref, rel=1e-12)
 
 
 class TestEnergyOffset:

@@ -226,6 +226,23 @@ class TestKernelInvariants:
                                        np.diag(dense_kernel(kernel)),
                                        atol=1e-10)
 
+    def test_block_product_matches_column_by_column(self, rng):
+        for kernel in _kernel_zoo(rng):
+            d = rng.standard_normal((kernel.n, 4))
+            ref = np.column_stack([kernel.matvec(d[:, j].copy())
+                                   for j in range(4)])
+            got = kernel.matvec(d)
+            assert got.shape == d.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+    def test_block_shapes_other_than_n_rows_rejected(self, rng):
+        for kernel in _kernel_zoo(rng):
+            for bad in (np.zeros((kernel.n + 1, 3)), np.zeros((kernel.n, 2, 2)),
+                        np.zeros(kernel.n - 1)):
+                with pytest.raises(ValueError):
+                    kernel.matvec(bad)
+
     def test_gaussian_factorization_approximates_true_kernel(self, rng):
         pts = rng.standard_normal((40, 2))
         cols = rng.standard_normal((40, 3)) * 0.3

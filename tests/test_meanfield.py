@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_general_problem, random_potts_problem
+from conftest import (mixed_kernel_problem, per_column_kernel_product,
+                      random_general_problem, random_potts_problem)
 from lrsdcut.crf import CrfProblem, energy, to_indicator
 from lrsdcut.kernels import LowRankFactor, LowRankKernel
 from lrsdcut.meanfield import (mf_free_energy, mf_init, mf_site_update,
@@ -136,6 +137,32 @@ class TestFreeEnergy:
             weight = np.prod(q[np.arange(4), labels])
             total += weight * (energy(problem, labels) + math.log(weight))
         assert mf_free_energy(problem, q) == pytest.approx(total, abs=1e-9)
+
+
+class TestBlockEvaluators:
+    """Free energy and updates from one block product equal per-column ones."""
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_free_energy_matches_per_column_reference(self, rng, general):
+        problem = mixed_kernel_problem(19, 3, seed=17, general=general)
+        mu = problem.mu_matrix()
+        q = rng.dirichlet(np.ones(3), size=19)
+        kq = per_column_kernel_product(problem, q)
+        diag = problem.kernel_diag()
+        pair = sum(mu[l, m] * (q[:, l] @ kq[:, m] - np.sum(diag * q[:, l] * q[:, m]))
+                   for l in range(3) for m in range(3))
+        ref = np.sum(q * np.log(q)) + np.sum(problem.unary * q) + 0.5 * pair
+        assert mf_free_energy(problem, q) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_parallel_update_matches_per_column_reference(self, rng, general):
+        problem = mixed_kernel_problem(19, 3, seed=18, general=general)
+        q = rng.dirichlet(np.ones(3), size=19)
+        kq = per_column_kernel_product(problem, q)
+        messages = (kq - problem.kernel_diag()[:, None] * q) @ problem.mu_matrix()
+        scores = np.exp(-(problem.unary + messages))
+        ref = scores / scores.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(mf_update(problem, q), ref, rtol=1e-12)
 
 
 class TestSolve:

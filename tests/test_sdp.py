@@ -58,8 +58,10 @@ class TestGeneralMatvec:
         out = sdp.c_matvec(np.zeros(sdp.q), np.zeros(sdp.n))
         np.testing.assert_array_equal(out, np.zeros(sdp.n))
 
-    def test_matches_dense_kronecker_operator(self, rng):
-        sdp = make_sdp(random_general_problem(4, 3, seed=4), gamma=25.0)
+    # L = 3 alone has as many label pairs as labels
+    @pytest.mark.parametrize("n_labels", [2, 3, 5])
+    def test_matches_dense_kronecker_operator(self, rng, n_labels):
+        sdp = make_sdp(random_general_problem(4, n_labels, seed=4), gamma=25.0)
         u = rng.standard_normal(sdp.q)
         pieces = dense_sdp_pieces(sdp, u)
         for _ in range(20):
