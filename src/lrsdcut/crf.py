@@ -84,9 +84,11 @@ class CrfProblem:
     def kernel_matvec(self, d):
         """Combined weighted kernel product ``K d`` in O(N R) per column;
         ``d`` is an N-vector or an N x m block, e.g. all L label columns."""
-        out = np.zeros(np.shape(d))
-        for k in self.kernels:
-            out += k.matvec(d)
+        if not self.kernels:
+            return np.zeros(np.shape(d))
+        out = self.kernels[0].matvec(d)
+        for k in self.kernels[1:]:
+            out = out + k.matvec(d)
         return out
 
     def kernel_diag(self):

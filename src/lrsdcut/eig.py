@@ -3,17 +3,26 @@
 The solver repeatedly needs the positive spectral part of a symmetric
 operator that is only available through matrix-vector products.  ARPACK's
 implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the
-leading eigenpairs; this module wraps it with a seeded start vector,
-adaptive subspace growth until the positive spectrum is provably captured
-(or its partial norm passes a caller's limit), and a dense fallback for
-operators too small for ARPACK.
+leading eigenpairs; this module wraps it with seeded random vectors, a
+request sized by the caller's exact count of positive eigenvalues when it
+has one (the count then proves the factor complete, and a Lanczos result
+that contradicts it is a typed failure), adaptive subspace growth
+otherwise, an early stop once the partial norm passes a caller's limit,
+and a dense fallback for operators too small for ARPACK.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+# ARPACK asks for a new random vector whenever Lanczos reaches an invariant
+# subspace.  eigsh draws it from its ``rng`` argument, or from fresh OS
+# entropy when none is given, so only a seeded draw repeats; scipy releases
+# without the argument leave the draw to ARPACK itself.
+_SEEDED_RESTARTS = "rng" in inspect.signature(eigsh).parameters
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,15 @@ class EigenConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
+class EigenCountMismatch(RuntimeError):
+    """Lanczos returned fewer eigenvalues above the threshold than an
+    inertia count proved; carries the factor, marked truncated."""
+
+    def __init__(self, message, factor):
+        super().__init__(message)
+        self.factor = factor
+
+
 def _dense_spectrum(op):
     mat = np.column_stack([op.apply(col) for col in np.eye(op.n)])
     mat = 0.5 * (mat + mat.T)
@@ -84,7 +102,9 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50):
     operator's eigenvectors can miss new positive directions.  Falls back
     to a dense eigendecomposition built from n matvecs when k >= n - 1
     (ARPACK requires k < n).  Deterministic for fixed (op, seed) in
-    single-threaded mode.
+    single-threaded mode: the vectors ARPACK draws when Lanczos reaches an
+    invariant subspace come from the start vector's seeded generator (on
+    scipy releases whose eigsh takes ``rng``), never from fresh entropy.
     """
     n = op.n
     if not 1 <= k <= n:
@@ -93,13 +113,15 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50):
         vals, vecs = _dense_spectrum(op)
         return vals[:k], vecs[:, :k]
 
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
     scipy_op = LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
     ncv = min(n, max(2 * k + 10, 30))
     try:
         vals, vecs = eigsh(scipy_op, k=k, which="LA", v0=v0, ncv=ncv,
-                           tol=tol, maxiter=restarts)
+                           tol=tol, maxiter=restarts,
+                           **({"rng": rng} if _SEEDED_RESTARTS else {}))
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues, dtype=np.float64)
         got_vecs = np.asarray(exc.eigenvectors, dtype=np.float64)
@@ -117,19 +139,27 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50):
 
 
 def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
-                     frob_limit=np.inf):
+                     frob_limit=np.inf, count=None):
     """All eigenpairs with eigenvalue above ``tol * max(|lambda|, 1)``, up
     to ``max_rank`` of them, as a :class:`PsdFactor`.
 
-    The request size starts at ``k0`` (default min(10, max_rank)) and
-    doubles until the smallest returned eigenvalue drops below the
-    positivity threshold (proof that the whole positive spectrum is in
-    hand) or the rank cap is reached, in which case the factor is marked
-    truncated.  A single returned eigenvalue at or below the threshold
-    proves completeness, so a request needs only one or two pairs beyond
-    the expected positive rank; the Krylov floor of
-    :func:`leading_eigpairs` keeps such small requests from stopping on
-    Ritz values that are not the leading ones.
+    ``count``, when given, is the exact number p of eigenvalues above
+    ``tol`` (from an inertia count of the operator).  It is the
+    completeness proof: p = 0 returns an empty factor without a Lanczos
+    call, and otherwise the request grows to exactly min(p, max_rank)
+    pairs; the factor is complete once p Ritz values above ``tol`` are in
+    hand and truncated when p exceeds the rank cap.  A returned Ritz value
+    at or below ``tol`` among the first p contradicts the count and raises
+    :class:`EigenCountMismatch`, carrying the factor marked truncated.
+
+    Without a count the request doubles until the smallest returned
+    eigenvalue drops below the positivity threshold (taken as proof that
+    the whole positive spectrum is in hand) or the rank cap is reached,
+    in which case the factor is marked truncated; a request then needs
+    only one or two pairs beyond the expected positive rank.  Either way
+    the request starts at ``k0`` (default min(10, max_rank)), and the
+    Krylov floor of :func:`leading_eigpairs` keeps small requests from
+    stopping on Ritz values that are not the leading ones.
 
     Ritz values never exceed the eigenvalues of the same rank, so the sum
     of squares of returned positive values is a lower estimate of
@@ -141,17 +171,29 @@ def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
     n = op.n
     if not 1 <= max_rank <= n:
         raise ValueError(f"need 1 <= max_rank <= {n}, got {max_rank}")
-    cap = max_rank
-    k = min(k0 if k0 is not None else min(10, cap), cap)
+    if count == 0:
+        return PsdFactor(np.zeros((n, 0)), np.zeros(0))
+    cap = max_rank if count is None else min(count, max_rank)
+    k = min(k0 if k0 is not None else min(10, max_rank), cap)
     while True:
         vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed,
                                       restarts=restarts)
         thresh = tol * max(np.abs(vals).max(initial=0.0), 1.0)
-        full_spectrum = vals.size >= n  # dense fallback returned everything
-        if vals[-1] <= thresh or full_spectrum:
-            keep = vals > thresh
-            return PsdFactor(vecs[:, keep][:, :cap], vals[keep][:cap],
-                             truncated=bool(np.count_nonzero(keep) > cap))
+        keep = vals > thresh
+        if count is None:
+            # the dense fallback returns the whole spectrum
+            complete = vals[-1] <= thresh or vals.size >= n
+        elif vals[-1] <= tol:
+            raise EigenCountMismatch(
+                f"{count} eigenvalues above {tol:g} counted, but Ritz value "
+                f"{k} of {k} is {vals[-1]:.6g}; factor marked truncated",
+                PsdFactor(vecs[:, keep], vals[keep], truncated=True))
+        else:
+            complete = k == count
+        if complete:
+            return PsdFactor(vecs[:, keep][:, :max_rank],
+                             vals[keep][:max_rank],
+                             truncated=bool(np.count_nonzero(keep) > max_rank))
         if k >= cap or np.sum(vals ** 2) > frob_limit:
             return PsdFactor(vecs, vals, truncated=True)
         k = min(2 * k, cap)

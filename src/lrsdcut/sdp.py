@@ -24,10 +24,87 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dsytrf
 
 from .crf import energy_offset, lifted_energy, lifted_energy_general, to_indicator
-from .eig import (EigenConvergenceError, SymmetricOperator, leading_eigpairs,
-                  leading_psd_part)
+from .eig import (EigenConvergenceError, EigenCountMismatch, SymmetricOperator,
+                  leading_eigpairs, leading_psd_part)
+from .kernels import LowRankKernel
+
+# a pivot or Schur pivot this close to zero, relative to the roundoff scale
+# of the Schur complement's entries, leaves the inertia count undecided
+COUNT_REL_TOL = 1e-10
+
+
+def _half_kernel_factor(problem):
+    """Stacked ``sqrt(w/2) phi`` of the kernel stack, so that K/2 = F F',
+    or None unless every kernel is an unblocked :class:`LowRankKernel`."""
+    if not problem.kernels or not all(type(k) is LowRankKernel
+                                      and k.blocks is None
+                                      for k in problem.kernels):
+        return None
+    return np.hstack([np.sqrt(0.5 * k.weight) * k.factor.phi
+                      for k in problem.kernels])
+
+
+def _positive_inertia(pivots_positive, schur, noise):
+    """Haynsworth inertia count ``pivots_positive + pos(schur)``.
+
+    The positive count of the symmetric Schur complement is read off its
+    Bunch-Kaufman factorization ``P S P' = L D L'`` (Sylvester's law of
+    inertia: D has the inertia of S).  D holds 1 x 1 pivots and 2 x 2
+    blocks; returns None when a pivot or a block eigenvalue lies within
+    ``noise`` of zero, where roundoff decides its sign.
+    """
+    ldu, ipiv, info = dsytrf(schur, lower=1)
+    if info != 0:
+        return None
+    d = np.diag(ldu)
+    # a 2 x 2 block spans two negative ipiv entries; runs of them hold
+    # whole blocks, so blocks start at even offsets within a run
+    neg = ipiv < 0
+    at = np.arange(d.size)
+    offset = at - np.maximum.accumulate(np.where(neg, -1, at)) - 1
+    first = np.flatnonzero(neg & (offset % 2 == 0))
+    a, b, c = d[first], ldu[first + 1, first], d[first + 1]
+    half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    eigs = np.concatenate([d[~neg], half - radius, half + radius])
+    if np.any(np.abs(eigs) <= noise):
+        return None
+    return int(pivots_positive + np.count_nonzero(eigs > 0.0))
+
+
+def _block_pivots(blocks):
+    """Positive eigenvalue count of N symmetric L x L blocks and the
+    upper-triangle entries (``np.triu_indices(L)`` order) of their
+    inverses, or None when a block is within roundoff of singular.
+
+    3 x 3 blocks use closed forms: the adjugate, and the signs of the
+    characteristic polynomial's coefficients ``tr``, ``c2`` (sum of the
+    principal 2 x 2 minors) and ``det``.  With real eigenvalues and
+    det > 0 there are three positive ones when tr > 0 and c2 > 0, else
+    one; with det < 0 none when tr < 0 and c2 > 0, else two.
+    """
+    if blocks.shape[1] != 3:
+        vals, vecs = np.linalg.eigh(blocks)
+        size = np.abs(vals)
+        if np.any(size.min(axis=1) <= COUNT_REL_TOL * size.max(axis=1)):
+            return None
+        inverse = (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+        rows, cols = np.triu_indices(blocks.shape[1])
+        return np.count_nonzero(vals > 0.0), inverse[:, rows, cols]
+    a, b, c = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 0, 2]
+    d, e, f = blocks[:, 1, 1], blocks[:, 1, 2], blocks[:, 2, 2]
+    cof = np.stack([d * f - e * e, c * e - b * f, b * e - c * d,
+                    a * f - c * c, b * c - a * e, a * d - b * b], axis=1)
+    det = a * cof[:, 0] + b * cof[:, 1] + c * cof[:, 2]
+    norm_sq = np.einsum("ilm,ilm->i", blocks, blocks)
+    if np.any(det * det <= COUNT_REL_TOL ** 2 * norm_sq ** 3):
+        return None
+    trace, minors = a + d + f, cof[:, 0] + cof[:, 3] + cof[:, 5]
+    positive = np.where(det > 0.0, np.where((trace > 0.0) & (minors > 0.0), 3, 1),
+                        np.where((trace < 0.0) & (minors > 0.0), 0, 2))
+    return int(positive.sum()), cof / det[:, None]
 
 
 def _ltri(values, size, rows, cols):
@@ -45,7 +122,10 @@ class SdpLifting:
     ``identity`` whose weighted constraint matrices sum to the identity,
     ``sum_i identity_i B_i = I`` with ``identity @ b = eta``.  Subclasses
     supply the products with A and with ``sum_i u_i B_i``, the gradient
-    from a positive-part factor and the rounding hooks.
+    from a positive-part factor, the rounding hooks and
+    ``positive_count(u, sigma)``: the number of eigenvalues of C(u) above
+    sigma from an inertia count that needs no Lanczos run, or None where
+    the count is unavailable or undecided.
     """
 
     def __init__(self, problem, gamma, n, eta, b, identity):
@@ -60,6 +140,10 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
+        # K/2 = F F' for positive_count's inertia count, None without one
+        self._count_factor = _half_kernel_factor(problem)
+        if self._count_factor is not None:
+            self._count_rows_sq = np.sum(self._count_factor ** 2, axis=1)
 
     def _vector(self, d):
         d = np.asarray(d, dtype=np.float64)
@@ -80,18 +164,6 @@ class SdpLifting:
         """
         return (-0.5 * self.gamma * psd.frob_norm_sq() - u @ self.b
                 - self.eta ** 2 / (2.0 * self.gamma))
-
-    def primal_objective(self, psd):
-        """<Y, A> for Y = gamma (C(u))_+."""
-        total = 0.0
-        for r in range(psd.rank):
-            v = psd.vectors[:, r]
-            total += psd.values[r] * (v @ self.a_matvec(v))
-        return self.gamma * total
-
-    def constraint_values(self, psd):
-        """<Y, B_i> for Y = gamma (C(u))_+, ordered like the dual vector."""
-        return self.dual_gradient(np.zeros(self.q), psd) + self.b
 
 
 class PottsSdp(SdpLifting):
@@ -171,6 +243,41 @@ class PottsSdp(SdpLifting):
         inner = np.concatenate([inner_u1, inner_u2, inner_u3, inner_u4])
         return self.gamma * inner - self.b
 
+    def positive_count(self, u, sigma):
+        """Number of eigenvalues of C(u) above ``sigma``, in O(N (R+L)^2).
+
+        In C(u) - sigma I the variable block is D + F F', with the diagonal
+        D = -Diag(u4) - sigma I and K/2 = F F' (F is N x R), and it couples
+        to the L label rows through E = -(H + u3 1')/2.  Bordering F with
+        -I_R gives a matrix of inertia In(-I_R) + In(C(u) - sigma I); by
+        Haynsworth additivity its inertia is also In(D) + In(S) with the
+        (R+L) x (R+L) Schur complement
+        ``S = blockdiag(-I_R, C_labels - sigma I) - W' D^-1 W``, W = [F, E].
+        So the count is pos(D) + pos(S).  None when a kernel is not an
+        unblocked low-rank one, or a pivot or Schur pivot is within
+        roundoff of zero.
+        """
+        factor = self._count_factor
+        if factor is None:
+            return None
+        L, R = self.n_labels, factor.shape[1]
+        u1, u2, u3, u4 = self.split_u(u)
+        pivots = -u4 - sigma
+        size = np.abs(pivots)
+        if size.min() <= COUNT_REL_TOL * size.max():
+            return None
+        coupling = -0.5 * (self.problem.unary + u3[:, None])
+        scaled = factor / pivots[:, None]
+        cross = coupling.T @ scaled
+        head = (-np.diag(u1) - 0.5 * _ltri(u2, L, self.tril_rows, self.tril_cols)
+                - sigma * np.eye(L))
+        schur = -np.block([[np.eye(R) + factor.T @ scaled, cross.T],
+                           [cross, coupling.T @ (coupling / pivots[:, None]) - head]])
+        # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|
+        spread = (self._count_rows_sq + np.sum(coupling ** 2, axis=1)) @ (1.0 / size)
+        noise = COUNT_REL_TOL * (spread + np.abs(head).max() + 1.0)
+        return _positive_inertia(np.count_nonzero(pivots > 0.0), schur, noise)
+
     def rounding_rows(self, psd):
         """Rows of the implicit square root corresponding to variables."""
         return psd.vectors[self.n_labels:]
@@ -210,6 +317,19 @@ class GeneralSdp(SdpLifting):
         self.block_weights = np.where(np.arange(self.q) < n_vars, 1.0, 0.5)
         self.u_mat = problem.mu - 1.0
         self.h = problem.unary.reshape(-1)
+        u_eigs = np.linalg.eigvalsh(self.u_mat)
+        if np.abs(u_eigs).min() <= COUNT_REL_TOL * np.abs(u_eigs).max():
+            self._count_factor = None  # the bordering needs U^-1
+        if self._count_factor is not None:
+            rank = self._count_factor.shape[1]
+            self._count_u_inv = np.linalg.inv(self.u_mat)
+            self._count_head = np.kron(np.eye(rank), self._count_u_inv)
+            self._count_offset = rank * int(np.count_nonzero(u_eigs > 0.0))
+            # the upper-triangle label pair of every entry (l, m)
+            rows, cols = np.triu_indices(n_labels)
+            pair_of = np.zeros((n_labels, n_labels), dtype=np.intp)
+            pair_of[rows, cols] = np.arange(rows.size)
+            self._count_pair_of = np.maximum(pair_of, pair_of.T)
 
     def a_matvec(self, d):
         """Product with A = Diag(h) + (Kronecker-structured pairwise)/2.
@@ -243,6 +363,41 @@ class GeneralSdp(SdpLifting):
         inner_u2 = block_gram[:, self.tril_rows, self.tril_cols].reshape(-1)
         inner = np.concatenate([inner_u1, inner_u2])
         return self.gamma * inner - self.b
+
+    def positive_count(self, u, sigma):
+        """Number of eigenvalues of C(u) above ``sigma``, in O(N R^2 L^2).
+
+        ``C(u) - sigma I = D + (F (x) I)(I (x) -U)(F (x) I)'`` with the N
+        per-variable blocks D_i = -Diag(h_i) - B_i(u) - sigma I (each
+        L x L), U = mu - 11' and K/2 = F F' (F is N x R).  Bordering with
+        -(I (x) -U)^-1 = I (x) U^-1 and Haynsworth additivity give
+        ``pos(C(u) - sigma I) + R pos(U) = sum_i pos(D_i) + pos(S)`` with
+        the RL x RL Schur complement
+        ``S = I (x) U^-1 - sum_i (f_i f_i') (x) D_i^-1``.  None when a
+        kernel is not an unblocked low-rank one, U is singular, or a block
+        or Schur pivot is within roundoff of zero.
+        """
+        factor = self._count_factor
+        if factor is None:
+            return None
+        (N, R), L = factor.shape, self.n_labels
+        blocks = -(u * self.block_weights)[self.block_gather]
+        diag = np.arange(L)
+        blocks[:, diag, diag] -= self.problem.unary + sigma
+        pivots = _block_pivots(blocks)
+        if pivots is None:
+            return None
+        positive, inverse = pivots
+        # sum_i (f_i f_i') (x) D_i^-1 from one product over the label pairs
+        lifted = (inverse[:, :, None] * factor[:, None, :]).reshape(N, -1)
+        gram = (factor.T @ lifted).reshape(R, -1, R)[:, self._count_pair_of, :]
+        schur = self._count_head - gram.transpose(0, 1, 3, 2).reshape(R * L, R * L)
+        # |f_i|^2 times the size of D_i^-1 scales the roundoff of variable
+        # i's contribution
+        spread = self._count_rows_sq @ np.abs(inverse).sum(axis=1)
+        noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
+        count = _positive_inertia(positive, schur, noise)
+        return None if count is None else count - self._count_offset
 
     def rounding_rows(self, psd):
         return psd.vectors
@@ -531,9 +686,13 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             factor = leading_psd_part(op, rank_cap, tol=params.eig_tol,
                                       seed=next_seed(eig_seed_rng),
                                       k0=warm["k0"], frob_limit=frob_limit,
-                                      restarts=params.lanczos_restarts)
+                                      restarts=params.lanczos_restarts,
+                                      count=sdp.positive_count(u, params.eig_tol))
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
+            factor = exc.factor
+        except EigenCountMismatch as exc:
+            warnings.append(f"eigen count mismatch: {exc}")
             factor = exc.factor
         if factor.rank:
             warm["k0"] = int(np.clip(factor.rank + 2, 2, rank_cap))

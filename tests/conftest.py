@@ -60,6 +60,20 @@ def per_column_kernel_product(problem, x):
                             for l in range(x.shape[1])])
 
 
+def primal_objective(sdp, psd):
+    """<Y, A> for Y = gamma (C(u))_+, one A product per eigenpair."""
+    total = 0.0
+    for r in range(psd.rank):
+        v = psd.vectors[:, r]
+        total += psd.values[r] * (v @ sdp.a_matvec(v))
+    return sdp.gamma * total
+
+
+def constraint_values(sdp, psd):
+    """<Y, B_i> for Y = gamma (C(u))_+, ordered like the dual vector."""
+    return sdp.dual_gradient(np.zeros(sdp.q), psd) + sdp.b
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_general_problem, random_potts_problem
+from conftest import (primal_objective, random_general_problem,
+                      random_potts_problem)
 from lrsdcut.crf import build_problem, energy
 from lrsdcut.eig import PsdFactor, SymmetricOperator, leading_psd_part
 from lrsdcut.generate import gen_clusters, gen_grid
@@ -284,7 +285,7 @@ def test_09_gamma_monotonicity():
             previous = step.value
             if improvement <= 1e-9:
                 break
-        primals.append(sdp.primal_objective(optimizer.payload))
+        primals.append(primal_objective(sdp, optimizer.payload))
     assert primals[0] >= primals[1] - 1e-3
     assert primals[1] >= primals[2] - 1e-3
     report(9, "gamma-monotonicity",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lrsdcut.eig import (EigenConvergenceError, PsdFactor, SymmetricOperator,
-                         leading_eigpairs, leading_psd_part)
+from lrsdcut import eig as eig_module
+from lrsdcut.eig import (EigenConvergenceError, EigenCountMismatch, PsdFactor,
+                         SymmetricOperator, leading_eigpairs, leading_psd_part)
 
 
 def operator_from(matrix):
@@ -122,6 +123,71 @@ class TestLeadingPsdPart:
     def test_bad_rank_rejected(self):
         with pytest.raises(ValueError):
             leading_psd_part(operator_from(np.eye(3)), max_rank=0)
+
+
+class TestCountedRequests:
+    """An exact count of the eigenvalues above ``tol`` sizes the Lanczos
+    request and proves the positive part complete."""
+
+    @staticmethod
+    def record_requests(monkeypatch):
+        requests = []
+
+        def recording(op, k, **kwargs):
+            requests.append(k)
+            return leading_eigpairs(op, k, **kwargs)
+
+        monkeypatch.setattr(eig_module, "leading_eigpairs", recording)
+        return requests
+
+    # 6 positive eigenvalues 6, 5, ..., 1 among 60
+    DIAG = np.concatenate([np.arange(6.0, 0.0, -1.0), -np.linspace(0.5, 3.0, 54)])
+
+    def test_zero_count_needs_no_lanczos_run(self):
+        def refuse(d):
+            raise AssertionError("no matvec expected")
+
+        factor = leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
+                                  count=0)
+        assert factor.rank == 0 and not factor.truncated
+        assert factor.vectors.shape == (50, 0)
+
+    @pytest.mark.parametrize("k0, expected", [(20, [6]), (2, [2, 4, 6])])
+    def test_request_grows_to_exactly_the_count(self, monkeypatch, k0, expected):
+        requests = self.record_requests(monkeypatch)
+        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
+                                  max_rank=40, k0=k0, seed=3, count=6)
+        assert requests == expected
+        assert not factor.truncated
+        np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
+                                   atol=1e-10)
+
+    def test_count_above_rank_cap_is_truncated(self, monkeypatch):
+        requests = self.record_requests(monkeypatch)
+        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
+                                  max_rank=4, k0=2, seed=3, count=6)
+        assert requests == [2, 4]
+        assert factor.truncated and factor.rank == 4
+
+    def test_frob_limit_still_stops_a_counted_request(self, monkeypatch):
+        requests = self.record_requests(monkeypatch)
+        # 6^2 + 5^2 = 61 passes the limit before the count of 6 is reached
+        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
+                                  max_rank=40, k0=2, seed=3, count=6,
+                                  frob_limit=50.0)
+        assert requests == [2]
+        assert factor.truncated and factor.rank == 2
+
+    def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
+        # the stub claims 8 eigenvalues above tol where only 6 exist
+        with pytest.raises(EigenCountMismatch) as info:
+            leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
+                             k0=20, seed=3, count=8)
+        factor = info.value.factor
+        assert factor.truncated
+        np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
+                                   atol=1e-10)
+        assert "8 eigenvalues above" in str(info.value)
 
 
 class TestPsdFrobNormSq:

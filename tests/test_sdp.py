@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_general_problem, random_potts_problem
+from conftest import (constraint_values, mixed_kernel_problem,
+                      random_general_problem, random_potts_problem)
 from lrsdcut.crf import CrfProblem, build_problem, energy
-from lrsdcut.eig import PsdFactor, SymmetricOperator, leading_psd_part
+from lrsdcut.eig import (PsdFactor, SymmetricOperator, leading_eigpairs,
+                         leading_psd_part)
+from lrsdcut import eig as eig_module
 from lrsdcut import sdp as sdp_module
 from lrsdcut.generate import gen_clusters, gen_grid
 from lrsdcut.kernels import LowRankFactor, LowRankKernel
@@ -145,6 +148,78 @@ class TestDualGradient:
             pieces = dense_sdp_pieces(sdp, u)
             grad = sdp.dual_gradient(u, exact_factor(sdp, u))
             np.testing.assert_allclose(grad, pieces["grad"], atol=1e-8)
+
+
+def _dense_count(sdp, u, sigma):
+    return int(np.sum(np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"]) > sigma))
+
+
+def _two_kernel_potts(n, n_labels, seed):
+    """Potts problem over a stack of two weighted low-rank kernels."""
+    rng = np.random.default_rng(seed)
+    kernels = [LowRankKernel(LowRankFactor(rng.standard_normal((n, r))), w)
+               for r, w in ((2, 0.7), (3, 0.4))]
+    return CrfProblem(rng.standard_normal((n, n_labels)), kernels)
+
+
+class TestPositiveCount:
+    """Inertia counts of C(u)'s eigenvalues above sigma against the dense
+    spectrum."""
+
+    # general L = 3 takes the closed-form 3 x 3 pivots, other L eigh
+    @pytest.mark.parametrize("make, n_labels", [
+        (random_potts_problem, 2), (random_potts_problem, 4),
+        (_two_kernel_potts, 3), (random_general_problem, 2),
+        (random_general_problem, 3), (random_general_problem, 5)])
+    def test_matches_dense_spectrum(self, rng, make, n_labels):
+        for seed in range(6):
+            sdp = make_sdp(make(10, n_labels, seed=seed), gamma=100.0)
+            u0 = spectral_shift_init(sdp, 4)
+            for scale in (0.3, 3.0):
+                u = u0 + scale * rng.standard_normal(sdp.q)
+                for sigma in (1e-8, 0.5, -0.5):
+                    assert sdp.positive_count(u, sigma) == \
+                        _dense_count(sdp, u, sigma)
+
+    def test_near_zero_potts_pivot_is_undecided(self, rng):
+        sdp = make_sdp(random_potts_problem(10, 3, seed=1))
+        u = rng.standard_normal(sdp.q)
+        assert sdp.positive_count(u, 0.2) == _dense_count(sdp, u, 0.2)
+        u[-4] = -0.2 - 1e-13  # the pivot -u4_i - sigma of variable 6
+        assert sdp.positive_count(u, 0.2) is None
+
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_near_singular_general_block_is_undecided(self, rng, n_labels):
+        problem = random_general_problem(10, n_labels, seed=2)
+        sdp = make_sdp(problem)
+        u = rng.standard_normal(sdp.q)
+        assert sdp.positive_count(u, 0.2) == _dense_count(sdp, u, 0.2)
+        # variable 4's block -Diag(h_4) - Diag(u1_4) - ltri(u2_4)/2 - sigma I
+        # becomes diagonal with a first entry of 1e-13
+        pairs = sdp.n_pairs
+        u[sdp.n_vars + 4 * pairs:sdp.n_vars + 5 * pairs] = 0.0
+        u[4] = -problem.unary[4, 0] - 0.2 - 1e-13
+        assert sdp.positive_count(u, 0.2) is None
+
+    def test_sigma_at_an_eigenvalue_is_undecided(self, rng):
+        sdp = make_sdp(random_potts_problem(10, 3, seed=3))
+        u = rng.standard_normal(sdp.q)
+        eigs = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
+        assert sdp.positive_count(u, eigs[-3]) is None
+
+    def test_schur_inertia_reads_two_by_two_pivots(self, rng):
+        # a zero diagonal makes Bunch-Kaufman choose 2 x 2 pivot blocks
+        for n in (2, 5, 12, 31):
+            mat = rng.standard_normal((n, n))
+            mat += mat.T
+            np.fill_diagonal(mat, 0.0)
+            assert sdp_module._positive_inertia(3, mat, 1e-12) == \
+                3 + np.count_nonzero(np.linalg.eigvalsh(mat) > 0.0)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_other_kernels_are_not_counted(self, rng, general):
+        sdp = make_sdp(mixed_kernel_problem(9, 3, seed=4, general=general))
+        assert sdp.positive_count(rng.standard_normal(sdp.q), 0.0) is None
 
 
 class _DiagonalStub:
@@ -382,7 +457,7 @@ class TestLrSdcutSolve:
             if abs(step.value - previous) <= 1e-9 * max(abs(step.value), 1.0):
                 break
             previous = step.value
-        residual = np.abs(sdp.constraint_values(opt.payload) - sdp.b).max()
+        residual = np.abs(constraint_values(sdp, opt.payload) - sdp.b).max()
         assert residual <= 1e-2
 
     def test_report_serializes_to_json_shape(self):
@@ -493,6 +568,66 @@ class TestLanczosRequests:
                 _dense_positive_frob_sq(op), rel=1e-9)
             checked += 1
         assert checked > 2
+
+
+class TestCountedRequests:
+    def test_requests_are_the_counted_size(self, monkeypatch):
+        problem = build_problem(gen_grid(30, 30, 2, seed=5))
+        calls = []  # (count, rank cap, Lanczos requests, factor) per evaluation
+
+        def psd(op, max_rank, **kwargs):
+            calls.append((kwargs["count"], max_rank, []))
+            factor = leading_psd_part(op, max_rank, **kwargs)
+            calls[-1] += (factor,)
+            return factor
+
+        def lanczos(op, k, **kwargs):
+            calls[-1][2].append(k)
+            return leading_eigpairs(op, k, **kwargs)
+
+        monkeypatch.setattr(sdp_module, "leading_psd_part", psd)
+        monkeypatch.setattr(eig_module, "leading_eigpairs", lanczos)
+        lr_sdcut_solve(problem, seed=1)
+        # C(u0) has an eigenvalue at zero by construction: the start's count
+        # is undecided and takes the uncounted path
+        assert calls[0][0] is None
+        assert all(count is not None for count, _, _, _ in calls[1:])
+        for count, cap, requests, factor in calls[1:]:
+            if count == 0:
+                assert requests == [] and factor.rank == 0
+                continue
+            assert max(requests) <= min(count, cap)
+            if not factor.truncated:
+                assert requests[-1] == count
+
+    def test_solves_repeat_bit_for_bit(self):
+        # a counted request of two pairs on this instance reaches an
+        # invariant subspace, where ARPACK draws a new random vector; drawn
+        # from fresh entropy, it changed the duals from one solve to the next
+        problem = build_problem(gen_grid(40, 40, 4, seed=5))
+        first = lr_sdcut_solve(problem, seed=1)
+        second = lr_sdcut_solve(problem, seed=1)
+        assert [rec.dual for rec in first.trajectory] == \
+            [rec.dual for rec in second.trajectory]
+        assert first.lower_bound == second.lower_bound
+        assert first.best_energy == second.best_energy
+
+    def test_count_mismatch_is_a_typed_warning(self, monkeypatch):
+        problem = random_potts_problem(30, 2, seed=23)
+        exact = PottsSdp.positive_count
+
+        def overcount(self, u, sigma):
+            count = exact(self, u, sigma)
+            return None if count is None else count + 1
+
+        monkeypatch.setattr(PottsSdp, "positive_count", overcount)
+        report = lr_sdcut_solve(problem, seed=1)
+        mismatches = [w for w in report.warnings
+                      if w.startswith("eigen count mismatch:")]
+        # every evaluation's count was contradicted, so no dual is a bound
+        assert len(mismatches) == report.extras["dual_evals"]
+        assert all(rec.truncated for rec in report.trajectory)
+        assert report.lower_bound is None
 
 
 class TestEarlyStop:
