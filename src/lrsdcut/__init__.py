@@ -15,7 +15,6 @@ _SUBMODULE_OF = {
     "LowRankFactor": "kernels",
     "GaussianKernel": "kernels",
     "LowRankKernel": "kernels",
-    "HadamardKernel": "kernels",
     "CenteredDiscriminativeKernel": "kernels",
     "select_landmarks": "kernels",
     "nystrom_factor": "kernels",
@@ -37,6 +36,7 @@ _SUBMODULE_OF = {
     "SymmetricOperator": "eig",
     "PsdFactor": "eig",
     "EigenConvergenceError": "eig",
+    "EigenCountMismatch": "eig",
     "leading_psd_part": "eig",
     "PottsSdp": "sdp",
     "GeneralSdp": "sdp",

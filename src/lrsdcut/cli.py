@@ -18,8 +18,17 @@ import sys
 import time
 
 EXIT_OK = 0
-EXIT_INSTANCE = 2
+EXIT_INPUT = 2  # malformed instance or usage error
 EXIT_SOLVER = 3
+
+# solver flag -> SolveParams field; an unset flag keeps the SolveParams
+# default, and reports list the values under the flag names
+_PARAM_FIELDS = {"gamma": "gamma", "kmax": "k_max", "rank_init": "rank_init",
+                 "tau": "tau", "seed": "seed", "samples": "n_samples"}
+
+
+class UsageError(Exception):
+    """A flag value the solver rejects."""
 
 
 def _apply_thread_cap():
@@ -69,54 +78,55 @@ def _build_parser():
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--method", choices=["lrsdcut", "meanfield", "brute"],
                        required=True)
-    solve.add_argument("--gamma", type=float, default=1000.0)
-    solve.add_argument("--kmax", type=int, default=10)
-    solve.add_argument("--rank-init", type=int, default=20)
-    solve.add_argument("--tau", type=float, default=1e-5)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--gamma", type=float)
+    solve.add_argument("--kmax", type=int)
+    solve.add_argument("--rank-init", type=int)
+    solve.add_argument("--tau", type=float)
+    solve.add_argument("--seed", type=int)
     solve.add_argument("--restarts", type=int, default=5,
                        help="mean-field restarts")
-    solve.add_argument("--samples", type=int, default=20,
+    solve.add_argument("--samples", type=int,
                        help="rounding samples per iteration")
     solve.add_argument("--out", help="write the report JSON here")
     solve.add_argument("instance")
 
     bench = sub.add_parser("bench", help="per-iteration timing CSV")
-    bench.add_argument("--method", choices=["lrsdcut"], default="lrsdcut")
     bench.add_argument("--kmax", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=int)
     bench.add_argument("--out", help="write CSV here instead of stdout")
     bench.add_argument("instances", nargs="+")
 
     compare = sub.add_parser("compare",
                              help="run lrsdcut and meanfield side by side")
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--seed", type=int)
     compare.add_argument("--restarts", type=int, default=5)
     compare.add_argument("--out", help="write CSV here as well")
     compare.add_argument("instances", nargs="+")
     return parser
 
 
-def _solver_params(args):
-    return {"gamma": args.gamma, "kmax": args.kmax,
-            "rank_init": args.rank_init, "tau": args.tau, "seed": args.seed,
-            "restarts": args.restarts, "samples": args.samples}
+def _solve_params(args):
+    """SolveParams from the solver flags given, or UsageError."""
+    from .sdp import SolveParams
+
+    try:
+        return SolveParams(**{field: getattr(args, flag)
+                              for flag, field in _PARAM_FIELDS.items()
+                              if getattr(args, flag, None) is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _run_method(method, problem, args):
+def _run_method(method, problem, params, restarts):
     """Returns a report dict with the shared SolveReport JSON shape."""
     from . import meanfield, oracle, sdp
 
     started = time.perf_counter()
     if method == "lrsdcut":
-        report = sdp.lr_sdcut_solve(
-            problem, gamma=args.gamma, k_max=args.kmax,
-            rank_init=args.rank_init, tau=args.tau, seed=args.seed,
-            n_samples=args.samples)
-        out = report.to_dict()
+        out = sdp.lr_sdcut_solve(problem, params).to_dict()
     elif method == "meanfield":
-        result = meanfield.mf_solve(problem, restarts=args.restarts,
-                                    seed=args.seed)
+        result = meanfield.mf_solve(problem, restarts=restarts,
+                                    seed=params.seed)
         out = {
             "method": "meanfield",
             "best_energy": result.energy,
@@ -191,11 +201,14 @@ def cmd_gen(args):
 def cmd_solve(args):
     from .crf import load_instance
 
+    params = _solve_params(args)
     problem, _, digest = load_instance(args.instance)
-    report = _run_method(args.method, problem, args)
+    report = _run_method(args.method, problem, params, args.restarts)
     report["instance"] = args.instance
     report["instance_sha256"] = digest
-    report["params"] = _solver_params(args)
+    report["params"] = {flag: getattr(params, field)
+                        for flag, field in _PARAM_FIELDS.items()}
+    report["params"]["restarts"] = args.restarts
 
     bound = report.get("lower_bound")
     bound_text = "n/a" if bound is None else f"{bound:.6f}"
@@ -213,16 +226,17 @@ def cmd_bench(args):
     from .crf import load_instance
     from .sdp import lr_sdcut_solve
 
+    params = _solve_params(args)
     rows = []
     for path in args.instances:
         problem, _, digest = load_instance(path)
-        report = lr_sdcut_solve(problem, k_max=args.kmax, seed=args.seed)
+        report = lr_sdcut_solve(problem, params)
         times = [rec.ms for rec in report.trajectory]
         rows.append({
             "instance": path,
             "instance_sha256": digest,
             "n_vars": problem.n_vars,
-            "method": args.method,
+            "method": "lrsdcut",
             "iterations": len(times),
             "median_iter_ms": statistics.median(times),
         })
@@ -248,13 +262,12 @@ def cmd_bench(args):
 def cmd_compare(args):
     from .crf import load_instance
 
-    args.gamma, args.kmax, args.rank_init = 1000.0, 10, 20
-    args.tau, args.samples = 1e-5, 20
+    params = _solve_params(args)
     rows = []
     for path in args.instances:
         problem, _, digest = load_instance(path)
-        sd = _run_method("lrsdcut", problem, args)
-        mf = _run_method("meanfield", problem, args)
+        sd = _run_method("lrsdcut", problem, params, args.restarts)
+        mf = _run_method("meanfield", problem, params, args.restarts)
         rows.append({
             "instance": path,
             "instance_sha256": digest,
@@ -302,10 +315,10 @@ def main(argv=None):
         return cmd_compare(args)
     except InstanceFormatError as exc:
         print(f"error: malformed instance: {exc}", file=sys.stderr)
-        return EXIT_INSTANCE
-    except FileNotFoundError as exc:
+        return EXIT_INPUT
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTANCE
+        return EXIT_INPUT
     except Exception as exc:  # solver-side failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -179,8 +179,22 @@ def build_problem(instance, base_dir="."):
     ``nystrom`` parameters; ``factor_file`` paths resolve relative to
     ``base_dir``.  An instance-level ``image_blocks`` offset array makes
     gaussian kernels block-diagonal per image (the discriminative kernel
-    stays cross-image by construction).
+    stays cross-image by construction).  A missing key, and every value
+    the kernel or problem constructors reject (a bad block partition, a
+    non-positive bandwidth, a negative weight, a Nystrom rank above the
+    landmark count, ...), raises :class:`InstanceFormatError`.
     """
+    try:
+        return _build_problem(instance, base_dir)
+    except InstanceFormatError:
+        raise
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+def _build_problem(instance, base_dir):
     _require(isinstance(instance, dict), "instance must be a JSON object")
     for key in ("n_vars", "n_labels", "unary", "kernels", "compatibility"):
         _require(key in instance, f"instance is missing key {key!r}")
@@ -222,10 +236,7 @@ def build_problem(instance, base_dir="."):
 
     compat = instance["compatibility"]
     mu = None if compat == "potts" else np.asarray(compat, dtype=np.float64)
-    try:
-        return CrfProblem(unary, kernels, mu)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    return CrfProblem(unary, kernels, mu)
 
 
 def load_instance(path):

@@ -24,6 +24,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 # without the argument leave the draw to ARPACK itself.
 _SEEDED_RESTARTS = "rng" in inspect.signature(eigsh).parameters
 
+# ARPACK's convergence tolerance and the positivity threshold of a positive part
+EIG_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SymmetricOperator:
@@ -90,7 +93,7 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
-def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50):
+def leading_eigpairs(op, k, tol=EIG_TOL, seed=0, restarts=50):
     """Top-k algebraic eigenpairs of a symmetric operator, descending.
 
     Uses ARPACK with a seeded pseudo-random start vector and Krylov
@@ -138,7 +141,7 @@ def leading_eigpairs(op, k, tol=1e-8, seed=0, restarts=50):
     return vals[order], vecs[:, order]
 
 
-def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
+def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
                      frob_limit=np.inf, count=None):
     """All eigenpairs with eigenvalue above ``tol * max(|lambda|, 1)``, up
     to ``max_rank`` of them, as a :class:`PsdFactor`.
@@ -176,8 +179,7 @@ def leading_psd_part(op, max_rank, tol=1e-8, seed=0, k0=None, restarts=50,
     cap = max_rank if count is None else min(count, max_rank)
     k = min(k0 if k0 is not None else min(10, max_rank), cap)
     while True:
-        vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed,
-                                      restarts=restarts)
+        vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed)
         thresh = tol * max(np.abs(vals).max(initial=0.0), 1.0)
         keep = vals > thresh
         if count is None:

@@ -5,16 +5,16 @@ Every kernel used by the solvers is represented through a tall factor
 ``O(N * R)`` instead of ``O(N^2)``.  Every product accepts either an
 N-vector or an N x m block ``d`` (m columns, e.g. the label columns of an
 indicator matrix) and returns the same shape, with one BLAS-3 product per
-factor for the whole block.  Three factored forms are supported:
+factor for the whole block.  Two kernel forms are supported:
 
-* plain low-rank:        ``K = phi @ phi.T``
-* Hadamard pair:         ``K = (phi_p phi_p') o (phi_c phi_c')``
+* plain low-rank:        ``K = phi @ phi.T``, optionally block-diagonal
+  (entries across blocks treated as zero, the partition stored as an
+  offset array ``[0, n_1, n_1+n_2, ..., N]``)
 * centered inverse form: ``K = (Omega - phi phi') / (kappa N)`` with
   ``Omega = I - 11'/N`` (row/column sums of K are exactly zero)
 
-An optional block partition restricts any kernel to be block-diagonal
-(entries across blocks treated as zero), stored as an offset array
-``[0, n_1, n_1+n_2, ..., N]``.
+:func:`hadamard_matvec` multiplies by the elementwise product of two
+factored kernels without forming either one.
 """
 
 import struct
@@ -23,6 +23,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 _MAGIC = b"LRKF"
+# Lloyd rounds of the k-means that places Nystrom landmarks
+KMEANS_ITERS = 25
 
 
 class LowRankFactor:
@@ -102,13 +104,13 @@ def _as_feature_blocks(blocks):
     return out
 
 
-def select_landmarks(features, n_landmarks, n_iters=25, seed=0):
+def select_landmarks(features, n_landmarks, seed=0):
     """Pick landmark indices as the data points nearest to k-means centroids.
 
     Runs seeded k-means (k-means++ initialization, squared-Euclidean
-    distance, at most ``n_iters`` Lloyd rounds) on the raw feature rows and
-    returns the sorted indices of the distinct points closest to the final
-    centroids.  Deterministic for a fixed seed.
+    distance, at most ``KMEANS_ITERS`` Lloyd rounds) on the raw feature
+    rows and returns the sorted indices of the distinct points closest to
+    the final centroids.  Deterministic for a fixed seed.
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = x.shape[0]
@@ -130,7 +132,7 @@ def select_landmarks(features, n_landmarks, n_iters=25, seed=0):
         d2 = np.minimum(d2, np.sum((x - centers[k]) ** 2, axis=1))
 
     assign = np.full(n, -1)
-    for _ in range(n_iters):
+    for _ in range(KMEANS_ITERS):
         new_assign = np.argmin(cdist(x, centers, "sqeuclidean"), axis=1)
         if np.array_equal(new_assign, assign):
             break
@@ -154,15 +156,15 @@ def select_landmarks(features, n_landmarks, n_iters=25, seed=0):
     return np.sort(np.asarray(chosen, dtype=np.int64))
 
 
-def nystrom_factor(column_oracle, landmarks, rank, eig_floor=0.0):
+def nystrom_factor(column_oracle, landmarks, rank):
     """Build a rank-<=``rank`` factor from sampled kernel columns.
 
     ``column_oracle(j)`` must return the j-th column of the SPSD kernel
     matrix.  With landmark set S, let C = K[:, S] and W = K[S, S]; the
     factor is ``phi = C @ G_R @ diag(s_R)^(-1/2)`` where (s_R, G_R) are the
     leading eigenpairs of W with eigenvalue above the floor
-    ``max(eig_floor, 1e-10 * lambda_max(W))``.  The effective rank can be
-    lower than requested when W has fewer eigenvalues above the floor.
+    ``1e-10 * lambda_max(W)``.  The effective rank can be lower than
+    requested when W has fewer eigenvalues above the floor.
 
     Raises ValueError when W is indefinite beyond that tolerance, which
     signals a non-PSD kernel input.
@@ -180,7 +182,7 @@ def nystrom_factor(column_oracle, landmarks, rank, eig_floor=0.0):
     w = cols[landmarks, :]
     w = 0.5 * (w + w.T)
     vals, vecs = np.linalg.eigh(w)
-    floor = max(float(eig_floor), 1e-10 * max(vals[-1], 0.0))
+    floor = 1e-10 * max(vals[-1], 0.0)
     if vals[0] < -max(floor, 1e-10):
         raise ValueError(
             f"landmark kernel block is indefinite (min eigenvalue {vals[0]:.3e}); "
@@ -283,37 +285,6 @@ class LowRankKernel:
         return self.weight * np.sum(self.factor.phi ** 2, axis=1)
 
 
-class HadamardKernel:
-    """Weighted elementwise product of two independently factored kernels.
-
-    Keeping the two factors separate costs R_p + R_c memory instead of
-    R_p * R_c, and lets one of them (e.g. a shared position kernel) be
-    reused across instances.
-    """
-
-    def __init__(self, factor_p, factor_c, weight=1.0, blocks=None):
-        if weight < 0.0:
-            raise ValueError("kernel weight must be non-negative")
-        if factor_p.n != factor_c.n:
-            raise ValueError("factors must share the same number of rows")
-        self.factor_p = factor_p
-        self.factor_c = factor_c
-        self.weight = float(weight)
-        self.blocks = None if blocks is None else _check_blocks(blocks, factor_p.n)
-
-    @property
-    def n(self):
-        return self.factor_p.n
-
-    def matvec(self, d):
-        return self.weight * hadamard_matvec(self.factor_p, self.factor_c, d,
-                                             self.blocks)
-
-    def diag(self):
-        return self.weight * (np.sum(self.factor_p.phi ** 2, axis=1)
-                              * np.sum(self.factor_c.phi ** 2, axis=1))
-
-
 class CenteredDiscriminativeKernel:
     """Weighted centered inverse kernel ``w (Omega - phi phi') / (kappa N)``.
 
@@ -368,12 +339,6 @@ class GaussianKernel:
         self.mask_blocks = (None if mask_blocks is None
                             else _check_blocks(mask_blocks, self.n))
 
-    def scaled_features(self):
-        """Features divided by their bandwidths and concatenated, so that the
-        kernel is the unit-bandwidth Gaussian of these rows."""
-        return np.hstack([b / t for b, t in
-                          zip(self.feature_blocks, self.thetas)])
-
     def column(self, j):
         """Exact (unmasked) kernel column j."""
         expo = np.zeros(self.n)
@@ -382,8 +347,7 @@ class GaussianKernel:
             expo += np.sum(diff * diff, axis=1) / (2.0 * t * t)
         return np.exp(-expo)
 
-    def factorize(self, n_landmarks, rank, seed=0, kmeans_iters=25,
-                  eig_floor=0.0):
+    def factorize(self, n_landmarks, rank, seed=0):
         """Nystrom-factorize into a :class:`LowRankKernel`.
 
         Landmarks come from k-means on the raw concatenated feature rows;
@@ -391,6 +355,6 @@ class GaussianKernel:
         itself approximates the unmasked kernel).
         """
         feats = np.hstack(self.feature_blocks)
-        landmarks = select_landmarks(feats, n_landmarks, kmeans_iters, seed)
-        factor = nystrom_factor(self.column, landmarks, rank, eig_floor)
+        landmarks = select_landmarks(feats, n_landmarks, seed)
+        factor = nystrom_factor(self.column, landmarks, rank)
         return LowRankKernel(factor, self.weight, self.mask_blocks)

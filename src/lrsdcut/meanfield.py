@@ -9,8 +9,9 @@ is
 i.e. a softmax of the negated unary plus incoming messages.  The message
 bottleneck ``K Q`` runs through one factored block product over all label
 columns; the j = i self-interaction is removed explicitly with diag(K)
-(row norms of the factors), which keeps the sequential schedule an exact
-coordinate descent on the variational free energy.
+(row norms of the factors).  The solver updates every site at once from
+the current marginals; :func:`mf_site_update` is the exact single-site
+coordinate step, which never increases the variational free energy.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,11 @@ import numpy as np
 from scipy.special import xlogy
 
 from .crf import energy
+
+# a mean-field run stops after this many updates, or earlier at a fixed
+# point: a largest absolute marginal change below MF_TOL
+MF_MAX_ITERS = 100
+MF_TOL = 1e-6
 
 
 def _softmax_rows(scores):
@@ -35,16 +41,13 @@ def _messages(problem, marginals):
 
 
 def mf_init(problem, seed=0, mode="unary"):
-    """Initial marginals: softmax of the negated unaries ('unary'), the
-    uniform distribution ('uniform'), or seeded Dirichlet(1) rows ('random')."""
-    n, L = problem.n_vars, problem.n_labels
+    """Initial marginals: softmax of the negated unaries ('unary') or
+    seeded Dirichlet(1) rows ('random')."""
     if mode == "unary":
         return _softmax_rows(-problem.unary)
-    if mode == "uniform":
-        return np.full((n, L), 1.0 / L)
     if mode == "random":
         rng = np.random.default_rng(seed)
-        return rng.dirichlet(np.ones(L), size=n)
+        return rng.dirichlet(np.ones(problem.n_labels), size=problem.n_vars)
     raise ValueError(f"unknown init mode {mode!r}")
 
 
@@ -52,7 +55,7 @@ def mf_site_update(problem, marginals, site):
     """Exact coordinate update of one site's marginal; returns a new matrix.
 
     Costs one factored matvec (the kernel column through a basis vector,
-    whose entry at ``site`` is K_ii), so a full sequential sweep is O(N)
+    whose entry at ``site`` is K_ii), so a sweep over all sites is O(N)
     matvecs; intended for small N.
     """
     n = problem.n_vars
@@ -66,22 +69,10 @@ def mf_site_update(problem, marginals, site):
     return out
 
 
-def mf_update(problem, marginals, schedule="parallel"):
-    """One mean-field update.
-
-    'parallel' recomputes every row simultaneously from the current
-    marginals (the large-scale default; no monotonicity guarantee).
-    'sequential' sweeps sites in order with immediate updates, which is
-    coordinate descent and never increases the free energy.
-    """
-    if schedule == "parallel":
-        return _softmax_rows(-(problem.unary + _messages(problem, marginals)))
-    if schedule == "sequential":
-        out = marginals
-        for site in range(problem.n_vars):
-            out = mf_site_update(problem, out, site)
-        return out
-    raise ValueError(f"unknown schedule {schedule!r}")
+def mf_update(problem, marginals):
+    """One mean-field update: every row recomputed at once from the current
+    marginals (no monotonicity guarantee)."""
+    return _softmax_rows(-(problem.unary + _messages(problem, marginals)))
 
 
 def mf_free_energy(problem, marginals):
@@ -106,14 +97,15 @@ class MeanFieldResult:
     n_iterations: int = 0
 
 
-def mf_solve(problem, max_iters=100, restarts=1, seed=0, tol=1e-6):
-    """Run parallel-schedule mean field with restarts, return the best decode.
+def mf_solve(problem, restarts=1, seed=0):
+    """Run mean field with restarts, return the best decode.
 
     The first restart starts from the unary softmax; later restarts use
     seeded random marginals (mean field is sensitive to initialization).
-    Each run iterates to ``max_iters`` or a fixed point (max absolute
-    marginal change below ``tol``), decodes by row argmax, and the restart
-    with the lowest decoded energy wins.  Deterministic for a fixed seed.
+    Each run iterates to ``MF_MAX_ITERS`` updates or a fixed point (max
+    absolute marginal change below ``MF_TOL``), decodes by row argmax, and
+    the restart with the lowest decoded energy wins.  Deterministic for a
+    fixed seed.
     """
     children = np.random.SeedSequence(seed).spawn(max(1, restarts))
     best = None
@@ -122,13 +114,12 @@ def mf_solve(problem, max_iters=100, restarts=1, seed=0, tol=1e-6):
         marginals = mf_init(problem, seed=child,
                             mode="unary" if run == 0 else "random")
         free_energies = [mf_free_energy(problem, marginals)]
-        n_iter = 0
-        for n_iter in range(1, max_iters + 1):
+        for n_iter in range(1, MF_MAX_ITERS + 1):
             updated = mf_update(problem, marginals)
             delta = np.abs(updated - marginals).max()
             marginals = updated
             free_energies.append(mf_free_energy(problem, marginals))
-            if delta < tol:
+            if delta < MF_TOL:
                 break
         labels = np.argmax(marginals, axis=1)
         value = energy(problem, labels)

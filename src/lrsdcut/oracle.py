@@ -11,8 +11,7 @@ import itertools
 
 import numpy as np
 
-from .kernels import (CenteredDiscriminativeKernel, HadamardKernel,
-                      LowRankKernel)
+from .kernels import CenteredDiscriminativeKernel, LowRankKernel
 
 MAX_BRUTE_LABELINGS = 10 ** 6
 
@@ -34,12 +33,6 @@ def dense_kernel(kernel):
     if isinstance(kernel, LowRankKernel):
         phi = kernel.factor.phi
         mat = phi @ phi.T
-        if kernel.blocks is not None:
-            mat = mat * _block_mask(kernel.blocks, kernel.n)
-        return kernel.weight * mat
-    if isinstance(kernel, HadamardKernel):
-        pp, pc = kernel.factor_p.phi, kernel.factor_c.phi
-        mat = (pp @ pp.T) * (pc @ pc.T)
         if kernel.blocks is not None:
             mat = mat * _block_mask(kernel.blocks, kernel.n)
         return kernel.weight * mat

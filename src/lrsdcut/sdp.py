@@ -27,13 +27,21 @@ import numpy as np
 from scipy.linalg.lapack import dsytrf
 
 from .crf import energy_offset, lifted_energy, lifted_energy_general, to_indicator
-from .eig import (EigenConvergenceError, EigenCountMismatch, SymmetricOperator,
-                  leading_eigpairs, leading_psd_part)
+from .eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
+                  SymmetricOperator, leading_eigpairs, leading_psd_part)
 from .kernels import LowRankKernel
 
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
 # of the Schur complement's entries, leaves the inertia count undecided
 COUNT_REL_TOL = 1e-10
+
+# L-BFGS ascent: curvature pairs kept, the gradient size (infinity norm)
+# taken as convergence, the sufficient-increase constant, and the failed
+# halvings that mark a line search stalled
+LBFGS_MEMORY = 10
+STEP_TOL = 1e-10
+ARMIJO = 1e-4
+MAX_HALVINGS = 30
 
 
 def _half_kernel_factor(problem):
@@ -179,7 +187,7 @@ class PottsSdp(SdpLifting):
     the u1 and u4 diagonal constraints sum to the identity.
     """
 
-    def __init__(self, problem, gamma=1000.0):
+    def __init__(self, problem, gamma):
         if not problem.is_potts:
             raise ValueError("PottsSdp requires a Potts problem")
         n_vars, n_labels = problem.n_vars, problem.n_labels
@@ -297,7 +305,7 @@ class GeneralSdp(SdpLifting):
     constraints sum to the identity, so ``identity`` equals ``b``.
     """
 
-    def __init__(self, problem, gamma=1000.0):
+    def __init__(self, problem, gamma):
         if problem.is_potts:
             raise ValueError("GeneralSdp requires an explicit compatibility matrix")
         n_vars, n_labels = problem.n_vars, problem.n_labels
@@ -407,12 +415,12 @@ class GeneralSdp(SdpLifting):
         return lifted_energy_general(self.problem, x.reshape(-1))
 
 
-def make_sdp(problem, gamma=1000.0):
+def make_sdp(problem, gamma):
     """The SDP lifting matching the problem's compatibility function."""
     return PottsSdp(problem, gamma) if problem.is_potts else GeneralSdp(problem, gamma)
 
 
-def spectral_shift_init(sdp, r, tol=1e-8, seed=0):
+def spectral_shift_init(sdp, r, seed=0):
     """Dual start u0 with rank((C(u0))_+) <= r.
 
     Returns ``u0 = -nu * sdp.identity``, for which C(u0) = -A + nu I
@@ -426,7 +434,7 @@ def spectral_shift_init(sdp, r, tol=1e-8, seed=0):
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
     neg_a = SymmetricOperator(sdp.n, lambda d: -sdp.a_matvec(d))
-    vals, _ = leading_eigpairs(neg_a, r, tol=tol, seed=seed)
+    vals, _ = leading_eigpairs(neg_a, r, seed=seed)
     return vals[r - 1] * sdp.identity
 
 
@@ -448,22 +456,16 @@ class LbfgsAscent:
 
     Maximizes a concave objective through the equivalent minimization of
     its negation.  Each :meth:`step` builds a direction from the two-loop
-    recursion over at most ``memory`` curvature pairs (pairs with
+    recursion over at most ``LBFGS_MEMORY`` curvature pairs (pairs with
     ``s'y <= 1e-12`` are skipped), then backtracks from a unit step,
-    halving until the sufficient-increase condition with constant 1e-4
-    holds.  Thirty failed halvings mark the step stalled and leave the
-    iterate unchanged; a gradient below ``step_tol`` marks convergence.
+    halving until the sufficient-increase condition with constant
+    ``ARMIJO`` holds.  ``MAX_HALVINGS`` failed halvings mark the step
+    stalled and leave the iterate unchanged; a gradient below ``STEP_TOL``
+    marks convergence.
     """
 
-    def __init__(self, obj_grad, u0, memory=10, step_tol=1e-10,
-                 armijo=1e-4, max_halvings=30):
-        if memory < 1:
-            raise ValueError("memory must be >= 1")
+    def __init__(self, obj_grad, u0):
         self._eval = obj_grad
-        self.memory = int(memory)
-        self.step_tol = float(step_tol)
-        self.armijo = float(armijo)
-        self.max_halvings = int(max_halvings)
         self._s = []
         self._y = []
         self.u = np.asarray(u0, dtype=np.float64).copy()
@@ -492,7 +494,7 @@ class LbfgsAscent:
 
     def step(self):
         g_min = -self.grad
-        if np.linalg.norm(g_min, np.inf) <= self.step_tol:
+        if np.linalg.norm(g_min, np.inf) <= STEP_TOL:
             return AscentStep(self.u, self.value, self.grad, self.payload,
                               converged=True, stalled=False, n_evals=0)
         direction = self._direction(g_min)
@@ -506,17 +508,17 @@ class LbfgsAscent:
         f0 = -self.value
         rho = 1.0
         n_evals = 0
-        for _ in range(self.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             u_try = self.u + rho * direction
             value, grad, payload = self._eval(u_try)
             n_evals += 1
-            if -value <= f0 + self.armijo * rho * slope:
+            if -value <= f0 + ARMIJO * rho * slope:
                 s = u_try - self.u
                 y = self.grad - grad  # gradient of -d increases by this
                 if s @ y > 1e-12:
                     self._s.append(s)
                     self._y.append(y)
-                    if len(self._s) > self.memory:
+                    if len(self._s) > LBFGS_MEMORY:
                         self._s.pop(0)
                         self._y.pop(0)
                 self.u, self.value, self.grad, self.payload = (
@@ -574,18 +576,28 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
 
 @dataclass
 class SolveParams:
-    """Solver parameters; the defaults follow the reference configuration
-    (gamma = 1000, at most 10 ascent iterations, initial rank 20)."""
+    """Solver parameters and the one home of their defaults, the reference
+    configuration (gamma = 1000, at most 10 ascent iterations, initial
+    rank 20; the Lanczos rank cap is 8 times the initial rank).
+
+    A gamma that is not positive, or a ``k_max`` or ``rank_init`` below 1,
+    raises ValueError.
+    """
 
     gamma: float = 1000.0
     k_max: int = 10
     rank_init: int = 20
     tau: float = 1e-5
-    memory: int = 10
     n_samples: int = 20
     seed: int = 0
-    eig_tol: float = 1e-8
-    lanczos_restarts: int = 50
+
+    def __post_init__(self):
+        if not self.gamma > 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if self.rank_init < 1:
+            raise ValueError(f"rank_init must be >= 1, got {self.rank_init}")
 
 
 @dataclass
@@ -646,8 +658,6 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     search stalls surface in ``report.warnings``, never silently.
     """
     params = replace(params or SolveParams(), **overrides)
-    if params.k_max < 1:
-        raise ValueError("k_max must be >= 1")
     sdp = make_sdp(problem, params.gamma)
     warnings = []
     if not problem.is_potts:
@@ -663,7 +673,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
 
     offset = energy_offset(problem)
     rank_init = min(params.rank_init, sdp.n)
-    u0 = spectral_shift_init(sdp, rank_init, tol=params.eig_tol,
+    u0 = spectral_shift_init(sdp, rank_init,
                              seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
     # warm state across dual evaluations: consecutive C(u) are close, so the
@@ -683,11 +693,10 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         frob_limit = (2.0 / sdp.gamma) * (-u @ sdp.b - warm["floor"]
                                           - sdp.eta ** 2 / (2.0 * sdp.gamma))
         try:
-            factor = leading_psd_part(op, rank_cap, tol=params.eig_tol,
+            factor = leading_psd_part(op, rank_cap,
                                       seed=next_seed(eig_seed_rng),
                                       k0=warm["k0"], frob_limit=frob_limit,
-                                      restarts=params.lanczos_restarts,
-                                      count=sdp.positive_count(u, params.eig_tol))
+                                      count=sdp.positive_count(u, EIG_TOL))
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor
@@ -717,7 +726,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             ms=1e3 * (time.perf_counter() - started)))
 
     started = time.perf_counter()
-    optimizer = LbfgsAscent(obj_grad, u0, memory=params.memory)
+    optimizer = LbfgsAscent(obj_grad, u0)
     record(0, optimizer.value, optimizer.payload, started)
     previous = optimizer.value
     for k in range(1, params.k_max + 1):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from lrsdcut.crf import CrfProblem
-from lrsdcut.kernels import (CenteredDiscriminativeKernel, HadamardKernel,
-                             LowRankFactor, LowRankKernel)
+from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
+                             LowRankKernel)
 
 
 def random_potts_problem(n, n_labels, seed, kernel_rank=3, weight=1.0):
@@ -37,14 +37,14 @@ def random_general_problem(n, n_labels, seed, kernel_rank=3, weight=1.0):
 
 
 def mixed_kernel_problem(n, n_labels, seed, general=False):
-    """Random problem over a stack of every kernel type: block-diagonal
-    low-rank, block-diagonal Hadamard and centered discriminative."""
+    """Random problem over a stack of every kernel form: block-diagonal
+    low-rank, plain low-rank and centered discriminative."""
     rng = np.random.default_rng(seed)
     fp = LowRankFactor(rng.standard_normal((n, 3)) / np.sqrt(3))
     fc = LowRankFactor(rng.standard_normal((n, 2)) / np.sqrt(2))
     blocks = [0, n // 3, n]
     kernels = [LowRankKernel(fp, 1.2, blocks=blocks),
-               HadamardKernel(fp, fc, 0.8, blocks=blocks),
+               LowRankKernel(fc, 0.8),
                CenteredDiscriminativeKernel(fc, kappa=0.5, weight=0.6)]
     mu = None
     if general:

@@ -93,6 +93,29 @@ class TestSolve:
         assert main(["solve", "--method", "lrsdcut",
                      str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda inst: inst.update(image_blocks=[0, 5]),
+        lambda inst: inst["kernels"][0].update(
+            thetas=[-t for t in inst["kernels"][0]["thetas"]]),
+        lambda inst: inst["kernels"][0]["nystrom"].update(rank=10000),
+        lambda inst: inst["kernels"][0].update(weight=-1),
+        lambda inst: inst["kernels"][0]["nystrom"].pop("rank"),
+    ], ids=["image-blocks", "negative-thetas", "nystrom-rank", "weight",
+            "nystrom-key"])
+    def test_rejected_kernel_entry_exits_two(self, tmp_path, edit):
+        path = tmp_path / "clusters.json"
+        assert main(["gen", "--kind", "clusters", "--n", "30", "--seed", "1",
+                     str(path)]) == 0
+        inst = json.loads(path.read_text())
+        edit(inst)
+        path.write_text(json.dumps(inst))
+        assert main(["solve", "--method", "lrsdcut", str(path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--kmax", "--rank-init"])
+    def test_nonpositive_solver_flag_exits_two(self, instance, flag):
+        assert main(["solve", "--method", "lrsdcut", flag, "0",
+                     str(instance)]) == 2
+
     def test_subprocess_entry_point(self, instance):
         code, stdout, _ = run_cli("solve", "--method", "lrsdcut",
                                   str(instance))
@@ -125,6 +148,13 @@ class TestBench:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2
         assert float(rows[1]["ratio"]) > 0
+
+
+    def test_nonpositive_kmax_exits_two(self, tmp_path):
+        inst = tmp_path / "one.json"
+        assert main(["gen", "--kind", "random", "--n", "8", "--labels", "2",
+                     "--seed", "2", str(inst)]) == 0
+        assert main(["bench", "--kmax", "0", str(inst)]) == 2
 
 
 class TestCompare:

@@ -205,3 +205,9 @@ class TestPsdFrobNormSq:
         factor = leading_psd_part(operator_from(a), max_rank=20)
         dense = np.linalg.norm(factor.reconstruct()) ** 2
         assert factor.frob_norm_sq() == pytest.approx(dense, abs=1e-10)
+
+
+def test_typed_failures_are_exported_from_the_package():
+    import lrsdcut
+    assert lrsdcut.EigenConvergenceError is EigenConvergenceError
+    assert lrsdcut.EigenCountMismatch is EigenCountMismatch

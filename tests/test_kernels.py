@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, GaussianKernel,
-                             HadamardKernel, LowRankFactor, LowRankKernel,
+                             LowRankFactor, LowRankKernel,
                              centered_discriminative_factor, hadamard_matvec,
                              load_factor, lowrank_matvec, nystrom_factor,
                              save_factor, select_landmarks)
@@ -145,6 +145,18 @@ class TestHadamardMatvec:
         got = hadamard_matvec(LowRankFactor(pp), LowRankFactor(pc), d, blocks)
         np.testing.assert_allclose(got, dense @ d, atol=1e-10)
 
+    @pytest.mark.parametrize("blocks", [None, [0, 11, 25]])
+    def test_block_product_matches_column_by_column(self, rng, blocks):
+        fp = LowRankFactor(rng.standard_normal((25, 3)))
+        fc = LowRankFactor(rng.standard_normal((25, 4)))
+        d = rng.standard_normal((25, 4))
+        ref = np.column_stack([hadamard_matvec(fp, fc, d[:, j].copy(), blocks)
+                               for j in range(4)])
+        got = hadamard_matvec(fp, fc, d, blocks)
+        assert got.shape == d.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
     def test_size_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             hadamard_matvec(LowRankFactor(rng.standard_normal((5, 2))),
@@ -190,12 +202,11 @@ class TestCenteredDiscriminative:
 def _kernel_zoo(rng, n=30):
     fp = LowRankFactor(rng.standard_normal((n, 3)))
     fc = LowRankFactor(rng.standard_normal((n, 4)))
-    blocks = [0, n // 2, n]
     return [
         LowRankKernel(fp, weight=1.3),
-        LowRankKernel(fp, weight=0.7, blocks=blocks),
-        HadamardKernel(fp, fc, weight=2.0),
-        HadamardKernel(fp, fc, weight=0.4, blocks=blocks),
+        LowRankKernel(fp, weight=0.7, blocks=[0, n // 2, n]),
+        LowRankKernel(fc, weight=2.0),
+        LowRankKernel(fc, weight=0.4, blocks=[0, n // 3, n // 2, n]),
         CenteredDiscriminativeKernel(fc, kappa=0.3, weight=1.1),
     ]
 

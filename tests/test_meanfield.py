@@ -15,11 +15,6 @@ from lrsdcut.oracle import brute_force_map, dense_problem_kernel
 
 
 class TestInit:
-    def test_uniform_mode(self):
-        problem = random_potts_problem(5, 4, seed=1)
-        q = mf_init(problem, mode="uniform")
-        np.testing.assert_allclose(q, 0.25)
-
     def test_unary_mode_with_flat_unaries_is_uniform(self):
         problem = CrfProblem(np.zeros((6, 3)),
                              [LowRankKernel(LowRankFactor(np.zeros((6, 1))))])
@@ -67,7 +62,7 @@ def double_loop_update(problem, q):
 class TestUpdate:
     def test_zero_pairwise_reaches_unary_fixed_point_in_one_step(self):
         problem = random_potts_problem(6, 3, seed=4, weight=0.0)
-        q = mf_update(problem, mf_init(problem, mode="uniform"))
+        q = mf_update(problem, np.full((6, 3), 1.0 / 3.0))
         np.testing.assert_allclose(q, mf_init(problem, mode="unary"),
                                    atol=1e-12)
 
@@ -96,7 +91,8 @@ class TestUpdate:
         q = mf_init(problem, seed=1, mode="random")
         f_prev = mf_free_energy(problem, q)
         for _ in range(5):
-            q = mf_update(problem, q, schedule="sequential")
+            for site in range(problem.n_vars):
+                q = mf_site_update(problem, q, site)
             f_new = mf_free_energy(problem, q)
             assert f_new <= f_prev + 1e-9
             f_prev = f_new
@@ -123,7 +119,7 @@ class TestFreeEnergy:
     def test_uniform_marginals_zero_potentials(self):
         problem = CrfProblem(np.zeros((4, 3)),
                              [LowRankKernel(LowRankFactor(np.zeros((4, 1))))])
-        q = mf_init(problem, mode="uniform")
+        q = np.full((4, 3), 1.0 / 3.0)
         assert mf_free_energy(problem, q) == pytest.approx(
             -4.0 * math.log(3.0), abs=1e-12)
 

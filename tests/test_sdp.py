@@ -182,7 +182,7 @@ class TestPositiveCount:
                         _dense_count(sdp, u, sigma)
 
     def test_near_zero_potts_pivot_is_undecided(self, rng):
-        sdp = make_sdp(random_potts_problem(10, 3, seed=1))
+        sdp = make_sdp(random_potts_problem(10, 3, seed=1), 1000.0)
         u = rng.standard_normal(sdp.q)
         assert sdp.positive_count(u, 0.2) == _dense_count(sdp, u, 0.2)
         u[-4] = -0.2 - 1e-13  # the pivot -u4_i - sigma of variable 6
@@ -191,7 +191,7 @@ class TestPositiveCount:
     @pytest.mark.parametrize("n_labels", [3, 5])
     def test_near_singular_general_block_is_undecided(self, rng, n_labels):
         problem = random_general_problem(10, n_labels, seed=2)
-        sdp = make_sdp(problem)
+        sdp = make_sdp(problem, 1000.0)
         u = rng.standard_normal(sdp.q)
         assert sdp.positive_count(u, 0.2) == _dense_count(sdp, u, 0.2)
         # variable 4's block -Diag(h_4) - Diag(u1_4) - ltri(u2_4)/2 - sigma I
@@ -202,7 +202,7 @@ class TestPositiveCount:
         assert sdp.positive_count(u, 0.2) is None
 
     def test_sigma_at_an_eigenvalue_is_undecided(self, rng):
-        sdp = make_sdp(random_potts_problem(10, 3, seed=3))
+        sdp = make_sdp(random_potts_problem(10, 3, seed=3), 1000.0)
         u = rng.standard_normal(sdp.q)
         eigs = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
         assert sdp.positive_count(u, eigs[-3]) is None
@@ -218,7 +218,8 @@ class TestPositiveCount:
 
     @pytest.mark.parametrize("general", [False, True])
     def test_other_kernels_are_not_counted(self, rng, general):
-        sdp = make_sdp(mixed_kernel_problem(9, 3, seed=4, general=general))
+        sdp = make_sdp(mixed_kernel_problem(9, 3, seed=4, general=general),
+                       1000.0)
         assert sdp.positive_count(rng.standard_normal(sdp.q), 0.0) is None
 
 
@@ -275,7 +276,7 @@ class TestIdentityWeights:
         (random_general_problem(4, 3, seed=21), general_constraint_matrices),
     ], ids=["potts", "general"])
     def test_weighted_constraints_sum_to_identity(self, problem, dense):
-        sdp = make_sdp(problem)
+        sdp = make_sdp(problem, 1000.0)
         constraints = dense(problem.n_vars, problem.n_labels)
         total = sum(w * mat for w, (mat, _) in zip(sdp.identity, constraints))
         np.testing.assert_array_equal(total, np.eye(sdp.n))
@@ -328,11 +329,6 @@ class TestLbfgsAscent:
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-12)
         assert values[-1] > values[0]
-
-    def test_memory_validation(self):
-        with pytest.raises(ValueError):
-            LbfgsAscent(lambda u: (0.0, np.zeros(2), None), np.zeros(2),
-                        memory=0)
 
 
 class TestRoundSolution:
