@@ -106,9 +106,12 @@ def _build_parser():
 
 
 def _solve_params(args):
-    """SolveParams from the solver flags given, or UsageError."""
+    """SolveParams from the solver flags given, or UsageError; a
+    ``--restarts`` below 1 is a UsageError too."""
     from .sdp import SolveParams
 
+    if getattr(args, "restarts", 1) < 1:
+        raise UsageError(f"restarts must be >= 1, got {args.restarts}")
     try:
         return SolveParams(**{field: getattr(args, flag)
                               for flag, field in _PARAM_FIELDS.items()

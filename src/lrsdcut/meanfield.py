@@ -105,9 +105,11 @@ def mf_solve(problem, restarts=1, seed=0):
     Each run iterates to ``MF_MAX_ITERS`` updates or a fixed point (max
     absolute marginal change below ``MF_TOL``), decodes by row argmax, and
     the restart with the lowest decoded energy wins.  Deterministic for a
-    fixed seed.
+    fixed seed.  Fewer than one restart raises ValueError.
     """
-    children = np.random.SeedSequence(seed).spawn(max(1, restarts))
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    children = np.random.SeedSequence(seed).spawn(restarts)
     best = None
     restart_energies = []
     for run, child in enumerate(children):

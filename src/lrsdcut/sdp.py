@@ -7,7 +7,9 @@ dual eliminates the matrix variable:
     C(u) = -A - sum_i u_i B_i,
 
 so one dual evaluation only needs the positive eigenpairs of C(u), which a
-matrix-free Lanczos solver obtains from structured O(N) matvecs.  The
+matrix-free Lanczos solver obtains from structured O(N) matvecs.  Each
+lifting assembles C(u)'s blocks once per dual point, so a matvec is one
+low-rank kernel product plus a few small products; C(0) = -A.  The
 solver starts at a dual point where C(u) = -A + nu I has low positive
 rank, ascends the dual with limited-memory BFGS, rounds the implicit
 primal matrix ``Y = gamma (C(u))_+`` to a feasible labeling at every
@@ -115,13 +117,6 @@ def _block_pivots(blocks):
     return int(positive.sum()), cof / det[:, None]
 
 
-def _ltri(values, size, rows, cols):
-    """Symmetric zero-diagonal matrix with lower triangle filled from a vector."""
-    m = np.zeros((size, size))
-    m[rows, cols] = values
-    return m + m.T
-
-
 class SdpLifting:
     """Penalized SDP data shared by the two liftings.
 
@@ -129,11 +124,13 @@ class SdpLifting:
     ``<Y, B_i> = b_i`` that force trace(Y) = eta, and a constant q-vector
     ``identity`` whose weighted constraint matrices sum to the identity,
     ``sum_i identity_i B_i = I`` with ``identity @ b = eta``.  Subclasses
-    supply the products with A and with ``sum_i u_i B_i``, the gradient
-    from a positive-part factor, the rounding hooks and
-    ``positive_count(u, sigma)``: the number of eigenvalues of C(u) above
-    sigma from an inertia count that needs no Lanczos run, or None where
-    the count is unavailable or undecided.
+    supply ``assemble(u)``, the structured blocks of C(u) built once per
+    dual point; ``c_matvec(parts, d)``, the product of those blocks with
+    a vector; the gradient from a positive-part factor; the rounding
+    hooks; and ``positive_count(u, sigma)``: the number of eigenvalues of
+    C(u) above sigma from an inertia count that needs no Lanczos run, or
+    None where the count is unavailable or undecided.  C(0) = -A, so the
+    products with A are those of ``operator(0)``.
     """
 
     def __init__(self, problem, gamma, n, eta, b, identity):
@@ -160,8 +157,9 @@ class SdpLifting:
         return d
 
     def operator(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return SymmetricOperator(self.n, lambda d: self.c_matvec(u, d))
+        """C(u) as a matvec closure over its blocks, assembled once here."""
+        parts = self.assemble(np.asarray(u, dtype=np.float64))
+        return SymmetricOperator(self.n, lambda d: self.c_matvec(parts, d))
 
     def dual_objective(self, u, psd):
         """Dual value at u given the positive part of C(u) for that exact u.
@@ -200,34 +198,30 @@ class PottsSdp(SdpLifting):
         super().__init__(problem, gamma, n=n_vars + n_labels,
                          eta=n_vars + n_labels, b=b, identity=identity)
 
-    def split_u(self, u):
+    def assemble(self, u):
+        """C(u)'s blocks ``(head, coupling, diag)``, with
+        ``C(u) = [[head, coupling'], [coupling, Diag(diag) + K/2]]``:
+        head = -Diag(u1) - ltri(u2)/2 (L x L), coupling = -(H + u3 1')/2
+        (N x L) and diag = -u4, for u = [u1; u2; u3; u4]."""
         L, N = self.n_labels, self.n_vars
         p = self.tril_rows.size
-        return (u[:L], u[L:L + p], u[L + p:L + p + N], u[L + p + N:])
+        u1, u2, u3, u4 = u[:L], u[L:L + p], u[L + p:L + p + N], u[L + p + N:]
+        ltri = np.zeros((L, L))
+        ltri[self.tril_rows, self.tril_cols] = u2
+        head = -np.diag(u1) - 0.5 * (ltri + ltri.T)
+        return head, -0.5 * (self.problem.unary + u3[:, None]), -u4
 
-    def a_matvec(self, d):
-        """Product with A = [[0, H']; [H, -K]] / 2."""
-        L = self.n_labels
+    def c_matvec(self, parts, d):
+        """C(u) d from :meth:`assemble`'s blocks in O(NL + N R_K)."""
+        head, coupling, diag = parts
         d = self._vector(d)
-        d1, d2 = d[:L], d[L:]
-        h = self.problem.unary
-        return np.concatenate([0.5 * (h.T @ d2),
-                               0.5 * (h @ d1 - self.problem.kernel_matvec(d2))])
-
-    def constraint_matvec(self, u, d):
-        """Product with sum_i u_i B_i exploiting the block structure."""
         L = self.n_labels
         d1, d2 = d[:L], d[L:]
-        u1, u2, u3, u4 = self.split_u(u)
-        ltri = _ltri(u2, L, self.tril_rows, self.tril_cols)
-        top = u1 * d1 + 0.5 * (ltri @ d1) + 0.5 * (u3 @ d2) * np.ones(L)
-        bottom = 0.5 * np.sum(d1) * u3 + u4 * d2
-        return np.concatenate([top, bottom])
-
-    def c_matvec(self, u, d):
-        """C(u) d = -A d - (sum_i u_i B_i) d in O(NL + N R_K)."""
-        d = self._vector(d)
-        return -self.a_matvec(d) - self.constraint_matvec(u, d)
+        out = np.empty(self.n)
+        out[:L] = head @ d1 + d2 @ coupling
+        np.multiply(diag, d2, out=out[L:])
+        out[L:] += coupling @ d1 + 0.5 * self.problem.kernel_matvec(d2)
+        return out
 
     def dual_gradient(self, u, psd):
         """Gradient entries gamma <(C(u))_+, B_i> - b_i from the factor.
@@ -255,12 +249,13 @@ class PottsSdp(SdpLifting):
         """Number of eigenvalues of C(u) above ``sigma``, in O(N (R+L)^2).
 
         In C(u) - sigma I the variable block is D + F F', with the diagonal
-        D = -Diag(u4) - sigma I and K/2 = F F' (F is N x R), and it couples
-        to the L label rows through E = -(H + u3 1')/2.  Bordering F with
+        D = Diag(diag) - sigma I and K/2 = F F' (F is N x R), and it couples
+        to the L label rows through E = coupling, where ``(head, coupling,
+        diag)`` are :meth:`assemble`'s blocks.  Bordering F with
         -I_R gives a matrix of inertia In(-I_R) + In(C(u) - sigma I); by
         Haynsworth additivity its inertia is also In(D) + In(S) with the
         (R+L) x (R+L) Schur complement
-        ``S = blockdiag(-I_R, C_labels - sigma I) - W' D^-1 W``, W = [F, E].
+        ``S = blockdiag(-I_R, head - sigma I) - W' D^-1 W``, W = [F, E].
         So the count is pos(D) + pos(S).  None when a kernel is not an
         unblocked low-rank one, or a pivot or Schur pivot is within
         roundoff of zero.
@@ -268,17 +263,15 @@ class PottsSdp(SdpLifting):
         factor = self._count_factor
         if factor is None:
             return None
-        L, R = self.n_labels, factor.shape[1]
-        u1, u2, u3, u4 = self.split_u(u)
-        pivots = -u4 - sigma
+        R = factor.shape[1]
+        head, coupling, diag = self.assemble(u)
+        pivots = diag - sigma
         size = np.abs(pivots)
         if size.min() <= COUNT_REL_TOL * size.max():
             return None
-        coupling = -0.5 * (self.problem.unary + u3[:, None])
         scaled = factor / pivots[:, None]
         cross = coupling.T @ scaled
-        head = (-np.diag(u1) - 0.5 * _ltri(u2, L, self.tril_rows, self.tril_cols)
-                - sigma * np.eye(L))
+        head = head - sigma * np.eye(self.n_labels)
         schur = -np.block([[np.eye(R) + factor.T @ scaled, cross.T],
                            [cross, coupling.T @ (coupling / pivots[:, None]) - head]])
         # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|
@@ -323,14 +316,14 @@ class GeneralSdp(SdpLifting):
         self.block_gather = np.where(np.eye(n_labels, dtype=bool), var,
                                      n_vars + var * self.n_pairs + pair + pair.T)
         self.block_weights = np.where(np.arange(self.q) < n_vars, 1.0, 0.5)
-        self.u_mat = problem.mu - 1.0
-        self.h = problem.unary.reshape(-1)
-        u_eigs = np.linalg.eigvalsh(self.u_mat)
+        u_mat = problem.mu - 1.0
+        self._half_u = 0.5 * u_mat
+        u_eigs = np.linalg.eigvalsh(u_mat)
         if np.abs(u_eigs).min() <= COUNT_REL_TOL * np.abs(u_eigs).max():
             self._count_factor = None  # the bordering needs U^-1
         if self._count_factor is not None:
             rank = self._count_factor.shape[1]
-            self._count_u_inv = np.linalg.inv(self.u_mat)
+            self._count_u_inv = np.linalg.inv(u_mat)
             self._count_head = np.kron(np.eye(rank), self._count_u_inv)
             self._count_offset = rank * int(np.count_nonzero(u_eigs > 0.0))
             # the upper-triangle label pair of every entry (l, m)
@@ -339,27 +332,24 @@ class GeneralSdp(SdpLifting):
             pair_of[rows, cols] = np.arange(rows.size)
             self._count_pair_of = np.maximum(pair_of, pair_of.T)
 
-    def a_matvec(self, d):
-        """Product with A = Diag(h) + (Kronecker-structured pairwise)/2.
+    def assemble(self, u):
+        """C(u)'s N per-variable L x L blocks ``-Diag(h_i) - B_i(u)``, where
+        ``B_i(u) = Diag(u1_i) + ltri(u2_i)/2``, gathered from u at once;
+        ``C(u) = blocks - (K (x) U)/2`` with U = mu - 11'."""
+        blocks = -(u * self.block_weights)[self.block_gather]
+        diag = np.arange(self.n_labels)
+        blocks[:, diag, diag] -= self.problem.unary
+        return blocks
 
-        The pairwise part applies K to the N x L unfolding of d in one block
-        product and multiplies by U = mu - 11' on the right, costing
-        O(N L R_K + N L^2) without forming the Kronecker product.
-        """
-        d = self._vector(d)
-        kd = self.problem.kernel_matvec(d.reshape(self.n_vars, self.n_labels))
-        return self.h * d + 0.5 * (kd @ self.u_mat).reshape(-1)
-
-    def constraint_matvec(self, u, d):
-        """Product with sum_i u_i B_i: the N symmetric L x L per-variable
-        blocks ``Diag(u1_i) + ltri(u2_i)/2``, gathered and applied at once."""
-        blocks = (u * self.block_weights)[self.block_gather]
-        unfolded = d.reshape(self.n_vars, self.n_labels)
-        return np.einsum("ilm,im->il", blocks, unfolded).reshape(-1)
-
-    def c_matvec(self, u, d):
-        d = self._vector(d)
-        return -self.a_matvec(d) - self.constraint_matvec(u, d)
+    def c_matvec(self, blocks, d):
+        """C(u) d from :meth:`assemble`'s blocks: one einsum over them and
+        one kernel product with the N x L unfolding of d, multiplied by U/2
+        on the right, in O(N L R_K + N L^2) without forming the Kronecker
+        product."""
+        unfolded = self._vector(d).reshape(self.n_vars, self.n_labels)
+        kd = self.problem.kernel_matvec(unfolded)
+        return (np.einsum("ilm,im->il", blocks, unfolded)
+                - kd @ self._half_u).reshape(-1)
 
     def dual_gradient(self, u, psd):
         lam = psd.values
@@ -377,7 +367,8 @@ class GeneralSdp(SdpLifting):
 
         ``C(u) - sigma I = D + (F (x) I)(I (x) -U)(F (x) I)'`` with the N
         per-variable blocks D_i = -Diag(h_i) - B_i(u) - sigma I (each
-        L x L), U = mu - 11' and K/2 = F F' (F is N x R).  Bordering with
+        L x L, :meth:`assemble`'s blocks shifted by sigma), U = mu - 11'
+        and K/2 = F F' (F is N x R).  Bordering with
         -(I (x) -U)^-1 = I (x) U^-1 and Haynsworth additivity give
         ``pos(C(u) - sigma I) + R pos(U) = sum_i pos(D_i) + pos(S)`` with
         the RL x RL Schur complement
@@ -389,9 +380,9 @@ class GeneralSdp(SdpLifting):
         if factor is None:
             return None
         (N, R), L = factor.shape, self.n_labels
-        blocks = -(u * self.block_weights)[self.block_gather]
+        blocks = self.assemble(u)
         diag = np.arange(L)
-        blocks[:, diag, diag] -= self.problem.unary + sigma
+        blocks[:, diag, diag] -= sigma
         pivots = _block_pivots(blocks)
         if pivots is None:
             return None
@@ -427,14 +418,13 @@ def spectral_shift_init(sdp, r, seed=0):
     because the identity-weighted constraint matrices sum to I.  Its
     positive eigenvalues correspond to eigenvalues of A strictly below nu;
     choosing nu as the r-th smallest eigenvalue of A (computed by Lanczos
-    on -A) caps the initial positive rank at r (exactly r - 1 for a simple
-    spectrum).  The start is an ordinary dual point, so its dual value is
-    a valid bound like any other.
+    on C(0) = -A) caps the initial positive rank at r (exactly r - 1 for a
+    simple spectrum).  The start is an ordinary dual point, so its dual
+    value is a valid bound like any other.
     """
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
-    neg_a = SymmetricOperator(sdp.n, lambda d: -sdp.a_matvec(d))
-    vals, _ = leading_eigpairs(neg_a, r, seed=seed)
+    vals, _ = leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed)
     return vals[r - 1] * sdp.identity
 
 
@@ -553,7 +543,7 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
     rng = np.random.default_rng(seed)
     best_labels = None
     best_energy = np.inf
-    for _ in range(max(1, int(n_samples))):
+    for _ in range(n_samples):
         if isinstance(sdp, PottsSdp):
             scores = psi @ rng.standard_normal((psd.rank, n_labels))
         else:
@@ -580,8 +570,8 @@ class SolveParams:
     configuration (gamma = 1000, at most 10 ascent iterations, initial
     rank 20; the Lanczos rank cap is 8 times the initial rank).
 
-    A gamma that is not positive, or a ``k_max`` or ``rank_init`` below 1,
-    raises ValueError.
+    A gamma that is not positive, or a ``k_max``, ``rank_init`` or
+    ``n_samples`` below 1, raises ValueError.
     """
 
     gamma: float = 1000.0
@@ -598,6 +588,8 @@ class SolveParams:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.rank_init < 1:
             raise ValueError(f"rank_init must be >= 1, got {self.rank_init}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 @dataclass

@@ -61,11 +61,13 @@ def per_column_kernel_product(problem, x):
 
 
 def primal_objective(sdp, psd):
-    """<Y, A> for Y = gamma (C(u))_+, one A product per eigenpair."""
+    """<Y, A> = -<Y, C(0)> for Y = gamma (C(u))_+, one C(0) product per
+    eigenpair."""
+    neg_a = sdp.operator(np.zeros(sdp.q))
     total = 0.0
     for r in range(psd.rank):
         v = psd.vectors[:, r]
-        total += psd.values[r] * (v @ sdp.a_matvec(v))
+        total -= psd.values[r] * (v @ neg_a.matvec(v))
     return sdp.gamma * total
 
 

@@ -106,7 +106,7 @@ def test_03_matvec_equivalence():
         dense = dense_sdp_pieces(sdp, u)["C"]
         for _ in range(20):
             d = rng.standard_normal(sdp.n)
-            check(sdp.c_matvec(u, d), dense @ d)
+            check(sdp.operator(u).matvec(d), dense @ d)
 
     n = 100
     phi_p = rng.standard_normal((n, 3))

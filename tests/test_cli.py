@@ -111,9 +111,14 @@ class TestSolve:
         path.write_text(json.dumps(inst))
         assert main(["solve", "--method", "lrsdcut", str(path)]) == 2
 
-    @pytest.mark.parametrize("flag", ["--gamma", "--kmax", "--rank-init"])
+    @pytest.mark.parametrize("flag", ["--gamma", "--kmax", "--rank-init",
+                                      "--samples"])
     def test_nonpositive_solver_flag_exits_two(self, instance, flag):
         assert main(["solve", "--method", "lrsdcut", flag, "0",
+                     str(instance)]) == 2
+
+    def test_zero_meanfield_restarts_exits_two(self, instance):
+        assert main(["solve", "--method", "meanfield", "--restarts", "0",
                      str(instance)]) == 2
 
     def test_subprocess_entry_point(self, instance):

@@ -169,6 +169,10 @@ class TestSolve:
                                       np.argmin(problem.unary, axis=1))
         assert result.n_iterations <= 2
 
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(ValueError):
+            mf_solve(random_potts_problem(6, 2, seed=12), restarts=0)
+
     def test_deterministic_given_seed(self):
         problem = random_potts_problem(10, 2, seed=13, weight=1.4)
         first = mf_solve(problem, restarts=3, seed=5)

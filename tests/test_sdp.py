@@ -27,7 +27,7 @@ def exact_factor(sdp, u):
 class TestPottsMatvec:
     def test_zero_everything(self):
         sdp = make_sdp(random_potts_problem(5, 2, seed=0), gamma=10.0)
-        out = sdp.c_matvec(np.zeros(sdp.q), np.zeros(sdp.n))
+        out = sdp.operator(np.zeros(sdp.q)).matvec(np.zeros(sdp.n))
         np.testing.assert_array_equal(out, np.zeros(sdp.n))
 
     def test_zero_operator(self):
@@ -37,7 +37,7 @@ class TestPottsMatvec:
         rng = np.random.default_rng(0)
         for _ in range(5):
             d = rng.standard_normal(sdp.n)
-            np.testing.assert_allclose(sdp.c_matvec(np.zeros(sdp.q), d),
+            np.testing.assert_allclose(sdp.operator(np.zeros(sdp.q)).matvec(d),
                                        np.zeros(sdp.n), atol=1e-15)
 
     def test_matches_dense_constraint_matrices(self, rng):
@@ -46,19 +46,19 @@ class TestPottsMatvec:
         pieces = dense_sdp_pieces(sdp, u)
         for _ in range(20):
             d = rng.standard_normal(sdp.n)
-            np.testing.assert_allclose(sdp.c_matvec(u, d), pieces["C"] @ d,
+            np.testing.assert_allclose(sdp.operator(u).matvec(d), pieces["C"] @ d,
                                        atol=1e-10)
 
     def test_length_mismatch_rejected(self):
         sdp = make_sdp(random_potts_problem(4, 2, seed=2), gamma=10.0)
         with pytest.raises(ValueError):
-            sdp.c_matvec(np.zeros(sdp.q), np.zeros(sdp.n + 1))
+            sdp.operator(np.zeros(sdp.q)).matvec(np.zeros(sdp.n + 1))
 
 
 class TestGeneralMatvec:
     def test_zero_everything(self):
         sdp = make_sdp(random_general_problem(4, 3, seed=3), gamma=10.0)
-        out = sdp.c_matvec(np.zeros(sdp.q), np.zeros(sdp.n))
+        out = sdp.operator(np.zeros(sdp.q)).matvec(np.zeros(sdp.n))
         np.testing.assert_array_equal(out, np.zeros(sdp.n))
 
     # L = 3 alone has as many label pairs as labels
@@ -69,7 +69,7 @@ class TestGeneralMatvec:
         pieces = dense_sdp_pieces(sdp, u)
         for _ in range(20):
             d = rng.standard_normal(sdp.n)
-            np.testing.assert_allclose(sdp.c_matvec(u, d), pieces["C"] @ d,
+            np.testing.assert_allclose(sdp.operator(u).matvec(d), pieces["C"] @ d,
                                        atol=1e-10)
 
     def test_potts_as_general_matches_dense_surface(self, rng):
@@ -229,11 +229,11 @@ class _DiagonalStub:
 
     def __init__(self, diag):
         self.diag = np.asarray(diag, dtype=np.float64)
-        self.n = self.diag.size
+        self.n = self.q = self.diag.size
         self.identity = np.ones(self.n)
 
-    def a_matvec(self, d):
-        return self.diag * d
+    def operator(self, u):
+        return SymmetricOperator(self.n, lambda d: -self.diag * d - u * d)
 
 
 class TestSpectralShift:
@@ -242,8 +242,7 @@ class TestSpectralShift:
         u0 = spectral_shift_init(stub, r=2)
         np.testing.assert_allclose(-u0, 2.0 * stub.identity)
         # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]): positive rank 1
-        op = SymmetricOperator(3, lambda d: -stub.a_matvec(d) - u0 * d)
-        factor = leading_psd_part(op, max_rank=3)
+        factor = leading_psd_part(stub.operator(u0), max_rank=3)
         assert factor.rank == 1
         assert factor.values[0] == pytest.approx(1.0)
 
@@ -652,3 +651,26 @@ class TestEarlyStop:
                                    [rec.dual for rec in full.trajectory],
                                    rtol=1e-9)
         assert report.lower_bound == pytest.approx(full.lower_bound, rel=1e-9)
+
+
+class TestAssembledOperator:
+    """C(u)'s blocks are assembled once per dual point, not per matvec."""
+
+    def test_blocks_are_assembled_per_evaluation(self, monkeypatch):
+        counts = {"assemble": 0, "c_matvec": 0}
+
+        def counting(name):
+            original = PottsSdp.__dict__[name]
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(PottsSdp, name, wrapper)
+
+        counting("assemble")
+        counting("c_matvec")
+        report = lr_sdcut_solve(build_problem(gen_grid(30, 30, 2, seed=5)),
+                                seed=1)
+        # one operator and one inertia count per evaluation, plus the start
+        assert counts["assemble"] <= 2 * report.extras["dual_evals"] + 1
+        assert counts["c_matvec"] >= 100
