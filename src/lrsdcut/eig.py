@@ -7,7 +7,8 @@ leading eigenpairs; this module wraps it with seeded random vectors, a
 request sized by the caller's exact count of positive eigenvalues when it
 has one (the count then proves the factor complete, and a Lanczos result
 that contradicts it is a typed failure), adaptive subspace growth
-otherwise, an early stop once the partial norm passes a caller's limit,
+otherwise, an early stop once the partial norm (or a caller's lower
+bound on the whole norm, before any Lanczos run) passes a caller's limit,
 and a dense fallback for operators too small for ARPACK.
 """
 
@@ -48,7 +49,9 @@ class PsdFactor:
     ``vectors @ diag(values) @ vectors.T``.  ``truncated`` marks factors
     whose positive spectrum may extend past the rank cap or an early stop,
     in which case dual values derived from them are not certified lower
-    bounds.
+    bounds.  ``frob_lower`` is a proven lower bound on the norm of the
+    whole positive part, which :meth:`frob_norm_sq` never reports less
+    than (it matters for factors stopped before any Lanczos run).
     Downstream code must depend only on the projector and the eigenvalue
     multiset, never on individual eigenvectors (clusters may rotate).
     """
@@ -56,13 +59,14 @@ class PsdFactor:
     vectors: np.ndarray
     values: np.ndarray
     truncated: bool = False
+    frob_lower: float = 0.0
 
     @property
     def rank(self):
         return self.values.size
 
     def frob_norm_sq(self):
-        return float(np.sum(self.values ** 2))
+        return max(float(np.sum(self.values ** 2)), self.frob_lower)
 
     def reconstruct(self):
         return (self.vectors * self.values) @ self.vectors.T
@@ -142,7 +146,7 @@ def leading_eigpairs(op, k, tol=EIG_TOL, seed=0, restarts=50):
 
 
 def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
-                     frob_limit=np.inf, count=None):
+                     frob_limit=np.inf, frob_lower=0.0, count=None):
     """All eigenpairs with eigenvalue above ``tol * max(|lambda|, 1)``, up
     to ``max_rank`` of them, as a :class:`PsdFactor`.
 
@@ -169,11 +173,18 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
     ``||op_+||_F^2``.  Once it exceeds ``frob_limit`` the growth stops and
     that partial factor is returned marked truncated: a caller that only
     needs to know whether the norm passes a limit learns it without the
-    rest of the positive spectrum.
+    rest of the positive spectrum.  ``frob_lower`` is a caller's lower
+    bound on ``||op_+||_F^2`` (for instance from the operator's diagonal
+    blocks); when it already exceeds ``frob_limit`` the call returns at
+    once, without a Lanczos run or a matvec, a rank-0 factor marked
+    truncated whose :meth:`PsdFactor.frob_norm_sq` is that bound.
     """
     n = op.n
     if not 1 <= max_rank <= n:
         raise ValueError(f"need 1 <= max_rank <= {n}, got {max_rank}")
+    if frob_lower > frob_limit:
+        return PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=True,
+                         frob_lower=float(frob_lower))
     if count == 0:
         return PsdFactor(np.zeros((n, 0)), np.zeros(0))
     cap = max_rank if count is None else min(count, max_rank)

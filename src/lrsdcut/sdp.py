@@ -9,13 +9,16 @@ dual eliminates the matrix variable:
 so one dual evaluation only needs the positive eigenpairs of C(u), which a
 matrix-free Lanczos solver obtains from structured O(N) matvecs.  Each
 lifting assembles C(u)'s blocks once per dual point, so a matvec is one
-low-rank kernel product plus a few small products; C(0) = -A.  The
-solver starts at a dual point where C(u) = -A + nu I has low positive
-rank, ascends the dual with limited-memory BFGS, rounds the implicit
-primal matrix ``Y = gamma (C(u))_+`` to a feasible labeling at every
-iteration, keeps the best, and stops early once the relative dual
-improvement falls below a threshold.  Any untruncated dual value is a
-certified lower bound on the optimal lifted energy.
+low-rank kernel product plus a few small products; C(0) = -A.  The same
+blocks give a cheap lower bound on ||C(u)_+||_F^2 (the pinching
+inequality over C(u)'s diagonal blocks), which rejects an overshooting
+line-search trial before any Lanczos run.  The solver starts at a dual
+point where C(u) = -A + nu I has low positive rank, ascends the dual with
+limited-memory BFGS, rounds the implicit primal matrix
+``Y = gamma (C(u))_+`` to a feasible labeling at every iteration, keeps
+the best, and stops early once the relative dual improvement falls below
+a threshold.  Any untruncated dual value is a certified lower bound on
+the optimal lifted energy.
 
 Two liftings are supported: the compact (N+L)-dimensional one for Potts
 compatibility and the (N*L)-dimensional one for a general symmetric label
@@ -125,12 +128,18 @@ class SdpLifting:
     ``identity`` whose weighted constraint matrices sum to the identity,
     ``sum_i identity_i B_i = I`` with ``identity @ b = eta``.  Subclasses
     supply ``assemble(u)``, the structured blocks of C(u) built once per
-    dual point; ``c_matvec(parts, d)``, the product of those blocks with
-    a vector; the gradient from a positive-part factor; the rounding
-    hooks; and ``positive_count(u, sigma)``: the number of eigenvalues of
-    C(u) above sigma from an inertia count that needs no Lanczos run, or
-    None where the count is unavailable or undecided.  C(0) = -A, so the
-    products with A are those of ``operator(0)``.
+    dual point, and, reading those blocks: ``c_matvec(parts, d)``, their
+    product with a vector; ``positive_count(parts, sigma)``, the number of
+    eigenvalues of C(u) above sigma from an inertia count that needs no
+    Lanczos run, or None where the count is unavailable or undecided; and
+    ``pinched_norm_sq(parts)``, a lower bound on ||C(u)_+||_F^2.  They
+    also supply the gradient from a positive-part factor and the rounding
+    hooks.  C(0) = -A, so the products with A are those of ``operator(0)``.
+
+    The bound is the pinching inequality: max(x, 0)^2 is convex, so the
+    eigenvalues of any block-diagonal part of a symmetric matrix, which
+    they majorize (Schur-Horn), have a sum of squared positive parts no
+    larger than the whole matrix's.
     """
 
     def __init__(self, problem, gamma, n, eta, b, identity):
@@ -145,6 +154,7 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
+        self._kernel_diag = problem.kernel_diag()
         # K/2 = F F' for positive_count's inertia count, None without one
         self._count_factor = _half_kernel_factor(problem)
         if self._count_factor is not None:
@@ -158,7 +168,11 @@ class SdpLifting:
 
     def operator(self, u):
         """C(u) as a matvec closure over its blocks, assembled once here."""
-        parts = self.assemble(np.asarray(u, dtype=np.float64))
+        u = np.asarray(u, dtype=np.float64)
+        return self.parts_operator(self.assemble(u))
+
+    def parts_operator(self, parts):
+        """C(u) as a matvec closure over :meth:`assemble`'s blocks."""
         return SymmetricOperator(self.n, lambda d: self.c_matvec(parts, d))
 
     def dual_objective(self, u, psd):
@@ -245,13 +259,22 @@ class PottsSdp(SdpLifting):
         inner = np.concatenate([inner_u1, inner_u2, inner_u3, inner_u4])
         return self.gamma * inner - self.b
 
-    def positive_count(self, u, sigma):
+    def pinched_norm_sq(self, parts):
+        """Lower bound on ||C(u)_+||_F^2 from the diagonal blocks of C(u)
+        (:meth:`assemble`'s ``parts``), in O(N + L^3): the L x L head and
+        the N variable entries ``diag_j + K_jj/2``."""
+        head, _, diag = parts
+        head_eigs = np.maximum(np.linalg.eigvalsh(head), 0.0)
+        var = np.maximum(diag + 0.5 * self._kernel_diag, 0.0)
+        return float(head_eigs @ head_eigs + var @ var)
+
+    def positive_count(self, parts, sigma):
         """Number of eigenvalues of C(u) above ``sigma``, in O(N (R+L)^2).
 
         In C(u) - sigma I the variable block is D + F F', with the diagonal
         D = Diag(diag) - sigma I and K/2 = F F' (F is N x R), and it couples
         to the L label rows through E = coupling, where ``(head, coupling,
-        diag)`` are :meth:`assemble`'s blocks.  Bordering F with
+        diag) = parts`` are :meth:`assemble`'s blocks.  Bordering F with
         -I_R gives a matrix of inertia In(-I_R) + In(C(u) - sigma I); by
         Haynsworth additivity its inertia is also In(D) + In(S) with the
         (R+L) x (R+L) Schur complement
@@ -264,7 +287,7 @@ class PottsSdp(SdpLifting):
         if factor is None:
             return None
         R = factor.shape[1]
-        head, coupling, diag = self.assemble(u)
+        head, coupling, diag = parts
         pivots = diag - sigma
         size = np.abs(pivots)
         if size.min() <= COUNT_REL_TOL * size.max():
@@ -362,13 +385,21 @@ class GeneralSdp(SdpLifting):
         inner = np.concatenate([inner_u1, inner_u2])
         return self.gamma * inner - self.b
 
-    def positive_count(self, u, sigma):
+    def pinched_norm_sq(self, parts):
+        """Lower bound on ||C(u)_+||_F^2 from C(u)'s N diagonal L x L
+        blocks ``D_i - K_ii U/2`` (``parts`` are :meth:`assemble`'s D_i),
+        in O(N L^3)."""
+        diag_blocks = parts - self._kernel_diag[:, None, None] * self._half_u
+        eigs = np.maximum(np.linalg.eigvalsh(diag_blocks), 0.0)
+        return float(np.einsum("il,il->", eigs, eigs))
+
+    def positive_count(self, parts, sigma):
         """Number of eigenvalues of C(u) above ``sigma``, in O(N R^2 L^2).
 
         ``C(u) - sigma I = D + (F (x) I)(I (x) -U)(F (x) I)'`` with the N
         per-variable blocks D_i = -Diag(h_i) - B_i(u) - sigma I (each
-        L x L, :meth:`assemble`'s blocks shifted by sigma), U = mu - 11'
-        and K/2 = F F' (F is N x R).  Bordering with
+        L x L, :meth:`assemble`'s blocks ``parts`` shifted by sigma),
+        U = mu - 11' and K/2 = F F' (F is N x R).  Bordering with
         -(I (x) -U)^-1 = I (x) U^-1 and Haynsworth additivity give
         ``pos(C(u) - sigma I) + R pos(U) = sum_i pos(D_i) + pos(S)`` with
         the RL x RL Schur complement
@@ -380,10 +411,7 @@ class GeneralSdp(SdpLifting):
         if factor is None:
             return None
         (N, R), L = factor.shape, self.n_labels
-        blocks = self.assemble(u)
-        diag = np.arange(L)
-        blocks[:, diag, diag] -= sigma
-        pivots = _block_pivots(blocks)
+        pivots = _block_pivots(parts - sigma * np.eye(L))
         if pivots is None:
             return None
         positive, inverse = pivots
@@ -676,19 +704,30 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     # is the value of the current iterate: a line-search trial needs a value
     # above it to be accepted, so once a partial positive part already puts
     # the trial's dual below it, the Lanczos growth stops (the factor comes
-    # back truncated and the trial is rejected, as it would be in full)
+    # back truncated and the trial is rejected, as it would be in full).
+    # A trial whose pinching bound on ||C(u)_+||_F^2 already passes the
+    # limit is rejected before any Lanczos run or inertia count
     warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf}
+    bound_rejections = 0
 
     def obj_grad(u):
-        op = sdp.operator(u)
+        nonlocal bound_rejections
+        parts = sdp.assemble(u)
         # d(u) < floor once the partial ||C(u)_+||_F^2 exceeds this
         frob_limit = (2.0 / sdp.gamma) * (-u @ sdp.b - warm["floor"]
                                           - sdp.eta ** 2 / (2.0 * sdp.gamma))
+        frob_lower = (sdp.pinched_norm_sq(parts) if np.isfinite(frob_limit)
+                      else 0.0)
+        rejected = bool(frob_lower > frob_limit)
+        bound_rejections += rejected
         try:
-            factor = leading_psd_part(op, rank_cap,
-                                      seed=next_seed(eig_seed_rng),
-                                      k0=warm["k0"], frob_limit=frob_limit,
-                                      count=sdp.positive_count(u, EIG_TOL))
+            # the seed is drawn for every evaluation, so later Lanczos runs
+            # keep their seeds whether or not the bound rejects this one
+            factor = leading_psd_part(
+                sdp.parts_operator(parts), rank_cap,
+                seed=next_seed(eig_seed_rng), k0=warm["k0"],
+                frob_limit=frob_limit, frob_lower=frob_lower,
+                count=None if rejected else sdp.positive_count(parts, EIG_TOL))
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor
@@ -748,5 +787,6 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         trajectory=trajectory,
         warnings=warnings,
         extras={"gamma": params.gamma, "offset": offset,
-                "dual_evals": optimizer.n_evals},
+                "dual_evals": optimizer.n_evals,
+                "bound_rejections": bound_rejections},
     )

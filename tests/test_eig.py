@@ -104,6 +104,26 @@ class TestLeadingPsdPart:
             assert np.array_equal(same.values, full.values)
             assert np.array_equal(same.vectors, full.vectors)
 
+    def test_lower_bound_above_limit_needs_no_lanczos_run(self):
+        def refuse(d):
+            raise AssertionError("no matvec expected")
+
+        factor = leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
+                                  frob_limit=100.0, frob_lower=120.0, count=3)
+        assert factor.rank == 0 and factor.truncated
+        assert factor.vectors.shape == (50, 0)
+        assert factor.frob_norm_sq() == 120.0
+
+    def test_lower_bound_within_limit_leaves_lanczos_unchanged(self):
+        op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
+                                                   -np.arange(1.0, 21.0)])))
+        plain = leading_psd_part(op, max_rank=40, k0=4, seed=6,
+                                 frob_limit=1500.0)
+        bounded = leading_psd_part(op, max_rank=40, k0=4, seed=6,
+                                   frob_limit=1500.0, frob_lower=1500.0)
+        assert np.array_equal(bounded.values, plain.values)
+        assert bounded.frob_norm_sq() == plain.frob_norm_sq()
+
     def test_nonconvergence_carries_best_effort_factor(self, rng):
         a = rng.standard_normal((300, 300))
         a = 0.5 * (a + a.T)

@@ -11,7 +11,8 @@ from lrsdcut.eig import (PsdFactor, SymmetricOperator, leading_eigpairs,
 from lrsdcut import eig as eig_module
 from lrsdcut import sdp as sdp_module
 from lrsdcut.generate import gen_clusters, gen_grid
-from lrsdcut.kernels import LowRankFactor, LowRankKernel
+from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
+                             LowRankKernel)
 from lrsdcut.oracle import (brute_force_map, dense_sdp_pieces,
                             general_constraint_matrices,
                             potts_constraint_matrices)
@@ -150,6 +151,10 @@ class TestDualGradient:
             np.testing.assert_allclose(grad, pieces["grad"], atol=1e-8)
 
 
+def _inertia_count(sdp, u, sigma):
+    return sdp.positive_count(sdp.assemble(u), sigma)
+
+
 def _dense_count(sdp, u, sigma):
     return int(np.sum(np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"]) > sigma))
 
@@ -178,34 +183,34 @@ class TestPositiveCount:
             for scale in (0.3, 3.0):
                 u = u0 + scale * rng.standard_normal(sdp.q)
                 for sigma in (1e-8, 0.5, -0.5):
-                    assert sdp.positive_count(u, sigma) == \
+                    assert _inertia_count(sdp, u, sigma) == \
                         _dense_count(sdp, u, sigma)
 
     def test_near_zero_potts_pivot_is_undecided(self, rng):
         sdp = make_sdp(random_potts_problem(10, 3, seed=1), 1000.0)
         u = rng.standard_normal(sdp.q)
-        assert sdp.positive_count(u, 0.2) == _dense_count(sdp, u, 0.2)
+        assert _inertia_count(sdp, u, 0.2) == _dense_count(sdp, u, 0.2)
         u[-4] = -0.2 - 1e-13  # the pivot -u4_i - sigma of variable 6
-        assert sdp.positive_count(u, 0.2) is None
+        assert _inertia_count(sdp, u, 0.2) is None
 
     @pytest.mark.parametrize("n_labels", [3, 5])
     def test_near_singular_general_block_is_undecided(self, rng, n_labels):
         problem = random_general_problem(10, n_labels, seed=2)
         sdp = make_sdp(problem, 1000.0)
         u = rng.standard_normal(sdp.q)
-        assert sdp.positive_count(u, 0.2) == _dense_count(sdp, u, 0.2)
+        assert _inertia_count(sdp, u, 0.2) == _dense_count(sdp, u, 0.2)
         # variable 4's block -Diag(h_4) - Diag(u1_4) - ltri(u2_4)/2 - sigma I
         # becomes diagonal with a first entry of 1e-13
         pairs = sdp.n_pairs
         u[sdp.n_vars + 4 * pairs:sdp.n_vars + 5 * pairs] = 0.0
         u[4] = -problem.unary[4, 0] - 0.2 - 1e-13
-        assert sdp.positive_count(u, 0.2) is None
+        assert _inertia_count(sdp, u, 0.2) is None
 
     def test_sigma_at_an_eigenvalue_is_undecided(self, rng):
         sdp = make_sdp(random_potts_problem(10, 3, seed=3), 1000.0)
         u = rng.standard_normal(sdp.q)
         eigs = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
-        assert sdp.positive_count(u, eigs[-3]) is None
+        assert _inertia_count(sdp, u, eigs[-3]) is None
 
     def test_schur_inertia_reads_two_by_two_pivots(self, rng):
         # a zero diagonal makes Bunch-Kaufman choose 2 x 2 pivot blocks
@@ -220,7 +225,86 @@ class TestPositiveCount:
     def test_other_kernels_are_not_counted(self, rng, general):
         sdp = make_sdp(mixed_kernel_problem(9, 3, seed=4, general=general),
                        1000.0)
-        assert sdp.positive_count(rng.standard_normal(sdp.q), 0.0) is None
+        assert _inertia_count(sdp, rng.standard_normal(sdp.q), 0.0) is None
+
+
+def _one_kernel_problem(n, n_labels, seed, form, general):
+    """Problem over one kernel: plain or block-diagonal low-rank, or
+    centered discriminative; with a random compatibility when general."""
+    rng = np.random.default_rng(seed)
+    factor = LowRankFactor(rng.standard_normal((n, 3)) / np.sqrt(3))
+    if form == "centered":
+        kernel = CenteredDiscriminativeKernel(factor, kappa=0.5, weight=0.8)
+    else:
+        kernel = LowRankKernel(factor, 1.2, blocks=[0, n // 3, n]
+                               if form == "blocked" else None)
+    mu = None
+    if general:
+        mu = rng.uniform(0.0, 1.0, (n_labels, n_labels))
+        mu = 0.5 * (mu + mu.T)
+        np.fill_diagonal(mu, 0.0)
+    return CrfProblem(rng.standard_normal((n, n_labels)), [kernel], mu=mu)
+
+
+def _pinched(sdp, u):
+    return sdp.pinched_norm_sq(sdp.assemble(u))
+
+
+def _dense_positive_norm_sq(sdp, u):
+    vals = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
+    return float(np.sum(np.clip(vals, 0.0, None) ** 2))
+
+
+class TestPinchedBound:
+    """The pinching bound from C(u)'s diagonal blocks never exceeds
+    ||C(u)_+||_F^2."""
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("form", ["plain", "blocked", "centered"])
+    def test_below_the_dense_norm(self, rng, monkeypatch, form, general):
+        problem = _one_kernel_problem(12, 3, seed=7, form=form,
+                                      general=general)
+        sdp = make_sdp(problem, gamma=1000.0)
+        u0 = spectral_shift_init(sdp, 4)
+        points = [u0 + scale * rng.standard_normal(sdp.q)
+                  for scale in (0.3, 3.0) for _ in range(4)]
+        # and every dual point a solve visits
+        lifting = type(sdp)
+        assemble = lifting.assemble
+
+        def recording(self, u):
+            points.append(np.array(u))
+            return assemble(self, u)
+
+        monkeypatch.setattr(lifting, "assemble", recording)
+        lr_sdcut_solve(problem, seed=1)
+        monkeypatch.undo()
+        assert len(points) > 12
+        positive = 0
+        for u in points:
+            bound = _pinched(sdp, u)
+            dense = _dense_positive_norm_sq(sdp, u)
+            assert bound <= dense * (1.0 + 1e-12) + 1e-12
+            positive += bound > 0.0
+        assert positive > 0
+
+    @pytest.mark.parametrize("diagonal_kernel", [False, True])
+    def test_exact_for_the_general_lifting_without_coupling(self, rng,
+                                                            diagonal_kernel):
+        # with no kernel, or a diagonal one, the general lifting's C(u) is
+        # block diagonal, so pinching loses nothing
+        base = random_general_problem(10, 3, seed=3)
+        kernels = []
+        if diagonal_kernel:
+            phi = np.diag(rng.uniform(0.5, 1.5, 10))
+            kernels = [LowRankKernel(LowRankFactor(phi), 0.7)]
+        sdp = make_sdp(CrfProblem(base.unary, kernels, mu=base.mu),
+                       gamma=1000.0)
+        for scale in (0.3, 3.0):
+            u = scale * rng.standard_normal(sdp.q)
+            dense = _dense_positive_norm_sq(sdp, u)
+            assert dense > 0.0
+            assert _pinched(sdp, u) == pytest.approx(dense, rel=1e-12)
 
 
 class _DiagonalStub:
@@ -611,8 +695,8 @@ class TestCountedRequests:
         problem = random_potts_problem(30, 2, seed=23)
         exact = PottsSdp.positive_count
 
-        def overcount(self, u, sigma):
-            count = exact(self, u, sigma)
+        def overcount(self, parts, sigma):
+            count = exact(self, parts, sigma)
             return None if count is None else count + 1
 
         monkeypatch.setattr(PottsSdp, "positive_count", overcount)
@@ -631,6 +715,9 @@ class TestEarlyStop:
 
     def test_stopped_trials_change_no_accepted_iterate(self, monkeypatch):
         problem = _general_l3(150, 1)
+        # without the pinching bound, so that the trials stop in Lanczos
+        monkeypatch.setattr(GeneralSdp, "pinched_norm_sq",
+                            lambda self, parts: 0.0)
         full_calls = _record_psd_calls(monkeypatch, frob_limit=np.inf)
         full = lr_sdcut_solve(problem, seed=1)
         calls = _record_psd_calls(monkeypatch)
@@ -653,6 +740,24 @@ class TestEarlyStop:
         assert report.lower_bound == pytest.approx(full.lower_bound, rel=1e-9)
 
 
+class TestBoundRejections:
+    """Line-search trials whose pinching bound already puts the dual below
+    the current iterate are rejected without a Lanczos run."""
+
+    def test_bound_rejections_change_no_solve(self, monkeypatch):
+        problem = _general_l3(150, 1)
+        report = lr_sdcut_solve(problem, seed=1)
+        monkeypatch.setattr(GeneralSdp, "pinched_norm_sq",
+                            lambda self, parts: 0.0)
+        lanczos_only = lr_sdcut_solve(problem, seed=1)
+        assert report.extras["bound_rejections"] >= 1
+        assert [rec.dual for rec in report.trajectory] == \
+            [rec.dual for rec in lanczos_only.trajectory]
+        assert report.lower_bound == lanczos_only.lower_bound
+        np.testing.assert_array_equal(report.labels, lanczos_only.labels)
+        assert report.extras["dual_evals"] == lanczos_only.extras["dual_evals"]
+
+
 class TestAssembledOperator:
     """C(u)'s blocks are assembled once per dual point, not per matvec."""
 
@@ -671,6 +776,7 @@ class TestAssembledOperator:
         counting("c_matvec")
         report = lr_sdcut_solve(build_problem(gen_grid(30, 30, 2, seed=5)),
                                 seed=1)
-        # one operator and one inertia count per evaluation, plus the start
+        # one assembly per evaluation, which the operator, the inertia count
+        # and the pinching bound share, plus the start
         assert counts["assemble"] <= 2 * report.extras["dual_evals"] + 1
         assert counts["c_matvec"] >= 100
