@@ -9,7 +9,8 @@ has one (the count then proves the factor complete, and a Lanczos result
 that contradicts it is a typed failure), adaptive subspace growth
 otherwise, an early stop once the partial norm (or a caller's lower
 bound on the whole norm, before any Lanczos run) passes a caller's limit,
-and a dense fallback for operators too small for ARPACK.
+eigenpairs already in hand standing in for the first Lanczos run, and a
+dense fallback for operators too small for ARPACK.
 """
 
 import inspect
@@ -146,7 +147,8 @@ def leading_eigpairs(op, k, tol=EIG_TOL, seed=0, restarts=50):
 
 
 def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
-                     frob_limit=np.inf, frob_lower=0.0, count=None):
+                     frob_limit=np.inf, frob_lower=0.0, count=None,
+                     pairs=None):
     """All eigenpairs with eigenvalue above ``tol * max(|lambda|, 1)``, up
     to ``max_rank`` of them, as a :class:`PsdFactor`.
 
@@ -178,6 +180,15 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
     blocks); when it already exceeds ``frob_limit`` the call returns at
     once, without a Lanczos run or a matvec, a rank-0 factor marked
     truncated whose :meth:`PsdFactor.frob_norm_sq` is that bound.
+
+    ``pairs``, when given, are leading eigenpairs ``(values, vectors)`` of
+    ``op`` already in hand (values descending), for instance from a
+    Lanczos run on a shifted copy of the operator.  They stand in for the
+    first Lanczos result under the same proofs: without a count, a value
+    at or below the threshold proves the positive part complete; with a
+    count, p values above ``tol`` do, and a value at or below ``tol``
+    among the first p raises :class:`EigenCountMismatch`.  Pairs that
+    prove neither leave the call exactly as it would be without them.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -190,7 +201,10 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
     cap = max_rank if count is None else min(count, max_rank)
     k = min(k0 if k0 is not None else min(10, max_rank), cap)
     while True:
-        vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed)
+        if pairs is None:
+            vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed)
+        else:
+            vals, vecs = pairs[0][:count], pairs[1][:, :count]
         thresh = tol * max(np.abs(vals).max(initial=0.0), 1.0)
         keep = vals > thresh
         if count is None:
@@ -199,14 +213,18 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
         elif vals[-1] <= tol:
             raise EigenCountMismatch(
                 f"{count} eigenvalues above {tol:g} counted, but Ritz value "
-                f"{k} of {k} is {vals[-1]:.6g}; factor marked truncated",
+                f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor "
+                "marked truncated",
                 PsdFactor(vecs[:, keep], vals[keep], truncated=True))
         else:
-            complete = k == count
+            complete = vals.size == count
         if complete:
             return PsdFactor(vecs[:, keep][:, :max_rank],
                              vals[keep][:max_rank],
                              truncated=bool(np.count_nonzero(keep) > max_rank))
+        if pairs is not None:
+            pairs = None  # they prove nothing: run Lanczos from k as usual
+            continue
         if k >= cap or np.sum(vals ** 2) > frob_limit:
             return PsdFactor(vecs, vals, truncated=True)
         k = min(2 * k, cap)

@@ -13,8 +13,9 @@ low-rank kernel product plus a few small products; C(0) = -A.  The same
 blocks give a cheap lower bound on ||C(u)_+||_F^2 (the pinching
 inequality over C(u)'s diagonal blocks), which rejects an overshooting
 line-search trial before any Lanczos run.  The solver starts at a dual
-point where C(u) = -A + nu I has low positive rank, ascends the dual with
-limited-memory BFGS, rounds the implicit primal matrix
+point where C(u) = -A + nu I has low positive rank (the Lanczos run on
+-A that finds nu also gives this first point's positive part), ascends
+the dual with limited-memory BFGS, rounds the implicit primal matrix
 ``Y = gamma (C(u))_+`` to a feasible labeling at every iteration, keeps
 the best, and stops early once the relative dual improvement falls below
 a threshold.  Any untruncated dual value is a certified lower bound on
@@ -47,6 +48,10 @@ LBFGS_MEMORY = 10
 STEP_TOL = 1e-10
 ARMIJO = 1e-4
 MAX_HALVINGS = 30
+
+# rounding's column-compare row argmax beats numpy's row reduction from
+# about this many rows per compared column (L = 2..5, one BLAS thread)
+ROW_ARGMAX_MIN_ROWS = 1000
 
 
 def _half_kernel_factor(problem):
@@ -388,9 +393,14 @@ class GeneralSdp(SdpLifting):
     def pinched_norm_sq(self, parts):
         """Lower bound on ||C(u)_+||_F^2 from C(u)'s N diagonal L x L
         blocks ``D_i - K_ii U/2`` (``parts`` are :meth:`assemble`'s D_i),
-        in O(N L^3)."""
+        in O(N L^3).  A block whose Gershgorin discs all lie at or left of
+        zero is negative semidefinite and adds 0, so only the other blocks
+        need eigenvalues."""
         diag_blocks = parts - self._kernel_diag[:, None, None] * self._half_u
-        eigs = np.maximum(np.linalg.eigvalsh(diag_blocks), 0.0)
+        centers = np.diagonal(diag_blocks, axis1=1, axis2=2)
+        right_ends = centers - np.abs(centers) + np.abs(diag_blocks).sum(axis=2)
+        undecided = diag_blocks[np.any(right_ends > 0.0, axis=1)]
+        eigs = np.maximum(np.linalg.eigvalsh(undecided), 0.0)
         return float(np.einsum("il,il->", eigs, eigs))
 
     def positive_count(self, parts, sigma):
@@ -440,20 +450,25 @@ def make_sdp(problem, gamma):
 
 
 def spectral_shift_init(sdp, r, seed=0):
-    """Dual start u0 with rank((C(u0))_+) <= r.
+    """Dual start u0 with rank((C(u0))_+) <= r, and C(u0)'s leading
+    eigenpairs.
 
-    Returns ``u0 = -nu * sdp.identity``, for which C(u0) = -A + nu I
-    because the identity-weighted constraint matrices sum to I.  Its
-    positive eigenvalues correspond to eigenvalues of A strictly below nu;
-    choosing nu as the r-th smallest eigenvalue of A (computed by Lanczos
-    on C(0) = -A) caps the initial positive rank at r (exactly r - 1 for a
-    simple spectrum).  The start is an ordinary dual point, so its dual
-    value is a valid bound like any other.
+    Returns ``(u0, pairs)`` with ``u0 = -nu * sdp.identity``, for which
+    C(u0) = -A + nu I because the identity-weighted constraint matrices
+    sum to I.  Its positive eigenvalues correspond to eigenvalues of A
+    strictly below nu; choosing nu as the r-th smallest eigenvalue of A
+    (computed by Lanczos on C(0) = -A) caps the initial positive rank at r
+    (exactly r - 1 for a simple spectrum).  The same Lanczos run holds
+    C(u0)'s r leading eigenpairs, ``pairs = (values - values[r - 1],
+    vectors)``, whose last value is exactly 0, so they can stand in for a
+    Lanczos run on C(u0) (``leading_psd_part(..., pairs=pairs)``).  The
+    start is an ordinary dual point, so its dual value is a valid bound
+    like any other.
     """
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
-    vals, _ = leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed)
-    return vals[r - 1] * sdp.identity
+    vals, vecs = leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed)
+    return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
 
 
 @dataclass
@@ -551,6 +566,24 @@ class LbfgsAscent:
                           converged=False, stalled=True, n_evals=n_evals)
 
 
+def _row_argmax(scores):
+    """``np.argmax(scores, axis=1)`` for an N x L array (ties fall to the
+    smallest label).  numpy reduces each short row on its own; on a tall
+    block one strict compare per column is several times faster (N x 2 at
+    N = 10,000: about 4x), while on a short one the compares' fixed cost
+    per column loses, so short blocks keep numpy's reduction."""
+    if scores.shape[0] < ROW_ARGMAX_MIN_ROWS * (scores.shape[1] - 1):
+        return np.argmax(scores, axis=1)
+    best = scores[:, 0]
+    labels = np.zeros(scores.shape[0], dtype=np.intp)
+    for label in range(1, scores.shape[1]):
+        column = scores[:, label]
+        better = column > best
+        labels += better * (label - labels)
+        best = np.maximum(best, column)
+    return labels
+
+
 def round_solution(psd, sdp, seed=0, n_samples=20):
     """Draw feasible labelings from the implicit primal matrix, keep the best.
 
@@ -577,14 +610,14 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
         else:
             scores = (psi @ rng.standard_normal(psd.rank)).reshape(n_vars,
                                                                    n_labels)
-        labels = np.argmax(scores, axis=1)
+        labels = _row_argmax(scores)
         value = sdp.rounded_energy(labels)
         if value < best_energy:
             best_energy = value
             best_labels = labels
     if isinstance(sdp, PottsSdp):
         psi_lab = psd.vectors[:n_labels] * np.sqrt(sdp.gamma * psd.values)
-        labels = np.argmax(psi @ psi_lab.T, axis=1)
+        labels = _row_argmax(psi @ psi_lab.T)
         value = sdp.rounded_energy(labels)
         if value < best_energy:
             best_energy = value
@@ -693,8 +726,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
 
     offset = energy_offset(problem)
     rank_init = min(params.rank_init, sdp.n)
-    u0 = spectral_shift_init(sdp, rank_init,
-                             seed=next_seed(np.random.default_rng(shift_ss)))
+    u0, start_pairs = spectral_shift_init(
+        sdp, rank_init, seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
     # warm state across dual evaluations: consecutive C(u) are close, so the
     # previous positive part sizes the next request.  Two pairs beyond the
@@ -706,8 +739,11 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     # the trial's dual below it, the Lanczos growth stops (the factor comes
     # back truncated and the trial is rejected, as it would be in full).
     # A trial whose pinching bound on ||C(u)_+||_F^2 already passes the
-    # limit is rejected before any Lanczos run or inertia count
-    warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf}
+    # limit is rejected before any Lanczos run or inertia count.  The first
+    # evaluation, at u0, reads C(u0)'s eigenpairs from the start's Lanczos
+    # run instead of running Lanczos again
+    warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf,
+            "pairs": start_pairs}
     bound_rejections = 0
 
     def obj_grad(u):
@@ -727,7 +763,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                 sdp.parts_operator(parts), rank_cap,
                 seed=next_seed(eig_seed_rng), k0=warm["k0"],
                 frob_limit=frob_limit, frob_lower=frob_lower,
-                count=None if rejected else sdp.positive_count(parts, EIG_TOL))
+                count=None if rejected else sdp.positive_count(parts, EIG_TOL),
+                pairs=warm.pop("pairs", None))
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor

@@ -172,7 +172,7 @@ def test_05_spectral_shift_rank():
     for trial in range(10):
         problem = random_potts_problem(10, 2, seed=6000 + trial, weight=1.0)
         sdp = make_sdp(problem, gamma=100.0)
-        u0 = spectral_shift_init(sdp, r=5)
+        u0, _ = spectral_shift_init(sdp, r=5)
         pieces = dense_sdp_pieces(sdp, u0)
         c_vals = np.linalg.eigvalsh(pieces["C"])
         scale = max(np.abs(c_vals).max(), 1.0)
@@ -267,7 +267,7 @@ def test_09_gamma_monotonicity():
     primals = []
     for gamma in (10.0, 100.0, 1000.0):
         sdp = make_sdp(problem, gamma=gamma)
-        u0 = spectral_shift_init(sdp, sdp.n)
+        u0, _ = spectral_shift_init(sdp, sdp.n)
 
         def evaluate(u, sdp=sdp):
             factor = exact_factor(sdp, u)

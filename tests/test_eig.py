@@ -210,6 +210,48 @@ class TestCountedRequests:
         assert "8 eigenvalues above" in str(info.value)
 
 
+class TestPairsInHand:
+    """Eigenpairs already in hand stand in for the first Lanczos result."""
+
+    # 6 positive eigenvalues 6, 5, ..., 1 among 60, as in TestCountedRequests
+    DIAG = TestCountedRequests.DIAG
+
+    @classmethod
+    def leading(cls, k):
+        """The k leading eigenpairs of Diag(DIAG), exactly."""
+        return cls.DIAG[:k].copy(), np.eye(cls.DIAG.size)[:, :k]
+
+    @pytest.mark.parametrize("count", [None, 6])
+    def test_complete_pairs_need_no_matvec(self, count):
+        def refuse(d):
+            raise AssertionError("no matvec expected")
+
+        factor = leading_psd_part(SymmetricOperator(60, refuse), max_rank=40,
+                                  count=count, pairs=self.leading(8))
+        assert not factor.truncated
+        np.testing.assert_array_equal(factor.values, self.DIAG[:6])
+        np.testing.assert_array_equal(factor.vectors, np.eye(60)[:, :6])
+
+    @pytest.mark.parametrize("count", [None, 6])
+    def test_pairs_that_prove_nothing_leave_the_call_unchanged(self, count):
+        op = operator_from(np.diag(self.DIAG))
+        plain = leading_psd_part(op, max_rank=40, k0=2, seed=3, count=count)
+        # all four values lie above the threshold
+        given = leading_psd_part(op, max_rank=40, k0=2, seed=3, count=count,
+                                 pairs=self.leading(4))
+        assert np.array_equal(given.values, plain.values)
+        assert np.array_equal(given.vectors, plain.vectors)
+        assert given.truncated == plain.truncated
+
+    def test_count_above_the_positive_pairs_is_a_typed_failure(self):
+        with pytest.raises(EigenCountMismatch) as info:
+            leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
+                             count=7, pairs=self.leading(8))
+        factor = info.value.factor
+        assert factor.truncated
+        np.testing.assert_array_equal(factor.values, self.DIAG[:6])
+
+
 class TestPsdFrobNormSq:
     def test_empty_factor(self):
         factor = PsdFactor(np.zeros((5, 0)), np.zeros(0))

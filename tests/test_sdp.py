@@ -179,7 +179,7 @@ class TestPositiveCount:
     def test_matches_dense_spectrum(self, rng, make, n_labels):
         for seed in range(6):
             sdp = make_sdp(make(10, n_labels, seed=seed), gamma=100.0)
-            u0 = spectral_shift_init(sdp, 4)
+            u0, _ = spectral_shift_init(sdp, 4)
             for scale in (0.3, 3.0):
                 u = u0 + scale * rng.standard_normal(sdp.q)
                 for sigma in (1e-8, 0.5, -0.5):
@@ -265,7 +265,7 @@ class TestPinchedBound:
         problem = _one_kernel_problem(12, 3, seed=7, form=form,
                                       general=general)
         sdp = make_sdp(problem, gamma=1000.0)
-        u0 = spectral_shift_init(sdp, 4)
+        u0, _ = spectral_shift_init(sdp, 4)
         points = [u0 + scale * rng.standard_normal(sdp.q)
                   for scale in (0.3, 3.0) for _ in range(4)]
         # and every dual point a solve visits
@@ -323,7 +323,7 @@ class _DiagonalStub:
 class TestSpectralShift:
     def test_diagonal_example(self):
         stub = _DiagonalStub([1.0, 2.0, 3.0])
-        u0 = spectral_shift_init(stub, r=2)
+        u0, _ = spectral_shift_init(stub, r=2)
         np.testing.assert_allclose(-u0, 2.0 * stub.identity)
         # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]): positive rank 1
         factor = leading_psd_part(stub.operator(u0), max_rank=3)
@@ -332,13 +332,13 @@ class TestSpectralShift:
 
     def test_r_equal_one_empties_initial_positive_part(self):
         sdp = make_sdp(random_potts_problem(6, 2, seed=10), gamma=10.0)
-        u0 = spectral_shift_init(sdp, r=1)
+        u0, _ = spectral_shift_init(sdp, r=1)
         factor = exact_factor(sdp, u0)
         assert factor.rank == 0
 
     def test_rank_after_shift_bounded_by_r(self, rng):
         sdp = make_sdp(random_potts_problem(8, 2, seed=11), gamma=10.0)
-        u0 = spectral_shift_init(sdp, r=5)
+        u0, _ = spectral_shift_init(sdp, r=5)
         pieces = dense_sdp_pieces(sdp, u0)
         vals = np.linalg.eigvalsh(pieces["C"])
         measured = int(np.sum(vals > 1e-10))
@@ -348,6 +348,26 @@ class TestSpectralShift:
         sdp = make_sdp(random_potts_problem(3, 2, seed=12), gamma=10.0)
         with pytest.raises(ValueError):
             spectral_shift_init(sdp, r=0)
+
+    @pytest.mark.parametrize("make", [random_potts_problem,
+                                      random_general_problem])
+    def test_start_pairs_give_the_positive_part(self, make):
+        def refuse(d):
+            raise AssertionError("no matvec expected")
+
+        for seed in range(6):
+            sdp = make_sdp(make(10, 3, seed=seed), gamma=100.0)
+            for r in (1, 4, 9):
+                u0, pairs = spectral_shift_init(sdp, r, seed=seed)
+                assert pairs[0].size == r and pairs[0][-1] == 0.0
+                factor = leading_psd_part(SymmetricOperator(sdp.n, refuse),
+                                          sdp.n, pairs=pairs)
+                assert not factor.truncated
+                dense = dense_sdp_pieces(sdp, u0)["C"]
+                vals, vecs = np.linalg.eigh(dense)
+                positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+                error = np.linalg.norm(factor.reconstruct() - positive)
+                assert error <= 1e-12 * max(np.linalg.norm(positive), 1.0)
 
 
 class TestIdentityWeights:
@@ -415,6 +435,20 @@ class TestLbfgsAscent:
 
 
 class TestRoundSolution:
+    # 4,000 rows take the column compares at every L here, 100 numpy's
+    @pytest.mark.parametrize("n_rows", [100, 4000])
+    @pytest.mark.parametrize("n_labels", [2, 3, 4, 5])
+    def test_row_argmax_matches_numpy(self, rng, n_rows, n_labels):
+        random = rng.standard_normal((n_rows, n_labels))
+        # small integers tie often, the last rows tie across every label, and
+        # the last array is column-major
+        ties = rng.integers(0, 3, (n_rows, n_labels)).astype(np.float64)
+        ties[-5:] = 1.0
+        for scores in (random, ties, ties.T.copy().T):
+            labels = sdp_module._row_argmax(scores)
+            assert labels.dtype == np.intp
+            np.testing.assert_array_equal(labels, np.argmax(scores, axis=1))
+
     def test_rank_one_sign_pattern_is_deterministic(self):
         problem = CrfProblem(np.zeros((6, 2)),
                              [LowRankKernel(LowRankFactor(np.zeros((6, 1))))])
@@ -433,7 +467,7 @@ class TestRoundSolution:
     def test_output_rows_are_valid_labels(self, rng):
         problem = random_potts_problem(7, 3, seed=13)
         sdp = make_sdp(problem, gamma=100.0)
-        u0 = spectral_shift_init(sdp, 4)
+        u0, _ = spectral_shift_init(sdp, 4)
         factor = exact_factor(sdp, u0 + 0.1 * rng.standard_normal(sdp.q))
         labels, value = round_solution(factor, sdp, seed=5, n_samples=7)
         assert labels.shape == (7,)
@@ -443,7 +477,7 @@ class TestRoundSolution:
     def test_argmax_invariant_under_positive_rescaling(self, rng):
         problem = random_potts_problem(9, 2, seed=14)
         sdp = make_sdp(problem, gamma=100.0)
-        u0 = spectral_shift_init(sdp, 4)
+        u0, _ = spectral_shift_init(sdp, 4)
         factor = exact_factor(sdp, u0 + 0.1 * rng.standard_normal(sdp.q))
         scaled = PsdFactor(factor.vectors, 7.3 * factor.values,
                            factor.truncated)
@@ -460,7 +494,7 @@ class TestRoundSolution:
             problem = build_problem(instance)
             _, optimum = brute_force_map(problem)
             sdp = make_sdp(problem, gamma=1000.0)
-            u0 = spectral_shift_init(sdp, min(8, sdp.n))
+            u0, _ = spectral_shift_init(sdp, min(8, sdp.n))
             opt = LbfgsAscent(lambda u: _dual_eval(sdp, u), u0)
             for _ in range(30):
                 if opt.step().converged:
@@ -526,7 +560,7 @@ class TestLrSdcutSolve:
     def test_primal_feasibility_at_convergence(self):
         problem = random_potts_problem(6, 2, seed=17, weight=0.8)
         sdp = make_sdp(problem, gamma=1000.0)
-        u0 = spectral_shift_init(sdp, sdp.n)
+        u0, _ = spectral_shift_init(sdp, sdp.n)
         opt = LbfgsAscent(lambda u: _dual_eval(sdp, u), u0)
         previous = opt.value
         for _ in range(3000):
@@ -668,8 +702,10 @@ class TestCountedRequests:
         monkeypatch.setattr(eig_module, "leading_eigpairs", lanczos)
         lr_sdcut_solve(problem, seed=1)
         # C(u0) has an eigenvalue at zero by construction: the start's count
-        # is undecided and takes the uncounted path
+        # is undecided and takes the uncounted path, which the start's own
+        # Lanczos pairs complete without another run
         assert calls[0][0] is None
+        assert calls[0][2] == []
         assert all(count is not None for count, _, _, _ in calls[1:])
         for count, cap, requests, factor in calls[1:]:
             if count == 0:
