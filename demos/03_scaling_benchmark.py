@@ -31,8 +31,7 @@ def bench():
                             spacing_x=pitch,
                             spacing_y=1.0 if height <= 50 else 0.5)
         problem = build_problem(instance)
-        report = lr_sdcut_solve(problem, seed=1, k_max=5, tau=0.0,
-                                n_samples=60)
+        report = lr_sdcut_solve(problem, seed=1, k_max=5, tau=0.0)
         med = float(np.median([rec.ms for rec in report.trajectory[1:]]))
         rows.append((problem.n_vars, med))
         base_n, base_ms = rows[0]

@@ -49,7 +49,6 @@ _SUBMODULE_OF = {
     "SolveReport": "sdp",
     "mf_init": "meanfield",
     "mf_update": "meanfield",
-    "mf_site_update": "meanfield",
     "mf_free_energy": "meanfield",
     "mf_solve": "meanfield",
 }

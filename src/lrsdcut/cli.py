@@ -86,7 +86,8 @@ def _build_parser():
     solve.add_argument("--restarts", type=int, default=5,
                        help="mean-field restarts")
     solve.add_argument("--samples", type=int,
-                       help="rounding samples per iteration")
+                       help="Gaussian rounding samples per iteration "
+                       "(general compatibility only)")
     solve.add_argument("--out", help="write the report JSON here")
     solve.add_argument("instance")
 

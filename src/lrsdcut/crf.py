@@ -116,33 +116,35 @@ def to_vectorized(indicator):
     return np.asarray(indicator, dtype=np.float64).reshape(-1)
 
 
-def lifted_energy(problem, indicator):
+def lifted_energy(problem, indicator, kx=None):
     """Quadratic lifted energy ``<H, X> - 0.5 <X X', K>`` (Potts only).
 
     The quadratic term ``<X, K X>`` is evaluated with one factored block
-    product over all label columns, never through the dense kernel.
+    product over all label columns, never through the dense kernel, or
+    from ``kx = K X`` when the caller already holds it.
     """
     if not problem.is_potts:
         raise ValueError("lifted_energy is the Potts form; use lifted_energy_general")
     x = np.asarray(indicator, dtype=np.float64)
-    quad = np.sum(x * problem.kernel_matvec(x))
+    quad = np.sum(x * (problem.kernel_matvec(x) if kx is None else kx))
     return float(np.sum(problem.unary * x) - 0.5 * quad)
 
 
-def lifted_energy_general(problem, y):
+def lifted_energy_general(problem, y, kx=None):
     """Lifted energy ``h' y + 0.5 y' (U (x) K) y`` with ``U = mu - 11'``.
 
     The Kronecker-structured quadratic reduces to
     ``0.5 sum_{l,l'} U[l,l'] (X[:,l]' K X[:,l'])`` and is evaluated with one
-    factored block product over the L label columns; the L x L Gram of
-    label columns is the only dense object formed.
+    factored block product over the L label columns (or read from
+    ``kx = K X`` when given); the L x L Gram of label columns is the only
+    dense object formed.
     """
     if problem.is_potts:
         raise ValueError("problem has Potts compatibility; use lifted_energy")
     n, L = problem.n_vars, problem.n_labels
     x = np.asarray(y, dtype=np.float64).reshape(n, L)
     u = problem.mu - 1.0
-    gram = x.T @ problem.kernel_matvec(x)
+    gram = x.T @ (problem.kernel_matvec(x) if kx is None else kx)
     return float(np.sum(problem.unary * x) + 0.5 * np.sum(u * gram))
 
 

@@ -69,9 +69,6 @@ class PsdFactor:
     def frob_norm_sq(self):
         return max(float(np.sum(self.values ** 2)), self.frob_lower)
 
-    def reconstruct(self):
-        return (self.vectors * self.values) @ self.vectors.T
-
 
 class EigenConvergenceError(RuntimeError):
     """Eigensolver failed to converge; carries the best-effort factor."""

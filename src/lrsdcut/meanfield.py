@@ -10,8 +10,7 @@ i.e. a softmax of the negated unary plus incoming messages.  The message
 bottleneck ``K Q`` runs through one factored block product over all label
 columns; the j = i self-interaction is removed explicitly with diag(K)
 (row norms of the factors).  The solver updates every site at once from
-the current marginals; :func:`mf_site_update` is the exact single-site
-coordinate step, which never increases the variational free energy.
+the current marginals.
 """
 
 from dataclasses import dataclass, field
@@ -49,24 +48,6 @@ def mf_init(problem, seed=0, mode="unary"):
         rng = np.random.default_rng(seed)
         return rng.dirichlet(np.ones(problem.n_labels), size=problem.n_vars)
     raise ValueError(f"unknown init mode {mode!r}")
-
-
-def mf_site_update(problem, marginals, site):
-    """Exact coordinate update of one site's marginal; returns a new matrix.
-
-    Costs one factored matvec (the kernel column through a basis vector,
-    whose entry at ``site`` is K_ii), so a sweep over all sites is O(N)
-    matvecs; intended for small N.
-    """
-    n = problem.n_vars
-    basis = np.zeros(n)
-    basis[site] = 1.0
-    k_col = problem.kernel_matvec(basis)
-    incoming = marginals.T @ k_col - k_col[site] * marginals[site]
-    row = _softmax_rows((-(problem.unary[site] + problem.mu_matrix() @ incoming))[None, :])
-    out = marginals.copy()
-    out[site] = row[0]
-    return out
 
 
 def mf_update(problem, marginals):

@@ -16,10 +16,13 @@ line-search trial before any Lanczos run.  The solver starts at a dual
 point where C(u) = -A + nu I has low positive rank (the Lanczos run on
 -A that finds nu also gives this first point's positive part), ascends
 the dual with limited-memory BFGS, rounds the implicit primal matrix
-``Y = gamma (C(u))_+`` to a feasible labeling at every iteration, keeps
-the best, and stops early once the relative dual improvement falls below
-a threshold.  Any untruncated dual value is a certified lower bound on
-the optimal lifted energy.
+``Y = gamma (C(u))_+`` to a feasible labeling at every iteration (for
+Potts the row argmax of Y's variable-by-label block, the relaxed X; for
+the general lifting the best of ``n_samples`` Gaussian projections),
+polishes it with parallel ICM sweeps, keeps the best, and stops early
+once the relative dual improvement falls below a threshold.  Any
+untruncated dual value is a certified lower bound on the optimal lifted
+energy.
 
 Two liftings are supported: the compact (N+L)-dimensional one for Potts
 compatibility and the (N*L)-dimensional one for a general symmetric label
@@ -307,12 +310,9 @@ class PottsSdp(SdpLifting):
         noise = COUNT_REL_TOL * (spread + np.abs(head).max() + 1.0)
         return _positive_inertia(np.count_nonzero(pivots > 0.0), schur, noise)
 
-    def rounding_rows(self, psd):
-        """Rows of the implicit square root corresponding to variables."""
-        return psd.vectors[self.n_labels:]
-
-    def rounded_energy(self, labels):
-        return lifted_energy(self.problem, to_indicator(labels, self.n_labels))
+    def rounded_energy(self, labels, kx=None):
+        """Lifted energy of a labeling (``kx``: K times its indicator)."""
+        return lifted_energy(self.problem, to_indicator(labels, self.n_labels), kx)
 
 
 class GeneralSdp(SdpLifting):
@@ -436,12 +436,9 @@ class GeneralSdp(SdpLifting):
         count = _positive_inertia(positive, schur, noise)
         return None if count is None else count - self._count_offset
 
-    def rounding_rows(self, psd):
-        return psd.vectors
-
-    def rounded_energy(self, labels):
+    def rounded_energy(self, labels, kx=None):
         x = to_indicator(labels, self.n_labels)
-        return lifted_energy_general(self.problem, x.reshape(-1))
+        return lifted_energy_general(self.problem, x.reshape(-1), kx)
 
 
 def make_sdp(problem, gamma):
@@ -584,45 +581,62 @@ def _row_argmax(scores):
     return labels
 
 
+def icm_polish(sdp, labels):
+    """Parallel ICM sweeps (Besag 1986) from ``labels``; returns the
+    polished ``(labels, lifted_energy)``.
+
+    A sweep moves every variable at once to the argmin of its unary plus
+    the messages from the current one-hot labels X,
+    ``unary + (K X - diag(K) o X) (mu - 11')``, ties falling to the
+    smallest label.  Each sweep makes one kernel product, K X of the new
+    labels, which also gives their energy; the sweeps stop once the labels
+    stop changing or the energy does not strictly fall (a parallel sweep
+    may raise it), and the last labels that lowered it are returned.
+    """
+    problem = sdp.problem
+    compat = problem.mu_matrix() - 1.0
+    best = None
+    while True:
+        x = to_indicator(labels, sdp.n_labels)
+        kx = problem.kernel_matvec(x)
+        value = sdp.rounded_energy(labels, kx)
+        if best is not None and not value < best[1]:
+            return best
+        best = labels, value
+        scores = problem.unary + (kx - sdp._kernel_diag[:, None] * x) @ compat
+        labels = _row_argmax(-scores)
+        if np.array_equal(labels, best[0]):
+            return best
+
+
 def round_solution(psd, sdp, seed=0, n_samples=20):
-    """Draw feasible labelings from the implicit primal matrix, keep the best.
+    """Round the implicit primal matrix to a feasible labeling, then
+    polish it with :func:`icm_polish`.
 
     ``Y = gamma (C(u))_+`` factors as ``Psi Psi'`` with
-    ``Psi = vectors * sqrt(gamma * values)``.  Each sample projects the
-    variable rows of Psi onto Gaussian directions and discretizes by row
-    argmax (ties fall to the smallest label); the sample with the lowest
-    lifted energy wins.  For the Potts lifting the block
-    ``Psi_var Psi_lab'`` of Y is the relaxed indicator X itself, so its row
-    argmax is one more candidate, kept only when strictly better than every
-    sample.  Returns ``(labels, lifted_energy)``.
+    ``Psi = vectors * sqrt(gamma * values)``.  For the Potts lifting the
+    block ``Psi_var Psi_lab'`` of Y is the relaxed indicator X itself (all
+    zeros at rank 0), and its row argmax is the start.  For the general
+    lifting each of ``n_samples`` samples projects Psi onto a Gaussian
+    direction and discretizes the N x L unfolding by row argmax; the
+    sample with the lowest lifted energy is the start.  Row argmax ties
+    fall to the smallest label.  Returns ``(labels, lifted_energy)``.
     """
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
+    psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
+    if isinstance(sdp, PottsSdp):
+        return icm_polish(sdp, _row_argmax(psi[n_labels:] @ psi[:n_labels].T))
     if psd.rank == 0:
-        labels = np.zeros(n_vars, dtype=np.int64)
-        return labels, sdp.rounded_energy(labels)
-    psi = sdp.rounding_rows(psd) * np.sqrt(sdp.gamma * psd.values)
+        return icm_polish(sdp, np.zeros(n_vars, dtype=np.int64))
     rng = np.random.default_rng(seed)
-    best_labels = None
     best_energy = np.inf
     for _ in range(n_samples):
-        if isinstance(sdp, PottsSdp):
-            scores = psi @ rng.standard_normal((psd.rank, n_labels))
-        else:
-            scores = (psi @ rng.standard_normal(psd.rank)).reshape(n_vars,
-                                                                   n_labels)
+        scores = (psi @ rng.standard_normal(psd.rank)).reshape(n_vars, n_labels)
         labels = _row_argmax(scores)
         value = sdp.rounded_energy(labels)
         if value < best_energy:
-            best_energy = value
-            best_labels = labels
-    if isinstance(sdp, PottsSdp):
-        psi_lab = psd.vectors[:n_labels] * np.sqrt(sdp.gamma * psd.values)
-        labels = _row_argmax(psi @ psi_lab.T)
-        value = sdp.rounded_energy(labels)
-        if value < best_energy:
-            best_energy = value
-            best_labels = labels
-    return best_labels, best_energy
+            best_energy, best_labels = value, labels
+    return icm_polish(sdp, best_labels)
 
 
 @dataclass
@@ -630,6 +644,8 @@ class SolveParams:
     """Solver parameters and the one home of their defaults, the reference
     configuration (gamma = 1000, at most 10 ascent iterations, initial
     rank 20; the Lanczos rank cap is 8 times the initial rank).
+    ``n_samples`` counts the general lifting's Gaussian rounding draws per
+    iteration; Potts rounding draws none and ignores it.
 
     A gamma that is not positive, or a ``k_max``, ``rank_init`` or
     ``n_samples`` below 1, raises ValueError.
@@ -705,9 +721,10 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     """Run the full low-rank dual ascent (spectral dual start, per-iteration
     quasi-Newton step + rounding + best-keeping, relative-improvement exit).
 
-    All randomness (Lanczos start vectors, rounding projections) derives
-    from ``params.seed`` through a splittable seed sequence, so results
-    reproduce regardless of internal threading.  Eigensolver and line
+    All randomness (Lanczos start vectors, the general lifting's rounding
+    projections; Potts rounding draws none) derives from ``params.seed``
+    through a splittable seed sequence, so results reproduce regardless of
+    internal threading.  Eigensolver and line
     search stalls surface in ``report.warnings``, never silently.
     """
     params = replace(params or SolveParams(), **overrides)

@@ -15,6 +15,7 @@ import pytest
 from lrsdcut.crf import CrfProblem
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
                              LowRankKernel)
+from lrsdcut.meanfield import _softmax_rows
 
 
 def random_potts_problem(n, n_labels, seed, kernel_rank=3, weight=1.0):
@@ -69,6 +70,30 @@ def primal_objective(sdp, psd):
         v = psd.vectors[:, r]
         total -= psd.values[r] * (v @ neg_a.matvec(v))
     return sdp.gamma * total
+
+
+def reconstruct(factor):
+    """The dense matrix ``vectors @ diag(values) @ vectors.T`` of a
+    :class:`lrsdcut.eig.PsdFactor`."""
+    return (factor.vectors * factor.values) @ factor.vectors.T
+
+
+def mf_site_update(problem, marginals, site):
+    """Exact mean-field coordinate update of one site's marginal, which
+    never increases the variational free energy; returns a new matrix.
+
+    Costs one factored matvec (the kernel column through a basis vector,
+    whose entry at ``site`` is K_ii), so a sweep over all sites is O(N)
+    matvecs; intended for small N.
+    """
+    basis = np.zeros(problem.n_vars)
+    basis[site] = 1.0
+    k_col = problem.kernel_matvec(basis)
+    incoming = marginals.T @ k_col - k_col[site] * marginals[site]
+    row = _softmax_rows((-(problem.unary[site] + problem.mu_matrix() @ incoming))[None, :])
+    out = marginals.copy()
+    out[site] = row[0]
+    return out
 
 
 def constraint_values(sdp, psd):

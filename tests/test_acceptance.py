@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (primal_objective, random_general_problem,
-                      random_potts_problem)
+from conftest import (mf_site_update, primal_objective,
+                      random_general_problem, random_potts_problem,
+                      reconstruct)
 from lrsdcut.crf import build_problem, energy
 from lrsdcut.eig import PsdFactor, SymmetricOperator, leading_psd_part
 from lrsdcut.generate import gen_clusters, gen_grid
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
                              hadamard_matvec, nystrom_factor,
                              select_landmarks)
-from lrsdcut.meanfield import mf_free_energy, mf_init, mf_site_update, mf_solve
+from lrsdcut.meanfield import mf_free_energy, mf_init, mf_solve
 from lrsdcut.oracle import brute_force_map, dense_sdp_pieces
 from lrsdcut.sdp import (LbfgsAscent, lr_sdcut_solve, make_sdp,
                          spectral_shift_init)
@@ -155,7 +156,7 @@ def test_04_lanczos_fidelity():
                                   max_rank=n, seed=7)
         vals, vecs = np.linalg.eigh(a)
         dense_pos = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        err = np.linalg.norm(factor.reconstruct() - dense_pos)
+        err = np.linalg.norm(reconstruct(factor) - dense_pos)
         worst = max(worst, err)
         assert err < 1e-7
     report(4, "partial-eig fidelity",
@@ -338,4 +339,20 @@ def test_11_multilabel_energy_vs_meanfield():
         assert solved.best_energy <= baseline + 1e-9 * max(1.0, abs(baseline))
         lines.append(f"{name}: {solved.best_energy:.4f} vs {baseline:.4f}")
     report(11, "multi-label energy vs mean field", "; ".join(lines),
+           time.perf_counter() - started, 30)
+
+
+def test_12_potts_defaults_never_lose_to_meanfield():
+    started = time.perf_counter()
+    lines = []
+    for t in (5, 6, 11, 12):
+        for name, instance in (
+                (f"grid40x40 L=4 s{t}", gen_grid(40, 40, 4, seed=t)),
+                (f"clusters N=500 L=5 s{t}", gen_clusters(500, 5, seed=t))):
+            problem = build_problem(instance)
+            solved = lr_sdcut_solve(problem, seed=1).best_energy
+            baseline = mf_solve(problem, restarts=5, seed=1).energy
+            assert solved <= baseline + 1e-9 * max(1.0, abs(baseline))
+            lines.append(f"{name}: {solved:.4f} vs {baseline:.4f}")
+    report(12, "Potts defaults vs mean field", "; ".join(lines),
            time.perf_counter() - started, 30)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import reconstruct
 from lrsdcut import eig as eig_module
 from lrsdcut.eig import (EigenConvergenceError, EigenCountMismatch, PsdFactor,
                          SymmetricOperator, leading_eigpairs, leading_psd_part)
@@ -38,7 +39,7 @@ class TestLeadingPsdPart:
         a = rng.standard_normal((40, 40))
         a = 0.5 * (a + a.T)
         factor = leading_psd_part(operator_from(a), max_rank=40, seed=4)
-        err = np.linalg.norm(factor.reconstruct() - dense_positive_part(a))
+        err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
     def test_orthonormal_columns_and_residuals(self, rng):
@@ -71,7 +72,7 @@ class TestLeadingPsdPart:
                                np.linspace(1.0, -3.0, 27)])
         a = (basis * vals) @ basis.T
         factor = leading_psd_part(operator_from(a), max_rank=30, seed=1)
-        err = np.linalg.norm(factor.reconstruct() - dense_positive_part(a))
+        err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
     def test_truncation_flagged_when_rank_cap_hit(self, rng):
@@ -265,7 +266,7 @@ class TestPsdFrobNormSq:
         a = rng.standard_normal((20, 20))
         a = 0.5 * (a + a.T)
         factor = leading_psd_part(operator_from(a), max_rank=20)
-        dense = np.linalg.norm(factor.reconstruct()) ** 2
+        dense = np.linalg.norm(reconstruct(factor)) ** 2
         assert factor.frob_norm_sq() == pytest.approx(dense, abs=1e-10)
 
 

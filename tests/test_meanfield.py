@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (mixed_kernel_problem, per_column_kernel_product,
-                      random_general_problem, random_potts_problem)
+from conftest import (mf_site_update, mixed_kernel_problem,
+                      per_column_kernel_product, random_general_problem,
+                      random_potts_problem)
 from lrsdcut.crf import CrfProblem, energy, to_indicator
 from lrsdcut.kernels import LowRankFactor, LowRankKernel
-from lrsdcut.meanfield import (mf_free_energy, mf_init, mf_site_update,
-                               mf_solve, mf_update)
+from lrsdcut.meanfield import mf_free_energy, mf_init, mf_solve, mf_update
 from lrsdcut.oracle import brute_force_map, dense_problem_kernel
 
 

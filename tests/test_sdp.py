@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (constraint_values, mixed_kernel_problem,
-                      random_general_problem, random_potts_problem)
-from lrsdcut.crf import CrfProblem, build_problem, energy
+                      random_general_problem, random_potts_problem,
+                      reconstruct)
+from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
+                         to_indicator)
 from lrsdcut.eig import (PsdFactor, SymmetricOperator, leading_eigpairs,
                          leading_psd_part)
 from lrsdcut import eig as eig_module
@@ -366,7 +368,7 @@ class TestSpectralShift:
                 dense = dense_sdp_pieces(sdp, u0)["C"]
                 vals, vecs = np.linalg.eigh(dense)
                 positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-                error = np.linalg.norm(factor.reconstruct() - positive)
+                error = np.linalg.norm(reconstruct(factor) - positive)
                 assert error <= 1e-12 * max(np.linalg.norm(positive), 1.0)
 
 
@@ -449,12 +451,30 @@ class TestRoundSolution:
             assert labels.dtype == np.intp
             np.testing.assert_array_equal(labels, np.argmax(scores, axis=1))
 
+    # label rows [1, -1] put the sign pattern into the X block
     def test_rank_one_sign_pattern_is_deterministic(self):
         problem = CrfProblem(np.zeros((6, 2)),
                              [LowRankKernel(LowRankFactor(np.zeros((6, 1))))])
         sdp = make_sdp(problem, gamma=1.0)
         signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-        vec = np.concatenate([np.zeros(2), signs])
+        vec = np.concatenate([np.array([1.0, -1.0]), signs])
+        vec /= np.linalg.norm(vec)
+        factor = PsdFactor(vec[:, None], np.array([2.0]))
+        labels, _ = round_solution(factor, sdp, seed=123, n_samples=1)
+        positive = labels[signs > 0]
+        negative = labels[signs < 0]
+        assert np.all(positive == positive[0])
+        assert np.all(negative == negative[0])
+        assert positive[0] != negative[0]
+
+    # the general lifting's Gaussian draw carries the pattern instead
+    def test_rank_one_sign_pattern_is_deterministic_general(self):
+        problem = CrfProblem(np.zeros((6, 2)),
+                             [LowRankKernel(LowRankFactor(np.zeros((6, 1))))],
+                             mu=np.array([[0.0, 0.5], [0.5, 0.0]]))
+        sdp = make_sdp(problem, gamma=1.0)
+        signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+        vec = np.outer(signs, [1.0, -1.0]).reshape(-1)
         vec /= np.linalg.norm(vec)
         factor = PsdFactor(vec[:, None], np.array([2.0]))
         labels, _ = round_solution(factor, sdp, seed=123, n_samples=1)
@@ -511,6 +531,72 @@ class TestRoundSolution:
         rate = hits / trials
         print(f"rounding exact-recovery rate on separated instances: {rate:.2f}")
         assert rate >= 0.8
+
+
+class TestIcmPolish:
+    @pytest.fixture(params=["potts", "general"])
+    def sdp(self, request):
+        make = (random_potts_problem if request.param == "potts"
+                else random_general_problem)
+        return make_sdp(make(30, 3, seed=31, weight=2.0), gamma=10.0)
+
+    def test_never_raises_the_start_energy(self, sdp, rng):
+        for _ in range(20):
+            start = rng.integers(0, 3, sdp.n_vars)
+            _, value = sdp_module.icm_polish(sdp, start)
+            assert value <= sdp.rounded_energy(start)
+
+    def test_energy_is_the_rounded_and_full_energy(self, sdp, rng):
+        offset = energy_offset(sdp.problem)
+        for _ in range(20):
+            labels, value = sdp_module.icm_polish(
+                sdp, rng.integers(0, 3, sdp.n_vars))
+            assert value == sdp.rounded_energy(labels)
+            assert value == pytest.approx(
+                energy(sdp.problem, labels) - offset, abs=1e-9)
+
+    def test_fixed_point_comes_back_unchanged(self, sdp, rng):
+        # single-site sweeps to a labeling that no one move changes
+        problem = sdp.problem
+        kernel = problem.kernel_matvec(np.eye(sdp.n_vars))
+        np.fill_diagonal(kernel, 0.0)
+        fixed = rng.integers(0, 3, sdp.n_vars)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(sdp.n_vars):
+                scores = problem.unary[i] + (kernel[i] @ to_indicator(fixed, 3)
+                                             @ (problem.mu_matrix() - 1.0))
+                if np.argmin(scores) != fixed[i]:
+                    fixed[i] = np.argmin(scores)
+                    changed = True
+        labels, value = sdp_module.icm_polish(sdp, fixed)
+        np.testing.assert_array_equal(labels, fixed)
+        assert value == sdp.rounded_energy(fixed)
+
+    def test_oscillating_sweep_keeps_the_start(self):
+        # two strongly coupled variables that disagree: each moves to the
+        # other's label, so a parallel sweep swaps them and raises the energy
+        phi = np.full((2, 1), 3.0)
+        problem = CrfProblem(np.array([[0.0, 0.1], [0.1, 0.0]]),
+                             [LowRankKernel(LowRankFactor(phi))])
+        sdp = make_sdp(problem, gamma=1.0)
+        products = []
+        kernel_matvec = problem.kernel_matvec
+
+        def counted(d):
+            products.append(d)
+            assert len(products) <= 2, "the sweeps did not stop"
+            return kernel_matvec(d)
+
+        problem.kernel_matvec = counted
+        start = np.array([0, 1])
+        labels, value = sdp_module.icm_polish(sdp, start)
+        del problem.kernel_matvec
+        # one product prices the start, one the swapped labels
+        assert len(products) == 2
+        np.testing.assert_array_equal(labels, start)
+        assert value == sdp.rounded_energy(start)
 
 
 def _dual_eval(sdp, u):
