@@ -9,8 +9,9 @@ has one (the count then proves the factor complete, and a Lanczos result
 that contradicts it is a typed failure), adaptive subspace growth
 otherwise, an early stop once the partial norm (or a caller's lower
 bound on the whole norm, before any Lanczos run) passes a caller's limit,
-eigenpairs already in hand standing in for the first Lanczos run, and a
-dense fallback for operators too small for ARPACK.
+eigenpairs already in hand (from a Lanczos run or a small dense problem
+on a shifted copy of the operator) standing in for the first Lanczos
+run, and a dense fallback for operators too small for ARPACK.
 """
 
 import inspect
@@ -179,8 +180,9 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
     truncated whose :meth:`PsdFactor.frob_norm_sq` is that bound.
 
     ``pairs``, when given, are leading eigenpairs ``(values, vectors)`` of
-    ``op`` already in hand (values descending), for instance from a
-    Lanczos run on a shifted copy of the operator.  They stand in for the
+    ``op`` already in hand (values descending), for instance the exact
+    pairs of a shifted copy of the operator, from a Lanczos run or a small
+    dense problem in a low-rank range.  They stand in for the
     first Lanczos result under the same proofs: without a count, a value
     at or below the threshold proves the positive part complete; with a
     count, p values above ``tol`` do, and a value at or below ``tol``

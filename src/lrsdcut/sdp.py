@@ -13,8 +13,10 @@ low-rank kernel product plus a few small products; C(0) = -A.  The same
 blocks give a cheap lower bound on ||C(u)_+||_F^2 (the pinching
 inequality over C(u)'s diagonal blocks), which rejects an overshooting
 line-search trial before any Lanczos run.  The solver starts at a dual
-point where C(u) = -A + nu I has low positive rank (the Lanczos run on
--A that finds nu also gives this first point's positive part), ascends
+point where C(u) = -A + nu I has low positive rank (the leading
+eigenpairs of -A that give nu also give this first point's positive
+part; for Potts with a factored kernel stack they come exactly from a
+dense problem of dimension at most 2L + R, otherwise from Lanczos), ascends
 the dual with limited-memory BFGS, rounds the implicit primal matrix
 ``Y = gamma (C(u))_+`` to a feasible labeling at every iteration (for
 Potts the row argmax of Y's variable-by-label block, the relaxed X; for
@@ -33,6 +35,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.lapack import dsytrf
 
 from .crf import energy_offset, lifted_energy, lifted_energy_general, to_indicator
@@ -446,6 +449,33 @@ def make_sdp(problem, gamma):
     return PottsSdp(problem, gamma) if problem.is_potts else GeneralSdp(problem, gamma)
 
 
+def _low_rank_start_pairs(sdp, r):
+    """C(0)'s r leading eigenpairs, descending, from a small dense problem,
+    or None unless ``sdp`` is a Potts lifting with a factored kernel stack
+    and C(0) has at least r positive eigenvalues.
+
+    C(0) = [[0, E'], [E, F F']] with E = -H/2 and K/2 = F F' has rank at
+    most 2L + R.  With the thin QR W = [E, F] = Q [R_E, R_F] it is
+    B S B' for the orthonormal B = blockdiag(I_L, Q) and the small
+    ``S = [[0, R_E'], [R_E, R_F R_F']]``, so each eigenpair (lambda, v) of
+    S gives the exact eigenpair (lambda, B v) of C(0), and the rest of
+    C(0)'s spectrum is zeros (Halko, Martinsson & Tropp 2011).  R_w is
+    never inverted, so a rank-deficient W stays exact.
+    """
+    if not isinstance(sdp, PottsSdp) or sdp._count_factor is None:
+        return None
+    L = sdp.n_labels
+    q, r_w = qr(np.hstack([-0.5 * sdp.problem.unary, sdp._count_factor]),
+                mode="economic")
+    r_e, r_f = r_w[:, :L], r_w[:, L:]
+    vals, vecs = np.linalg.eigh(np.block([[np.zeros((L, L)), r_e.T],
+                                          [r_e, r_f @ r_f.T]]))
+    if np.count_nonzero(vals > 0.0) < r:
+        return None
+    vals, vecs = vals[::-1][:r], vecs[:, ::-1][:, :r]
+    return vals, np.vstack([vecs[:L], q @ vecs[L:]])
+
+
 def spectral_shift_init(sdp, r, seed=0):
     """Dual start u0 with rank((C(u0))_+) <= r, and C(u0)'s leading
     eigenpairs.
@@ -453,18 +483,22 @@ def spectral_shift_init(sdp, r, seed=0):
     Returns ``(u0, pairs)`` with ``u0 = -nu * sdp.identity``, for which
     C(u0) = -A + nu I because the identity-weighted constraint matrices
     sum to I.  Its positive eigenvalues correspond to eigenvalues of A
-    strictly below nu; choosing nu as the r-th smallest eigenvalue of A
-    (computed by Lanczos on C(0) = -A) caps the initial positive rank at r
-    (exactly r - 1 for a simple spectrum).  The same Lanczos run holds
-    C(u0)'s r leading eigenpairs, ``pairs = (values - values[r - 1],
-    vectors)``, whose last value is exactly 0, so they can stand in for a
-    Lanczos run on C(u0) (``leading_psd_part(..., pairs=pairs)``).  The
-    start is an ordinary dual point, so its dual value is a valid bound
-    like any other.
+    strictly below nu; choosing nu as the r-th smallest eigenvalue of A,
+    from C(0) = -A's r leading eigenpairs, caps the initial positive rank
+    at r (exactly r - 1 for a simple spectrum).  For a Potts lifting with
+    a factored kernel stack those pairs are exact, from a dense problem of
+    dimension at most 2L + R, whenever C(0) has r positive eigenvalues;
+    otherwise a Lanczos run on C(0) started from ``seed`` finds them
+    (``seed`` feeds only that run).  The same pairs give C(u0)'s r leading
+    eigenpairs, ``pairs = (values - values[r - 1], vectors)``, whose last
+    value is exactly 0, so they can stand in for a Lanczos run on C(u0)
+    (``leading_psd_part(..., pairs=pairs)``).  The start is an ordinary
+    dual point, so its dual value is a valid bound like any other.
     """
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
-    vals, vecs = leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed)
+    vals, vecs = (_low_rank_start_pairs(sdp, r)
+                  or leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed))
     return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
 
 
@@ -564,16 +598,18 @@ class LbfgsAscent:
 
 
 def _row_argmax(scores):
-    """``np.argmax(scores, axis=1)`` for an N x L array (ties fall to the
-    smallest label).  numpy reduces each short row on its own; on a tall
-    block one strict compare per column is several times faster (N x 2 at
-    N = 10,000: about 4x), while on a short one the compares' fixed cost
-    per column loses, so short blocks keep numpy's reduction."""
-    if scores.shape[0] < ROW_ARGMAX_MIN_ROWS * (scores.shape[1] - 1):
+    """``np.argmax(scores, axis=1)`` for an N x L array, or an N x L x S
+    stack of S such arrays (ties fall to the smallest label).  numpy
+    reduces each short row on its own; on a tall block one strict compare
+    per column is several times faster (N x 2 at N = 10,000: about 4x),
+    while on a short one the compares' fixed cost per column loses, so
+    short blocks keep numpy's reduction."""
+    n_labels = scores.shape[1]
+    if scores.size // n_labels < ROW_ARGMAX_MIN_ROWS * (n_labels - 1):
         return np.argmax(scores, axis=1)
     best = scores[:, 0]
-    labels = np.zeros(scores.shape[0], dtype=np.intp)
-    for label in range(1, scores.shape[1]):
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for label in range(1, n_labels):
         column = scores[:, label]
         better = column > best
         labels += better * (label - labels)
@@ -619,8 +655,9 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
     zeros at rank 0), and its row argmax is the start.  For the general
     lifting each of ``n_samples`` samples projects Psi onto a Gaussian
     direction and discretizes the N x L unfolding by row argmax; the
-    sample with the lowest lifted energy is the start.  Row argmax ties
-    fall to the smallest label.  Returns ``(labels, lifted_energy)``.
+    sample with the lowest lifted energy, all priced together, is the
+    start.  Row argmax ties fall to the smallest label.  Returns
+    ``(labels, lifted_energy)``.
     """
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
     psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
@@ -628,15 +665,16 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
         return icm_polish(sdp, _row_argmax(psi[n_labels:] @ psi[:n_labels].T))
     if psd.rank == 0:
         return icm_polish(sdp, np.zeros(n_vars, dtype=np.int64))
-    rng = np.random.default_rng(seed)
-    best_energy = np.inf
-    for _ in range(n_samples):
-        scores = (psi @ rng.standard_normal(psd.rank)).reshape(n_vars, n_labels)
-        labels = _row_argmax(scores)
-        value = sdp.rounded_energy(labels)
-        if value < best_energy:
-            best_energy, best_labels = value, labels
-    return icm_polish(sdp, best_labels)
+    draws = np.random.default_rng(seed).standard_normal((n_samples, psd.rank))
+    labels = _row_argmax((psi @ draws.T).reshape(n_vars, n_labels, n_samples))
+    # every sample's lifted energy from one kernel product of the stacked
+    # one-hot indicators (N x S x L) and one stacked S x L x L Gram
+    x = (labels[:, :, None] == np.arange(n_labels)).astype(np.float64)
+    kx = sdp.problem.kernel_matvec(x.reshape(n_vars, -1)).reshape(x.shape)
+    gram = x.transpose(1, 2, 0) @ kx.transpose(1, 0, 2)
+    values = (np.take_along_axis(sdp.problem.unary, labels, axis=1).sum(axis=0)
+              + np.sum(gram * sdp._half_u, axis=(1, 2)))
+    return icm_polish(sdp, labels[:, np.argmin(values)].copy())
 
 
 @dataclass
@@ -757,8 +795,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     # back truncated and the trial is rejected, as it would be in full).
     # A trial whose pinching bound on ||C(u)_+||_F^2 already passes the
     # limit is rejected before any Lanczos run or inertia count.  The first
-    # evaluation, at u0, reads C(u0)'s eigenpairs from the start's Lanczos
-    # run instead of running Lanczos again
+    # evaluation, at u0, reads C(u0)'s eigenpairs from the start's pairs
+    # instead of running Lanczos
     warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf,
             "pairs": start_pairs}
     bound_rejections = 0

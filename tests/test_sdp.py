@@ -354,22 +354,83 @@ class TestSpectralShift:
     @pytest.mark.parametrize("make", [random_potts_problem,
                                       random_general_problem])
     def test_start_pairs_give_the_positive_part(self, make):
-        def refuse(d):
-            raise AssertionError("no matvec expected")
-
         for seed in range(6):
             sdp = make_sdp(make(10, 3, seed=seed), gamma=100.0)
             for r in (1, 4, 9):
-                u0, pairs = spectral_shift_init(sdp, r, seed=seed)
-                assert pairs[0].size == r and pairs[0][-1] == 0.0
-                factor = leading_psd_part(SymmetricOperator(sdp.n, refuse),
-                                          sdp.n, pairs=pairs)
-                assert not factor.truncated
-                dense = dense_sdp_pieces(sdp, u0)["C"]
-                vals, vecs = np.linalg.eigh(dense)
-                positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-                error = np.linalg.norm(reconstruct(factor) - positive)
-                assert error <= 1e-12 * max(np.linalg.norm(positive), 1.0)
+                _assert_start_is_exact(sdp, r, seed)
+
+    @pytest.mark.parametrize("make", [
+        random_potts_problem, _two_kernel_potts,
+        lambda n, n_labels, seed: random_potts_problem(n, n_labels, seed,
+                                                       kernel_rank=5)])
+    @pytest.mark.parametrize("n_vars, n_labels", [(10, 3), (30, 2), (40, 4)])
+    def test_factored_potts_start_needs_no_lanczos(self, monkeypatch, make,
+                                                    n_vars, n_labels):
+        monkeypatch.setattr(sdp_module, "leading_eigpairs", _refuse_lanczos)
+        for seed in range(3):
+            sdp = make_sdp(make(n_vars, n_labels, seed=seed), gamma=100.0)
+            p0 = _start_positive_count(sdp)
+            # C(0) = B S B' with S congruent to blockdiag([[0, I], [I, 0]], I_R)
+            assert p0 == n_labels + sdp._count_factor.shape[1]
+            for r in (1, 4, p0 - 1, p0):
+                _assert_start_is_exact(sdp, r, seed)
+
+    def test_other_starts_run_lanczos(self, monkeypatch):
+        calls = []
+
+        def lanczos(op, k, **kwargs):
+            calls.append(k)
+            return leading_eigpairs(op, k, **kwargs)
+
+        monkeypatch.setattr(sdp_module, "leading_eigpairs", lanczos)
+        for seed in range(3):
+            # r past C(0)'s positive count, and kernels with no factor
+            potts = make_sdp(random_potts_problem(12, 3, seed=seed), gamma=100.0)
+            mixed = make_sdp(mixed_kernel_problem(12, 3, seed=seed), gamma=100.0)
+            for sdp, r in ((potts, _start_positive_count(potts) + 1), (mixed, 4)):
+                _assert_start_is_exact(sdp, r, seed)
+                assert calls == [r]
+                calls.clear()
+
+    def test_rank_deficient_w_stays_exact(self, monkeypatch, rng):
+        # the kernel factor repeats a column and a scaled unary column, so
+        # W = [-H/2, F] has dependent columns and a singular R factor
+        unary = rng.standard_normal((15, 3))
+        base = rng.standard_normal((15, 2))
+        phi = np.column_stack([base, base[:, 0], 0.3 * unary[:, 1]])
+        problem = CrfProblem(unary, [LowRankKernel(LowRankFactor(phi), 0.8)])
+        sdp = make_sdp(problem, gamma=100.0)
+        monkeypatch.setattr(sdp_module, "leading_eigpairs", _refuse_lanczos)
+        p0 = _start_positive_count(sdp)
+        assert p0 < 3 + phi.shape[1]
+        for r in (1, p0 - 1, p0):
+            _assert_start_is_exact(sdp, r, seed=0)
+
+
+def _refuse_lanczos(op, k, **kwargs):
+    raise AssertionError("no Lanczos run expected")
+
+
+def _start_positive_count(sdp):
+    """C(0)'s number of positive eigenvalues from its dense spectrum."""
+    vals = np.linalg.eigvalsh(dense_sdp_pieces(sdp, np.zeros(sdp.q))["C"])
+    return int(np.count_nonzero(vals > 1e-9 * np.abs(vals).max()))
+
+
+def _assert_start_is_exact(sdp, r, seed):
+    """The start's pairs are the dense positive part of C(u0), to 1e-12."""
+    def refuse(d):
+        raise AssertionError("no matvec expected")
+
+    u0, pairs = spectral_shift_init(sdp, r, seed=seed)
+    assert pairs[0].size == r and pairs[0][-1] == 0.0
+    factor = leading_psd_part(SymmetricOperator(sdp.n, refuse), sdp.n,
+                              pairs=pairs)
+    assert not factor.truncated
+    vals, vecs = np.linalg.eigh(dense_sdp_pieces(sdp, u0)["C"])
+    positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    error = np.linalg.norm(reconstruct(factor) - positive)
+    assert error <= 1e-12 * max(np.linalg.norm(positive), 1.0)
 
 
 class TestIdentityWeights:
@@ -531,6 +592,45 @@ class TestRoundSolution:
         rate = hits / trials
         print(f"rounding exact-recovery rate on separated instances: {rate:.2f}")
         assert rate >= 0.8
+
+
+def _rounding_one_sample_at_a_time(psd, sdp, seed, n_samples):
+    """The general lifting's rounding with each Gaussian sample drawn,
+    discretized and priced on its own: the reference for the batched one."""
+    if psd.rank == 0:
+        return sdp_module.icm_polish(sdp, np.zeros(sdp.n_vars, dtype=np.int64))
+    psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
+    rng = np.random.default_rng(seed)
+    best_energy = np.inf
+    for _ in range(n_samples):
+        scores = psi @ rng.standard_normal(psd.rank)
+        labels = np.argmax(scores.reshape(sdp.n_vars, sdp.n_labels), axis=1)
+        value = sdp.rounded_energy(labels)
+        if value < best_energy:
+            best_energy, best_labels = value, labels
+    return sdp_module.icm_polish(sdp, best_labels)
+
+
+class TestBatchedGeneralRounding:
+    # 7 x 5 samples take numpy's row argmax, 80 x 40 the column compares
+    @pytest.mark.parametrize("n_vars, n_samples", [(7, 5), (80, 40)])
+    @pytest.mark.parametrize("n_labels", [2, 3, 4])
+    def test_matches_one_sample_at_a_time(self, n_vars, n_samples, n_labels):
+        for problem_seed in range(3):
+            sdp = make_sdp(random_general_problem(n_vars, n_labels,
+                                                  seed=problem_seed,
+                                                  weight=2.0), gamma=10.0)
+            rng = np.random.default_rng(problem_seed)
+            for rank in (0, 2, n_samples, n_samples + 3):
+                vectors = np.linalg.qr(rng.standard_normal((sdp.n, rank)))[0]
+                psd = PsdFactor(vectors, np.sort(rng.uniform(0.1, 2.0, rank))[::-1])
+                for seed in range(4):
+                    labels, value = round_solution(psd, sdp, seed=seed,
+                                                   n_samples=n_samples)
+                    ref_labels, ref_value = _rounding_one_sample_at_a_time(
+                        psd, sdp, seed, n_samples)
+                    np.testing.assert_array_equal(labels, ref_labels)
+                    assert value == ref_value
 
 
 class TestIcmPolish:
