@@ -25,7 +25,6 @@ _SUBMODULE_OF = {
     "load_factor": "kernels",
     "CrfProblem": "crf",
     "to_indicator": "crf",
-    "to_vectorized": "crf",
     "energy": "crf",
     "lifted_energy": "crf",
     "lifted_energy_general": "crf",

@@ -122,34 +122,28 @@ def _solve_params(args):
 
 
 def _run_method(method, problem, params, restarts):
-    """Returns a report dict with the shared SolveReport JSON shape."""
+    """Runs one method and returns its :class:`SolveReport` as a dict."""
     from . import meanfield, oracle, sdp
 
     started = time.perf_counter()
     if method == "lrsdcut":
-        out = sdp.lr_sdcut_solve(problem, params).to_dict()
+        report = sdp.lr_sdcut_solve(problem, params)
     elif method == "meanfield":
         result = meanfield.mf_solve(problem, restarts=restarts,
                                     seed=params.seed)
-        out = {
-            "method": "meanfield",
-            "best_energy": result.energy,
-            "lower_bound": None,
-            "labels": result.labels.tolist(),
-            "trajectory": [
-                {"iter": i, "dual": None, "rounded_energy": None,
-                 "free_energy": float(f), "rank": None, "truncated": False,
-                 "ms": None}
-                for i, f in enumerate(result.free_energies)],
-            "warnings": [],
-            "restart_energies": result.restart_energies,
-        }
+        report = sdp.SolveReport(
+            "meanfield", result.energy, None, result.labels,
+            trajectory=[{"iter": i, "dual": None, "rounded_energy": None,
+                         "free_energy": float(f), "rank": None,
+                         "truncated": False, "ms": None}
+                        for i, f in enumerate(result.free_energies)],
+            extras={"restart_energies": result.restart_energies})
     elif method == "brute":
         labels, value = oracle.brute_force_map(problem)
-        out = {"method": "brute", "best_energy": value, "lower_bound": value,
-               "labels": labels.tolist(), "trajectory": [], "warnings": []}
+        report = sdp.SolveReport("brute", value, value, labels)
     else:
         raise ValueError(f"unknown method {method!r}")
+    out = report.to_dict()
     out["wall_time_s"] = time.perf_counter() - started
     return out
 
@@ -157,6 +151,8 @@ def _run_method(method, problem, params, restarts):
 def cmd_gen(args):
     from . import generate, kernels
 
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     artifacts = {}
     if args.kind == "clusters":
         kwargs = {"noise": args.noise,

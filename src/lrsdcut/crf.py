@@ -3,8 +3,9 @@
 A labeling ``x`` (length-N integer vector with entries in 0..L-1), its
 one-hot indicator matrix ``X`` (N x L), and the row-major vectorization
 ``y`` (length N*L, ``y[i*L + l] = X[i, l]``) describe the same assignment.
-Energies are always evaluated on the factored (approximated) kernels, so
-solver bounds and reported energies refer to one consistent objective.
+Both SDP liftings minimise one lifted energy, :func:`lifted_energy`, which
+prices every labeling on the factored (approximated) kernels, so solver
+bounds and reported energies refer to one consistent objective.
 """
 
 import hashlib
@@ -111,41 +112,37 @@ def to_indicator(labels, n_labels):
     return x
 
 
-def to_vectorized(indicator):
-    """Row-major vectorization y with ``y[i*L + l] = X[i, l]``."""
-    return np.asarray(indicator, dtype=np.float64).reshape(-1)
+def lifted_energy(problem, x, kx=None):
+    """Lifted energy ``<H, X> + 0.5 <U, X' K X>``, U = mu - 11' (-I for
+    Potts), of an N x L indicator X, or of each one in an N x S x L stack.
 
-
-def lifted_energy(problem, indicator, kx=None):
-    """Quadratic lifted energy ``<H, X> - 0.5 <X X', K>`` (Potts only).
-
-    The quadratic term ``<X, K X>`` is evaluated with one factored block
-    product over all label columns, never through the dense kernel, or
-    from ``kx = K X`` when the caller already holds it.
+    The quadratic term is ``sum((X U) o K X)``, with K X (``kx`` when the
+    caller holds it) from one factored block product over all columns;
+    for Potts, X U = -X exactly.
     """
-    if not problem.is_potts:
-        raise ValueError("lifted_energy is the Potts form; use lifted_energy_general")
-    x = np.asarray(indicator, dtype=np.float64)
-    quad = np.sum(x * (problem.kernel_matvec(x) if kx is None else kx))
-    return float(np.sum(problem.unary * x) - 0.5 * quad)
+    x = np.asarray(x, dtype=np.float64)
+    n, L = problem.n_vars, problem.n_labels
+    if kx is None:
+        kx = problem.kernel_matvec(x.reshape(n, -1)).reshape(x.shape)
+    xu = (x.reshape(-1, L) @ (problem.mu_matrix() - 1.0)).reshape(x.shape)
+    if x.ndim == 2:
+        return float(np.sum(problem.unary * x) + 0.5 * np.sum(xu * kx))
+    return (np.sum(problem.unary[:, None] * x, axis=(0, 2))
+            + 0.5 * np.sum(xu * kx, axis=(0, 2)))
 
 
 def lifted_energy_general(problem, y, kx=None):
-    """Lifted energy ``h' y + 0.5 y' (U (x) K) y`` with ``U = mu - 11'``.
-
-    The Kronecker-structured quadratic reduces to
-    ``0.5 sum_{l,l'} U[l,l'] (X[:,l]' K X[:,l'])`` and is evaluated with one
-    factored block product over the L label columns (or read from
-    ``kx = K X`` when given); the L x L Gram of label columns is the only
-    dense object formed.
-    """
-    if problem.is_potts:
-        raise ValueError("problem has Potts compatibility; use lifted_energy")
+    """Lifted energy ``h' y + 0.5 y' (U (x) K) y`` of a row-major
+    vectorization y (length N*L), or of each column of an N*L x S stack:
+    :func:`lifted_energy` of the unfolded indicators, with ``kx``, when
+    given, ``(K (x) I) y`` in y's shape."""
     n, L = problem.n_vars, problem.n_labels
-    x = np.asarray(y, dtype=np.float64).reshape(n, L)
-    u = problem.mu - 1.0
-    gram = x.T @ (problem.kernel_matvec(x) if kx is None else kx)
-    return float(np.sum(problem.unary * x) + 0.5 * np.sum(u * gram))
+
+    def unfold(v):
+        v = np.asarray(v, dtype=np.float64).reshape(n, L, -1)
+        return v[:, :, 0] if np.ndim(y) == 1 else v.transpose(0, 2, 1)
+
+    return lifted_energy(problem, unfold(y), None if kx is None else unfold(kx))
 
 
 def energy_offset(problem):
@@ -161,12 +158,8 @@ def energy(problem, labels):
     Equals ``sum_i psi_i(x_i) + sum_{i<j} mu(x_i, x_j) K_ij`` and is
     computed as lifted energy plus offset in O(N L R).
     """
-    x = to_indicator(labels, problem.n_labels)
-    if problem.is_potts:
-        lifted = lifted_energy(problem, x)
-    else:
-        lifted = lifted_energy_general(problem, to_vectorized(x))
-    return lifted + energy_offset(problem)
+    return (lifted_energy(problem, to_indicator(labels, problem.n_labels))
+            + energy_offset(problem))
 
 
 def _require(cond, message):

@@ -144,8 +144,8 @@ class SdpLifting:
     eigenvalues of C(u) above sigma from an inertia count that needs no
     Lanczos run, or None where the count is unavailable or undecided; and
     ``pinched_norm_sq(parts)``, a lower bound on ||C(u)_+||_F^2.  They
-    also supply the gradient from a positive-part factor and the rounding
-    hooks.  C(0) = -A, so the products with A are those of ``operator(0)``.
+    also supply the gradient from a positive-part factor.  C(0) = -A, so
+    the products with A are those of ``operator(0)``.
 
     The bound is the pinching inequality: max(x, 0)^2 is convex, so the
     eigenvalues of any block-diagonal part of a symmetric matrix, which
@@ -313,10 +313,6 @@ class PottsSdp(SdpLifting):
         noise = COUNT_REL_TOL * (spread + np.abs(head).max() + 1.0)
         return _positive_inertia(np.count_nonzero(pivots > 0.0), schur, noise)
 
-    def rounded_energy(self, labels, kx=None):
-        """Lifted energy of a labeling (``kx``: K times its indicator)."""
-        return lifted_energy(self.problem, to_indicator(labels, self.n_labels), kx)
-
 
 class GeneralSdp(SdpLifting):
     """Penalized SDP data for the general label-compatibility lifting.
@@ -438,10 +434,6 @@ class GeneralSdp(SdpLifting):
         noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
         count = _positive_inertia(positive, schur, noise)
         return None if count is None else count - self._count_offset
-
-    def rounded_energy(self, labels, kx=None):
-        x = to_indicator(labels, self.n_labels)
-        return lifted_energy_general(self.problem, x.reshape(-1), kx)
 
 
 def make_sdp(problem, gamma):
@@ -625,9 +617,9 @@ def icm_polish(sdp, labels):
     the messages from the current one-hot labels X,
     ``unary + (K X - diag(K) o X) (mu - 11')``, ties falling to the
     smallest label.  Each sweep makes one kernel product, K X of the new
-    labels, which also gives their energy; the sweeps stop once the labels
-    stop changing or the energy does not strictly fall (a parallel sweep
-    may raise it), and the last labels that lowered it are returned.
+    labels, which :func:`lifted_energy` also prices them from; the sweeps
+    stop once the labels stop changing or the energy does not strictly
+    fall, and the last labels that lowered it are returned.
     """
     problem = sdp.problem
     compat = problem.mu_matrix() - 1.0
@@ -635,7 +627,7 @@ def icm_polish(sdp, labels):
     while True:
         x = to_indicator(labels, sdp.n_labels)
         kx = problem.kernel_matvec(x)
-        value = sdp.rounded_energy(labels, kx)
+        value = lifted_energy(problem, x, kx)
         if best is not None and not value < best[1]:
             return best
         best = labels, value
@@ -655,9 +647,9 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
     zeros at rank 0), and its row argmax is the start.  For the general
     lifting each of ``n_samples`` samples projects Psi onto a Gaussian
     direction and discretizes the N x L unfolding by row argmax; the
-    sample with the lowest lifted energy, all priced together, is the
-    start.  Row argmax ties fall to the smallest label.  Returns
-    ``(labels, lifted_energy)``.
+    sample with the lowest lifted energy, all priced as one stack by
+    :func:`lifted_energy_general`, is the start.  Row argmax ties fall to
+    the smallest label.  Returns ``(labels, lifted_energy)``.
     """
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
     psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
@@ -667,13 +659,9 @@ def round_solution(psd, sdp, seed=0, n_samples=20):
         return icm_polish(sdp, np.zeros(n_vars, dtype=np.int64))
     draws = np.random.default_rng(seed).standard_normal((n_samples, psd.rank))
     labels = _row_argmax((psi @ draws.T).reshape(n_vars, n_labels, n_samples))
-    # every sample's lifted energy from one kernel product of the stacked
-    # one-hot indicators (N x S x L) and one stacked S x L x L Gram
-    x = (labels[:, :, None] == np.arange(n_labels)).astype(np.float64)
-    kx = sdp.problem.kernel_matvec(x.reshape(n_vars, -1)).reshape(x.shape)
-    gram = x.transpose(1, 2, 0) @ kx.transpose(1, 0, 2)
-    values = (np.take_along_axis(sdp.problem.unary, labels, axis=1).sum(axis=0)
-              + np.sum(gram * sdp._half_u, axis=(1, 2)))
+    # column s is sample s's one-hot vectorization
+    stack = (labels[:, None, :] == np.arange(n_labels)[:, None]).reshape(-1, n_samples)
+    values = lifted_energy_general(sdp.problem, stack)
     return icm_polish(sdp, labels[:, np.argmin(values)].copy())
 
 
@@ -685,8 +673,8 @@ class SolveParams:
     ``n_samples`` counts the general lifting's Gaussian rounding draws per
     iteration; Potts rounding draws none and ignores it.
 
-    A gamma that is not positive, or a ``k_max``, ``rank_init`` or
-    ``n_samples`` below 1, raises ValueError.
+    A gamma that is not positive, a ``k_max``, ``rank_init`` or
+    ``n_samples`` below 1, or a negative seed raises ValueError.
     """
 
     gamma: float = 1000.0
@@ -705,6 +693,8 @@ class SolveParams:
             raise ValueError(f"rank_init must be >= 1, got {self.rank_init}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -42,6 +42,12 @@ class TestGen:
         labels, _ = brute_force_map(problem)
         np.testing.assert_array_equal(labels, instance["planted_labels"])
 
+    def test_negative_seed_exits_two(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--kind", "random", "--n", "8", "--seed", "-1",
+                     str(out)]) == 2
+        assert not out.exists()
+
     def test_grid_is_loadable_by_all_solvers(self, tmp_path):
         out = tmp_path / "grid.json"
         assert main(["gen", "--kind", "grid", "--grid-w", "20", "--grid-h",
@@ -111,11 +117,50 @@ class TestSolve:
         path.write_text(json.dumps(inst))
         assert main(["solve", "--method", "lrsdcut", str(path)]) == 2
 
-    @pytest.mark.parametrize("flag", ["--gamma", "--kmax", "--rank-init",
-                                      "--samples"])
-    def test_nonpositive_solver_flag_exits_two(self, instance, flag):
-        assert main(["solve", "--method", "lrsdcut", flag, "0",
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param(flag, value, id=flag)
+        for flag, value in [("--gamma", "0"), ("--kmax", "0"),
+                            ("--rank-init", "0"), ("--samples", "0"),
+                            ("--seed", "-1")]])
+    def test_nonpositive_solver_flag_exits_two(self, instance, flag, value):
+        assert main(["solve", "--method", "lrsdcut", flag, value,
                      str(instance)]) == 2
+
+    @pytest.mark.parametrize("method", ["meanfield", "brute"])
+    def test_negative_seed_exits_two_for_every_method(self, instance, method):
+        assert main(["solve", "--method", method, "--seed", "-1",
+                     str(instance)]) == 2
+
+    def test_report_json_keeps_each_methods_shape(self, instance, tmp_path):
+        # mean field and brute force write SolveReport.to_dict(), in the
+        # key order and with the values their hand-built dicts had
+        from lrsdcut.meanfield import mf_solve
+        from lrsdcut.oracle import brute_force_map
+        problem, _, _ = load_instance(instance)
+        mf = mf_solve(problem, restarts=5, seed=0)
+        labels, value = brute_force_map(problem)
+        expected = {
+            "meanfield": {
+                "method": "meanfield", "best_energy": mf.energy,
+                "lower_bound": None, "labels": mf.labels.tolist(),
+                "trajectory": [
+                    {"iter": i, "dual": None, "rounded_energy": None,
+                     "free_energy": float(f), "rank": None,
+                     "truncated": False, "ms": None}
+                    for i, f in enumerate(mf.free_energies)],
+                "warnings": [], "restart_energies": mf.restart_energies},
+            "brute": {
+                "method": "brute", "best_energy": value, "lower_bound": value,
+                "labels": labels.tolist(), "trajectory": [], "warnings": []},
+        }
+        for method, fields in expected.items():
+            out = tmp_path / f"{method}.json"
+            assert main(["solve", "--method", method, "--out", str(out),
+                         str(instance)]) == 0
+            report = json.loads(out.read_text())
+            assert list(report) == list(fields) + [
+                "wall_time_s", "instance", "instance_sha256", "params"]
+            assert {key: report[key] for key in fields} == fields
 
     def test_zero_meanfield_restarts_exits_two(self, instance):
         assert main(["solve", "--method", "meanfield", "--restarts", "0",

@@ -9,8 +9,7 @@ from conftest import (mixed_kernel_problem, per_column_kernel_product,
                       random_general_problem, random_potts_problem)
 from lrsdcut.crf import (CrfProblem, InstanceFormatError, build_problem,
                          energy, energy_offset, lifted_energy,
-                         lifted_energy_general, load_instance, to_indicator,
-                         to_vectorized)
+                         lifted_energy_general, load_instance, to_indicator)
 from lrsdcut.kernels import LowRankFactor, LowRankKernel, save_factor
 from lrsdcut.oracle import dense_problem_kernel, direct_energy
 
@@ -69,12 +68,6 @@ class TestLiftedEnergy:
         expected = np.sum(problem.unary * x) - 0.5 * np.trace(x.T @ k @ x)
         assert lifted_energy(problem, x) == pytest.approx(expected, abs=1e-10)
 
-    def test_general_problem_rejected(self):
-        problem = random_general_problem(4, 2, seed=8)
-        x = to_indicator(np.zeros(4, dtype=int), 2)
-        with pytest.raises(ValueError, match="Potts"):
-            lifted_energy(problem, x)
-
 
 class TestLiftedEnergyGeneral:
     def test_potts_matrix_agrees_with_potts_lifting(self, rng):
@@ -83,13 +76,13 @@ class TestLiftedEnergyGeneral:
         general = CrfProblem(potts.unary, potts.kernels, mu=mu)
         for _ in range(10):
             x = to_indicator(rng.integers(0, 3, 6), 3)
-            assert lifted_energy_general(general, to_vectorized(x)) == \
+            assert lifted_energy_general(general, x.reshape(-1)) == \
                 pytest.approx(lifted_energy(potts, x), abs=1e-10)
 
     def test_constant_labeling_identity(self):
         problem = random_general_problem(5, 3, seed=10, weight=2.0)
         labels = np.full(5, 2)
-        y = to_vectorized(to_indicator(labels, 3))
+        y = to_indicator(labels, 3).reshape(-1)
         # zero-diagonal compatibility makes the pairwise energy vanish, so
         # lifted + offset collapses to the unary sum
         assert lifted_energy_general(problem, y) + energy_offset(problem) == \
@@ -102,23 +95,20 @@ class TestLiftedEnergyGeneral:
         big = np.kron(k, u)
         h = problem.unary.reshape(-1)
         for _ in range(5):
-            y = to_vectorized(to_indicator(rng.integers(0, 3, 4), 3))
+            x = to_indicator(rng.integers(0, 3, 4), 3)
+            y = x.reshape(-1)
             expected = h @ y + 0.5 * y @ big @ y
             assert lifted_energy_general(problem, y) == pytest.approx(
                 expected, abs=1e-10)
-
-    def test_potts_problem_rejected(self):
-        problem = random_potts_problem(4, 2, seed=12)
-        y = to_vectorized(to_indicator(np.zeros(4, dtype=int), 2))
-        with pytest.raises(ValueError, match="Potts"):
-            lifted_energy_general(problem, y)
+            assert lifted_energy(problem, x) == pytest.approx(expected,
+                                                              abs=1e-10)
 
     def test_energy_identity_general(self, rng):
         problem = random_general_problem(6, 3, seed=13, weight=1.4)
         offset = energy_offset(problem)
         for _ in range(20):
             labels = rng.integers(0, 3, 6)
-            y = to_vectorized(to_indicator(labels, 3))
+            y = to_indicator(labels, 3).reshape(-1)
             assert energy(problem, labels) == pytest.approx(
                 lifted_energy_general(problem, y) + offset, abs=1e-9)
 
@@ -143,8 +133,37 @@ class TestBlockEvaluators:
             quad = sum((problem.mu[l, m] - 1.0) * (x[:, l] @ kx[:, m])
                        for l in range(4) for m in range(4))
             ref = np.sum(problem.unary * x) + 0.5 * quad
-            assert lifted_energy_general(problem, to_vectorized(x)) == \
+            assert lifted_energy_general(problem, x.reshape(-1)) == \
                 pytest.approx(ref, rel=1e-12)
+
+
+class TestStackedPricing:
+    """An N x S x L stack of indicators, or the N*L x S stack of their
+    vectorizations, priced at once equals each labeling priced alone."""
+
+    @pytest.mark.parametrize("general", [False, True], ids=["potts", "general"])
+    def test_stack_matches_one_at_a_time(self, rng, general):
+        problem = mixed_kernel_problem(23, 4, seed=17, general=general)
+        labels = rng.integers(0, 4, (23, 6))
+        stack = np.stack([to_indicator(labels[:, s], 4) for s in range(6)],
+                         axis=1)
+        alone = [lifted_energy(problem, stack[:, s]) for s in range(6)]
+        np.testing.assert_allclose(alone, [energy(problem, labels[:, s])
+                                           - energy_offset(problem)
+                                           for s in range(6)], rtol=1e-12)
+        kx = np.stack([per_column_kernel_product(problem, stack[:, s])
+                       for s in range(6)], axis=1)
+        # column s of the N*L x S stacks is sample s's vectorization
+        y, ky = (v.transpose(0, 2, 1).reshape(-1, 6) for v in (stack, kx))
+        for priced in (lifted_energy(problem, stack),
+                       lifted_energy(problem, stack, kx),
+                       lifted_energy_general(problem, y),
+                       lifted_energy_general(problem, y, ky)):
+            assert priced.shape == (6,)
+            np.testing.assert_allclose(priced, alone, rtol=1e-12)
+        for s in range(6):
+            assert lifted_energy_general(problem, y[:, s], ky[:, s]) == \
+                pytest.approx(alone[s], rel=1e-12)
 
 
 class TestEnergyOffset:
@@ -173,9 +192,16 @@ class TestIndicatorBijection:
             assert np.array_equal(np.argmax(x, axis=1), labels)
 
     def test_vectorization_order_is_row_major(self):
-        x = to_indicator(np.array([1, 0]), 2)
-        np.testing.assert_array_equal(to_vectorized(x),
-                                      np.array([0.0, 1.0, 1.0, 0.0]))
+        # lifted_energy_general reads X's row-major flattening; the
+        # column-major one of this permutation matrix is the labeling X'
+        problem = random_general_problem(3, 3, seed=12)
+        x = to_indicator(np.array([1, 2, 0]), 3)
+        np.testing.assert_array_equal(x.reshape(-1)[:3], [0.0, 1.0, 0.0])
+        assert lifted_energy_general(problem, x.reshape(-1)) == \
+            pytest.approx(lifted_energy(problem, x), abs=1e-12)
+        assert lifted_energy_general(problem, x.T.reshape(-1)) == \
+            pytest.approx(energy(problem, np.array([2, 0, 1]))
+                          - energy_offset(problem), abs=1e-10)
 
     def test_invalid_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from conftest import (constraint_values, mixed_kernel_problem,
                       random_general_problem, random_potts_problem,
                       reconstruct)
 from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
-                         to_indicator)
+                         lifted_energy, to_indicator)
 from lrsdcut.eig import (PsdFactor, SymmetricOperator, leading_eigpairs,
                          leading_psd_part)
 from lrsdcut import eig as eig_module
@@ -21,6 +21,11 @@ from lrsdcut.oracle import (brute_force_map, dense_sdp_pieces,
 from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, SolveParams,
                          lr_sdcut_solve, make_sdp, round_solution,
                          spectral_shift_init)
+
+
+def priced(sdp, labels):
+    """Lifted energy of a labeling."""
+    return lifted_energy(sdp.problem, to_indicator(labels, sdp.n_labels))
 
 
 def exact_factor(sdp, u):
@@ -605,7 +610,7 @@ def _rounding_one_sample_at_a_time(psd, sdp, seed, n_samples):
     for _ in range(n_samples):
         scores = psi @ rng.standard_normal(psd.rank)
         labels = np.argmax(scores.reshape(sdp.n_vars, sdp.n_labels), axis=1)
-        value = sdp.rounded_energy(labels)
+        value = priced(sdp, labels)
         if value < best_energy:
             best_energy, best_labels = value, labels
     return sdp_module.icm_polish(sdp, best_labels)
@@ -644,14 +649,14 @@ class TestIcmPolish:
         for _ in range(20):
             start = rng.integers(0, 3, sdp.n_vars)
             _, value = sdp_module.icm_polish(sdp, start)
-            assert value <= sdp.rounded_energy(start)
+            assert value <= priced(sdp, start)
 
     def test_energy_is_the_rounded_and_full_energy(self, sdp, rng):
         offset = energy_offset(sdp.problem)
         for _ in range(20):
             labels, value = sdp_module.icm_polish(
                 sdp, rng.integers(0, 3, sdp.n_vars))
-            assert value == sdp.rounded_energy(labels)
+            assert value == priced(sdp, labels)
             assert value == pytest.approx(
                 energy(sdp.problem, labels) - offset, abs=1e-9)
 
@@ -672,7 +677,7 @@ class TestIcmPolish:
                     changed = True
         labels, value = sdp_module.icm_polish(sdp, fixed)
         np.testing.assert_array_equal(labels, fixed)
-        assert value == sdp.rounded_energy(fixed)
+        assert value == priced(sdp, fixed)
 
     def test_oscillating_sweep_keeps_the_start(self):
         # two strongly coupled variables that disagree: each moves to the
@@ -696,7 +701,7 @@ class TestIcmPolish:
         # one product prices the start, one the swapped labels
         assert len(products) == 2
         np.testing.assert_array_equal(labels, start)
-        assert value == sdp.rounded_energy(start)
+        assert value == priced(sdp, start)
 
 
 def _dual_eval(sdp, u):
