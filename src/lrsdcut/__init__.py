@@ -18,7 +18,6 @@ _SUBMODULE_OF = {
     "CenteredDiscriminativeKernel": "kernels",
     "select_landmarks": "kernels",
     "nystrom_factor": "kernels",
-    "lowrank_matvec": "kernels",
     "hadamard_matvec": "kernels",
     "centered_discriminative_factor": "kernels",
     "save_factor": "kernels",

@@ -92,7 +92,7 @@ def _build_parser():
     solve.add_argument("instance")
 
     bench = sub.add_parser("bench", help="per-iteration timing CSV")
-    bench.add_argument("--kmax", type=int, default=5)
+    bench.add_argument("--kmax", type=int)
     bench.add_argument("--seed", type=int)
     bench.add_argument("--out", help="write CSV here instead of stdout")
     bench.add_argument("instances", nargs="+")

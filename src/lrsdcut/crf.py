@@ -131,18 +131,14 @@ def lifted_energy(problem, x, kx=None):
             + 0.5 * np.sum(xu * kx, axis=(0, 2)))
 
 
-def lifted_energy_general(problem, y, kx=None):
+def lifted_energy_general(problem, y):
     """Lifted energy ``h' y + 0.5 y' (U (x) K) y`` of a row-major
     vectorization y (length N*L), or of each column of an N*L x S stack:
-    :func:`lifted_energy` of the unfolded indicators, with ``kx``, when
-    given, ``(K (x) I) y`` in y's shape."""
-    n, L = problem.n_vars, problem.n_labels
-
-    def unfold(v):
-        v = np.asarray(v, dtype=np.float64).reshape(n, L, -1)
-        return v[:, :, 0] if np.ndim(y) == 1 else v.transpose(0, 2, 1)
-
-    return lifted_energy(problem, unfold(y), None if kx is None else unfold(kx))
+    :func:`lifted_energy` of the unfolded indicators."""
+    x = np.asarray(y, dtype=np.float64).reshape(problem.n_vars,
+                                                problem.n_labels, -1)
+    return lifted_energy(problem,
+                         x[:, :, 0] if np.ndim(y) == 1 else x.transpose(0, 2, 1))
 
 
 def energy_offset(problem):

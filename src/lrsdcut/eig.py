@@ -3,19 +3,21 @@
 The solver repeatedly needs the positive spectral part of a symmetric
 operator that is only available through matrix-vector products.  ARPACK's
 implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the
-leading eigenpairs; this module wraps it with seeded random vectors, a
-request sized by the caller's exact count of positive eigenvalues when it
-has one (the count then proves the factor complete, and a Lanczos result
-that contradicts it is a typed failure), adaptive subspace growth
-otherwise, an early stop once the partial norm (or a caller's lower
-bound on the whole norm, before any Lanczos run) passes a caller's limit,
-eigenpairs already in hand (from a Lanczos run or a small dense problem
-on a shifted copy of the operator) standing in for the first Lanczos
-run, and a dense fallback for operators too small for ARPACK.
+leading eigenpairs; this module wraps it, at one tolerance (``EIG_TOL``,
+also the positivity threshold) and one restart budget (``EIG_RESTARTS``),
+with seeded random vectors, a request sized by the caller's exact count
+of positive eigenvalues when it has one (the count then proves the factor
+complete, and a Lanczos result that contradicts it is a typed failure),
+adaptive subspace growth otherwise, an early stop once the partial norm
+(or a caller's lower bound on the whole norm, before any Lanczos run)
+passes a caller's limit, eigenpairs already in hand (from a Lanczos run
+or a small dense problem on a shifted copy of the operator) standing in
+for the first Lanczos run, and a dense fallback for operators too small
+for ARPACK.
 """
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +31,8 @@ _SEEDED_RESTARTS = "rng" in inspect.signature(eigsh).parameters
 
 # ARPACK's convergence tolerance and the positivity threshold of a positive part
 EIG_TOL = 1e-8
+# ARPACK restarts before a Lanczos run counts as stalled
+EIG_RESTARTS = 50
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,9 @@ class PsdFactor:
 class EigenConvergenceError(RuntimeError):
     """Eigensolver failed to converge; carries the best-effort factor."""
 
-    def __init__(self, message, factor, residuals):
+    def __init__(self, message, factor):
         super().__init__(message)
         self.factor = factor
-        self.residuals = residuals
 
 
 class EigenCountMismatch(RuntimeError):
@@ -96,12 +99,13 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
-def leading_eigpairs(op, k, tol=EIG_TOL, seed=0, restarts=50):
+def leading_eigpairs(op, k, seed=0):
     """Top-k algebraic eigenpairs of a symmetric operator, descending.
 
-    Uses ARPACK with a seeded pseudo-random start vector and Krylov
-    dimension ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for
-    small k: a subspace of only 2k + 10 vectors can converge to k Ritz
+    Uses ARPACK (tolerance ``EIG_TOL``, at most ``EIG_RESTARTS`` restarts)
+    with a seeded pseudo-random start vector and Krylov dimension
+    ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for small k:
+    a subspace of only 2k + 10 vectors can converge to k Ritz
     values that are not the top of the spectrum, so a positive part built
     from them silently misses eigenvalues and its dual value is no bound.
     The start is never warm: Lanczos from a combination of a nearby
@@ -126,38 +130,35 @@ def leading_eigpairs(op, k, tol=EIG_TOL, seed=0, restarts=50):
     ncv = min(n, max(2 * k + 10, 30))
     try:
         vals, vecs = eigsh(scipy_op, k=k, which="LA", v0=v0, ncv=ncv,
-                           tol=tol, maxiter=restarts,
+                           tol=EIG_TOL, maxiter=EIG_RESTARTS,
                            **({"rng": rng} if _SEEDED_RESTARTS else {}))
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues, dtype=np.float64)
-        got_vecs = np.asarray(exc.eigenvectors, dtype=np.float64)
         order = np.argsort(got)[::-1]
-        vals, vecs = got[order], got_vecs[:, order]
-        pos = vals > 0.0
-        factor = PsdFactor(vecs[:, pos], vals[pos], truncated=True)
-        residuals = np.array([np.linalg.norm(op.apply(vecs[:, i]) - vals[i] * vecs[:, i])
-                              for i in range(vals.size)])
+        pos = order[got[order] > 0.0]
+        factor = PsdFactor(np.asarray(exc.eigenvectors, dtype=np.float64)[:, pos],
+                           got[pos], truncated=True)
         raise EigenConvergenceError(
-            f"eigensolver converged to only {vals.size} of {k} requested pairs "
-            f"after {restarts} restarts", factor, residuals) from exc
+            f"eigensolver converged to only {got.size} of {k} requested pairs "
+            f"after {EIG_RESTARTS} restarts", factor) from exc
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
 
-def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
-                     frob_limit=np.inf, frob_lower=0.0, count=None,
-                     pairs=None):
-    """All eigenpairs with eigenvalue above ``tol * max(|lambda|, 1)``, up
-    to ``max_rank`` of them, as a :class:`PsdFactor`.
+def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
+                     frob_lower=0.0, count=None, pairs=None):
+    """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
+    up to ``max_rank`` of them, as a :class:`PsdFactor`.
 
     ``count``, when given, is the exact number p of eigenvalues above
-    ``tol`` (from an inertia count of the operator).  It is the
+    ``EIG_TOL`` (from an inertia count of the operator).  It is the
     completeness proof: p = 0 returns an empty factor without a Lanczos
     call, and otherwise the request grows to exactly min(p, max_rank)
-    pairs; the factor is complete once p Ritz values above ``tol`` are in
-    hand and truncated when p exceeds the rank cap.  A returned Ritz value
-    at or below ``tol`` among the first p contradicts the count and raises
-    :class:`EigenCountMismatch`, carrying the factor marked truncated.
+    pairs; the factor is complete once p Ritz values above ``EIG_TOL``
+    are in hand and truncated when p exceeds the rank cap.  A returned
+    Ritz value at or below ``EIG_TOL`` among the first p contradicts the
+    count and raises :class:`EigenCountMismatch`, carrying the factor
+    marked truncated.
 
     Without a count the request doubles until the smallest returned
     eigenvalue drops below the positivity threshold (taken as proof that
@@ -185,9 +186,10 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
     dense problem in a low-rank range.  They stand in for the
     first Lanczos result under the same proofs: without a count, a value
     at or below the threshold proves the positive part complete; with a
-    count, p values above ``tol`` do, and a value at or below ``tol``
-    among the first p raises :class:`EigenCountMismatch`.  Pairs that
-    prove neither leave the call exactly as it would be without them.
+    count, p values above ``EIG_TOL`` do, and a value at or below
+    ``EIG_TOL`` among the first p raises :class:`EigenCountMismatch`.
+    Pairs that prove neither leave the call exactly as it would be
+    without them.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -201,18 +203,18 @@ def leading_psd_part(op, max_rank, tol=EIG_TOL, seed=0, k0=None,
     k = min(k0 if k0 is not None else min(10, max_rank), cap)
     while True:
         if pairs is None:
-            vals, vecs = leading_eigpairs(op, k, tol=tol, seed=seed)
+            vals, vecs = leading_eigpairs(op, k, seed=seed)
         else:
             vals, vecs = pairs[0][:count], pairs[1][:, :count]
-        thresh = tol * max(np.abs(vals).max(initial=0.0), 1.0)
+        thresh = EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)
         keep = vals > thresh
         if count is None:
             # the dense fallback returns the whole spectrum
             complete = vals[-1] <= thresh or vals.size >= n
-        elif vals[-1] <= tol:
+        elif vals[-1] <= EIG_TOL:
             raise EigenCountMismatch(
-                f"{count} eigenvalues above {tol:g} counted, but Ritz value "
-                f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor "
+                f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz "
+                f"value {vals.size} of {vals.size} is {vals[-1]:.6g}; factor "
                 "marked truncated",
                 PsdFactor(vecs[:, keep], vals[keep], truncated=True))
         else:

@@ -5,13 +5,15 @@ Every kernel used by the solvers is represented through a tall factor
 ``O(N * R)`` instead of ``O(N^2)``.  Every product accepts either an
 N-vector or an N x m block ``d`` (m columns, e.g. the label columns of an
 indicator matrix) and returns the same shape, with one BLAS-3 product per
-factor for the whole block.  Two kernel forms are supported:
+factor for the whole block.  Two kernel forms are supported, each a
+class whose ``matvec`` is that product:
 
-* plain low-rank:        ``K = phi @ phi.T``, optionally block-diagonal
-  (entries across blocks treated as zero, the partition stored as an
-  offset array ``[0, n_1, n_1+n_2, ..., N]``)
-* centered inverse form: ``K = (Omega - phi phi') / (kappa N)`` with
-  ``Omega = I - 11'/N`` (row/column sums of K are exactly zero)
+* :class:`LowRankKernel`, ``K = w phi @ phi.T``, optionally
+  block-diagonal (entries across blocks treated as zero, the partition
+  stored as an offset array ``[0, n_1, n_1+n_2, ..., N]``)
+* :class:`CenteredDiscriminativeKernel`, the centered inverse form
+  ``K = w (Omega - phi phi') / (kappa N)`` with ``Omega = I - 11'/N``
+  (row/column sums of K are exactly zero)
 
 :func:`hadamard_matvec` multiplies by the elementwise product of two
 factored kernels without forming either one.
@@ -142,18 +144,15 @@ def select_landmarks(features, n_landmarks, seed=0):
             if members.shape[0]:
                 centers[k] = members.mean(axis=0)
 
-    # Nearest distinct data point per centroid.
-    dist = cdist(centers, x, "sqeuclidean")
-    chosen = []
-    used = np.zeros(n, dtype=bool)
-    for k in range(n_landmarks):
-        order = np.argsort(dist[k], kind="stable")
-        for idx in order:
-            if not used[idx]:
-                used[idx] = True
-                chosen.append(idx)
-                break
-    return np.sort(np.asarray(chosen, dtype=np.int64))
+    # Nearest distinct data point per centroid, in centroid order; ties
+    # fall to the smallest index.
+    chosen = np.empty(n_landmarks, dtype=np.int64)
+    free = np.ones(n, dtype=bool)
+    for k, row in enumerate(cdist(centers, x, "sqeuclidean")):
+        idx = np.flatnonzero(free)[np.argmin(row[free])]
+        free[idx] = False
+        chosen[k] = idx
+    return np.sort(chosen)
 
 
 def nystrom_factor(column_oracle, landmarks, rank):
@@ -199,21 +198,6 @@ def _check_rows(d, n):
         raise ValueError(f"input of shape {d.shape} is neither an N-vector nor "
                          f"an N x m block for n={n}")
     return d
-
-
-def lowrank_matvec(factor, d, blocks=None):
-    """Return ``(phi phi') d`` in O(N R) per column; block-diagonal when
-    ``blocks`` given.  ``d`` is an N-vector or an N x m block."""
-    phi = factor.phi
-    d = _check_rows(d, phi.shape[0])
-    if blocks is None:
-        return phi @ (phi.T @ d)
-    offsets = _check_blocks(blocks, phi.shape[0])
-    out = np.empty_like(d)
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        pb = phi[a:b]
-        out[a:b] = pb @ (pb.T @ d[a:b])
-    return out
 
 
 def hadamard_matvec(factor_p, factor_c, d, blocks=None):
@@ -279,7 +263,17 @@ class LowRankKernel:
         return self.factor.n
 
     def matvec(self, d):
-        return self.weight * lowrank_matvec(self.factor, d, self.blocks)
+        """``w (phi phi') d`` in O(N R) per column, block by block when
+        ``blocks`` is set; ``d`` is an N-vector or an N x m block."""
+        phi = self.factor.phi
+        d = _check_rows(d, phi.shape[0])
+        if self.blocks is None:
+            return self.weight * (phi @ (phi.T @ d))
+        out = np.empty_like(d)
+        for a, b in zip(self.blocks[:-1], self.blocks[1:]):
+            pb = phi[a:b]
+            out[a:b] = pb @ (pb.T @ d[a:b])
+        return self.weight * out
 
     def diag(self):
         return self.weight * np.sum(self.factor.phi ** 2, axis=1)
@@ -297,7 +291,6 @@ class CenteredDiscriminativeKernel:
         if weight < 0.0:
             raise ValueError("kernel weight must be non-negative")
         self.factor, self.scale = centered_discriminative_factor(phi_tilde, kappa)
-        self.kappa = float(kappa)
         self.weight = float(weight)
 
     @property

@@ -496,15 +496,13 @@ def spectral_shift_init(sdp, r, seed=0):
 
 @dataclass
 class AscentStep:
-    """Outcome of one quasi-Newton step (u unchanged when stalled)."""
+    """Outcome of one quasi-Newton step: the iterate's value and payload
+    (unchanged when stalled)."""
 
-    u: np.ndarray
     value: float
-    grad: np.ndarray
     payload: object
     converged: bool
     stalled: bool
-    n_evals: int
 
 
 class LbfgsAscent:
@@ -551,8 +549,8 @@ class LbfgsAscent:
     def step(self):
         g_min = -self.grad
         if np.linalg.norm(g_min, np.inf) <= STEP_TOL:
-            return AscentStep(self.u, self.value, self.grad, self.payload,
-                              converged=True, stalled=False, n_evals=0)
+            return AscentStep(self.value, self.payload, converged=True,
+                              stalled=False)
         direction = self._direction(g_min)
         slope = g_min @ direction
         if slope >= 0.0:  # stale curvature produced a non-descent direction
@@ -563,11 +561,10 @@ class LbfgsAscent:
 
         f0 = -self.value
         rho = 1.0
-        n_evals = 0
         for _ in range(MAX_HALVINGS + 1):
             u_try = self.u + rho * direction
             value, grad, payload = self._eval(u_try)
-            n_evals += 1
+            self.n_evals += 1
             if -value <= f0 + ARMIJO * rho * slope:
                 s = u_try - self.u
                 y = self.grad - grad  # gradient of -d increases by this
@@ -579,14 +576,11 @@ class LbfgsAscent:
                         self._y.pop(0)
                 self.u, self.value, self.grad, self.payload = (
                     u_try, value, grad, payload)
-                self.n_evals += n_evals
-                return AscentStep(self.u, self.value, self.grad, self.payload,
-                                  converged=False, stalled=False,
-                                  n_evals=n_evals)
+                return AscentStep(value, payload, converged=False,
+                                  stalled=False)
             rho *= 0.5
-        self.n_evals += n_evals
-        return AscentStep(self.u, self.value, self.grad, self.payload,
-                          converged=False, stalled=True, n_evals=n_evals)
+        return AscentStep(self.value, self.payload, converged=False,
+                          stalled=True)
 
 
 def _row_argmax(scores):
@@ -637,7 +631,7 @@ def icm_polish(sdp, labels):
             return best
 
 
-def round_solution(psd, sdp, seed=0, n_samples=20):
+def round_solution(psd, sdp, seed, n_samples):
     """Round the implicit primal matrix to a feasible labeling, then
     polish it with :func:`icm_polish`.
 

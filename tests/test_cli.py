@@ -206,6 +206,24 @@ class TestBench:
                      "--seed", "2", str(inst)]) == 0
         assert main(["bench", "--kmax", "0", str(inst)]) == 2
 
+    def test_unset_flags_take_solve_params_defaults(self, tmp_path,
+                                                    monkeypatch, capsys):
+        from lrsdcut import sdp
+        seen = []
+        solve = sdp.lr_sdcut_solve
+
+        def recording(problem, params=None, **overrides):
+            seen.append(params)
+            return solve(problem, params, **overrides)
+
+        monkeypatch.setattr(sdp, "lr_sdcut_solve", recording)
+        inst = tmp_path / "one.json"
+        assert main(["gen", "--kind", "random", "--n", "8", "--labels", "2",
+                     "--seed", "2", str(inst)]) == 0
+        assert main(["bench", str(inst)]) == 0
+        assert main(["bench", "--kmax", "3", "--seed", "4", str(inst)]) == 0
+        assert seen == [sdp.SolveParams(), sdp.SolveParams(k_max=3, seed=4)]
+
 
 class TestCompare:
     def test_table_and_csv(self, tmp_path, capsys):

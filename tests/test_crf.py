@@ -153,16 +153,15 @@ class TestStackedPricing:
                                            for s in range(6)], rtol=1e-12)
         kx = np.stack([per_column_kernel_product(problem, stack[:, s])
                        for s in range(6)], axis=1)
-        # column s of the N*L x S stacks is sample s's vectorization
-        y, ky = (v.transpose(0, 2, 1).reshape(-1, 6) for v in (stack, kx))
+        # column s of the N*L x S stack is sample s's vectorization
+        y = stack.transpose(0, 2, 1).reshape(-1, 6)
         for priced in (lifted_energy(problem, stack),
                        lifted_energy(problem, stack, kx),
-                       lifted_energy_general(problem, y),
-                       lifted_energy_general(problem, y, ky)):
+                       lifted_energy_general(problem, y)):
             assert priced.shape == (6,)
             np.testing.assert_allclose(priced, alone, rtol=1e-12)
         for s in range(6):
-            assert lifted_energy_general(problem, y[:, s], ky[:, s]) == \
+            assert lifted_energy_general(problem, y[:, s]) == \
                 pytest.approx(alone[s], rel=1e-12)
 
 

@@ -45,8 +45,7 @@ class TestLeadingPsdPart:
     def test_orthonormal_columns_and_residuals(self, rng):
         a = rng.standard_normal((50, 50))
         a = 0.5 * (a + a.T)
-        factor = leading_psd_part(operator_from(a), max_rank=50, seed=5,
-                                  tol=1e-8)
+        factor = leading_psd_part(operator_from(a), max_rank=50, seed=5)
         gram = factor.vectors.T @ factor.vectors
         np.testing.assert_allclose(gram, np.eye(factor.rank), atol=1e-8)
         assert np.all(np.diff(factor.values) <= 0) and np.all(factor.values > 0)
@@ -125,16 +124,17 @@ class TestLeadingPsdPart:
         assert np.array_equal(bounded.values, plain.values)
         assert bounded.frob_norm_sq() == plain.frob_norm_sq()
 
-    def test_nonconvergence_carries_best_effort_factor(self, rng):
+    def test_nonconvergence_carries_best_effort_factor(self, rng,
+                                                       monkeypatch):
+        monkeypatch.setattr(eig_module, "EIG_RESTARTS", 1)
         a = rng.standard_normal((300, 300))
         a = 0.5 * (a + a.T)
         with pytest.raises(EigenConvergenceError) as info:
-            leading_eigpairs(operator_from(a), k=40, tol=1e-14, seed=3,
-                             restarts=1)
-        assert isinstance(info.value.factor, PsdFactor)
-        assert info.value.factor.truncated
-        assert info.value.residuals.ndim == 1
-        assert info.value.factor.rank <= info.value.residuals.size
+            leading_eigpairs(operator_from(a), k=40, seed=3)
+        factor = info.value.factor
+        assert isinstance(factor, PsdFactor) and factor.truncated
+        assert factor.rank < 40 and np.all(factor.values > 0)
+        assert np.all(np.diff(factor.values) <= 0)
 
     def test_small_operator_falls_back_to_dense(self):
         factor = leading_psd_part(operator_from(np.diag([2.0, -1.0])),

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from lrsdcut import kernels as kernels_module
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, GaussianKernel,
                              LowRankFactor, LowRankKernel,
                              centered_discriminative_factor, hadamard_matvec,
-                             load_factor, lowrank_matvec, nystrom_factor,
-                             save_factor, select_landmarks)
+                             load_factor, nystrom_factor, save_factor,
+                             select_landmarks)
 
 
 def dense_gaussian(blocks, thetas):
@@ -45,6 +46,34 @@ class TestSelectLandmarks:
         feats = np.zeros((10, 2))  # fully degenerate features
         picks = select_landmarks(feats, 4, seed=0)
         assert np.unique(picks).size == 4
+
+    def test_nearest_unused_point_matches_a_sorted_scan(self, rng,
+                                                        monkeypatch):
+        # duplicated rows tie distances, so only the tie rule (smallest
+        # unused index, centroids in order) decides between them
+        from scipy.spatial import distance
+        centroids = []
+
+        def recording_cdist(a, b, metric):
+            if a.shape[0] < b.shape[0]:  # the centroid-to-point distances
+                centroids.append(a.copy())
+            return distance.cdist(a, b, metric)
+
+        monkeypatch.setattr(kernels_module, "cdist", recording_cdist)
+        for case in range(20):
+            base = rng.integers(0, 3, (12, 2)).astype(float)
+            feats = base[rng.integers(0, 12, 60)]
+            n_landmarks = int(rng.integers(2, 30))
+            centroids.clear()
+            picks = select_landmarks(feats, n_landmarks, seed=case)
+            dist = distance.cdist(centroids[-1], feats, "sqeuclidean")
+            used, chosen = np.zeros(feats.shape[0], dtype=bool), []
+            for row in dist:
+                idx = next(i for i in np.argsort(row, kind="stable")
+                           if not used[i])
+                used[idx] = True
+                chosen.append(idx)
+            np.testing.assert_array_equal(picks, np.sort(chosen))
 
 
 class TestNystrom:
@@ -90,41 +119,57 @@ class TestNystrom:
             nystrom_factor(lambda j: k[:, j], [0, 1], rank=3)
 
 
+def lowrank(phi, **kwargs):
+    return LowRankKernel(LowRankFactor(phi), **kwargs)
+
+
 class TestLowRankMatvec:
     def test_zero_vector(self, rng):
-        factor = LowRankFactor(rng.standard_normal((9, 2)))
-        assert np.array_equal(lowrank_matvec(factor, np.zeros(9)), np.zeros(9))
+        kernel = lowrank(rng.standard_normal((9, 2)))
+        assert np.array_equal(kernel.matvec(np.zeros(9)), np.zeros(9))
 
     def test_all_ones_column_sums(self, rng):
-        factor = LowRankFactor(np.ones((8, 1)))
         d = rng.standard_normal(8)
-        np.testing.assert_allclose(lowrank_matvec(factor, d),
+        np.testing.assert_allclose(lowrank(np.ones((8, 1))).matvec(d),
                                    np.full(8, d.sum()), atol=1e-12)
 
     def test_matches_dense_product(self, rng):
         phi = rng.standard_normal((20, 4))
-        factor = LowRankFactor(phi)
         d = rng.standard_normal(20)
-        np.testing.assert_allclose(lowrank_matvec(factor, d),
+        np.testing.assert_allclose(lowrank(phi).matvec(d),
                                    (phi @ phi.T) @ d, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(25,), (25, 3)], ids=["vector", "block"])
+    def test_blocked_matches_dense_product(self, rng, shape):
+        phi = rng.standard_normal((25, 4))
+        blocks = [0, 7, 11, 25]
+        mask = np.zeros((25, 25))
+        for a, b in zip(blocks[:-1], blocks[1:]):
+            mask[a:b, a:b] = 1.0
+        d = rng.standard_normal(shape)
+        got = lowrank(phi, weight=0.6, blocks=blocks).matvec(d)
+        assert got.shape == d.shape
+        np.testing.assert_allclose(got, 0.6 * ((phi @ phi.T) * mask) @ d,
+                                   atol=1e-12)
+
     def test_length_mismatch_rejected(self, rng):
-        factor = LowRankFactor(rng.standard_normal((5, 2)))
         with pytest.raises(ValueError):
-            lowrank_matvec(factor, np.zeros(6))
+            lowrank(rng.standard_normal((5, 2))).matvec(np.zeros(6))
 
 
 class TestHadamardMatvec:
     def test_all_ones_factor_reduces_to_the_other_kernel(self, rng):
         phi = rng.standard_normal((12, 3))
         ones = LowRankFactor(np.ones((12, 1)))
-        d = rng.standard_normal(12)
-        np.testing.assert_allclose(
-            hadamard_matvec(LowRankFactor(phi), ones, d),
-            lowrank_matvec(LowRankFactor(phi), d), atol=1e-12)
-        np.testing.assert_allclose(
-            hadamard_matvec(ones, LowRankFactor(phi), d),
-            lowrank_matvec(LowRankFactor(phi), d), atol=1e-12)
+        for blocks in (None, [0, 5, 12]):
+            for d in (rng.standard_normal(12), rng.standard_normal((12, 3))):
+                want = lowrank(phi, blocks=blocks).matvec(d)
+                np.testing.assert_allclose(
+                    hadamard_matvec(LowRankFactor(phi), ones, d, blocks),
+                    want, atol=1e-12)
+                np.testing.assert_allclose(
+                    hadamard_matvec(ones, LowRankFactor(phi), d, blocks),
+                    want, atol=1e-12)
 
     def test_zero_vector(self, rng):
         fp = LowRankFactor(rng.standard_normal((6, 2)))

@@ -475,7 +475,7 @@ class TestLbfgsAscent:
         opt = LbfgsAscent(lambda u: (0.0, np.zeros(3), None), np.zeros(3))
         step = opt.step()
         assert step.converged and not step.stalled
-        np.testing.assert_array_equal(step.u, np.zeros(3))
+        np.testing.assert_array_equal(opt.u, np.zeros(3))
 
     def test_piecewise_quadratic_values_never_decrease(self, rng):
         q = 20
