@@ -10,6 +10,7 @@ parameter set, so results are replayable from the report alone.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -25,6 +26,15 @@ EXIT_SOLVER = 3
 # default, and reports list the values under the flag names
 _PARAM_FIELDS = {"gamma": "gamma", "kmax": "k_max", "rank_init": "rank_init",
                  "tau": "tau", "seed": "seed", "samples": "n_samples"}
+
+# the gen flags each kind reads, stored under the generator's keywords; an
+# unset flag is not passed, so it takes the generator's family default
+_GAUSSIAN_FLAGS = ("noise", "weight", "theta_pos", "theta_color", "landmarks",
+                   "rank")
+_GEN_FLAGS = {"clusters": _GAUSSIAN_FLAGS, "random": ("weight",),
+              "grid": _GAUSSIAN_FLAGS + ("spacing_x", "spacing_y")}
+
+MF_RESTARTS = 5  # mean-field restarts of solve and compare
 
 
 class UsageError(Exception):
@@ -64,15 +74,15 @@ def _build_parser():
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--grid-w", type=int, default=20)
     gen.add_argument("--grid-h", type=int, default=20)
-    gen.add_argument("--spacing-x", type=float, default=1.0)
-    gen.add_argument("--spacing-y", type=float, default=1.0)
-    gen.add_argument("--noise", type=float, default=0.8)
-    gen.add_argument("--weight", type=float, default=None,
+    gen.add_argument("--spacing-x", type=float)
+    gen.add_argument("--spacing-y", type=float)
+    gen.add_argument("--noise", type=float)
+    gen.add_argument("--weight", type=float,
                      help="pairwise kernel weight (family default if omitted)")
-    gen.add_argument("--theta-pos", type=float, default=None)
-    gen.add_argument("--theta-color", type=float, default=None)
-    gen.add_argument("--nystrom-landmarks", type=int, default=40)
-    gen.add_argument("--nystrom-rank", type=int, default=20)
+    gen.add_argument("--theta-pos", type=float)
+    gen.add_argument("--theta-color", type=float)
+    gen.add_argument("--nystrom-landmarks", type=int, dest="landmarks")
+    gen.add_argument("--nystrom-rank", type=int, dest="rank")
     gen.add_argument("out", help="output instance JSON path")
 
     solve = sub.add_parser("solve", help="solve an instance")
@@ -83,7 +93,7 @@ def _build_parser():
     solve.add_argument("--rank-init", type=int)
     solve.add_argument("--tau", type=float)
     solve.add_argument("--seed", type=int)
-    solve.add_argument("--restarts", type=int, default=5,
+    solve.add_argument("--restarts", type=int, default=MF_RESTARTS,
                        help="mean-field restarts")
     solve.add_argument("--samples", type=int,
                        help="Gaussian rounding samples per iteration "
@@ -100,7 +110,7 @@ def _build_parser():
     compare = sub.add_parser("compare",
                              help="run lrsdcut and meanfield side by side")
     compare.add_argument("--seed", type=int)
-    compare.add_argument("--restarts", type=int, default=5)
+    compare.add_argument("--restarts", type=int, default=MF_RESTARTS)
     compare.add_argument("--out", help="write CSV here as well")
     compare.add_argument("instances", nargs="+")
     return parser
@@ -148,42 +158,30 @@ def _run_method(method, problem, params, restarts):
     return out
 
 
+def _write_csv(rows, path):
+    """Writes dict rows, keyed alike, as CSV to ``path`` (stdout if None)."""
+    with (open(path, "w", newline="", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as sink:
+        writer = csv.DictWriter(sink, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_gen(args):
     from . import generate, kernels
 
     if args.seed < 0:
         raise UsageError(f"seed must be >= 0, got {args.seed}")
+    kwargs = {key: getattr(args, key) for key in _GEN_FLAGS[args.kind]
+              if getattr(args, key) is not None}
     artifacts = {}
     if args.kind == "clusters":
-        kwargs = {"noise": args.noise,
-                  "landmarks": args.nystrom_landmarks,
-                  "rank": args.nystrom_rank}
-        if args.weight is not None:
-            kwargs["weight"] = args.weight
-        if args.theta_pos is not None:
-            kwargs["theta_pos"] = args.theta_pos
-        if args.theta_color is not None:
-            kwargs["theta_color"] = args.theta_color
         instance = generate.gen_clusters(args.n, args.labels, args.seed,
                                          **kwargs)
     elif args.kind == "random":
-        kwargs = {}
-        if args.weight is not None:
-            kwargs["weight"] = args.weight
         instance, artifacts = generate.gen_random(args.n, args.labels,
                                                   args.seed, **kwargs)
     else:
-        kwargs = {"noise": args.noise,
-                  "landmarks": args.nystrom_landmarks,
-                  "rank": args.nystrom_rank,
-                  "spacing_x": args.spacing_x,
-                  "spacing_y": args.spacing_y}
-        if args.weight is not None:
-            kwargs["weight"] = args.weight
-        if args.theta_pos is not None:
-            kwargs["theta_pos"] = args.theta_pos
-        if args.theta_color is not None:
-            kwargs["theta_color"] = args.theta_color
         instance = generate.gen_grid(args.grid_w, args.grid_h, args.labels,
                                      args.seed, **kwargs)
 
@@ -244,18 +242,7 @@ def cmd_bench(args):
         prev = rows[i - 1]["median_iter_ms"] if i else None
         row["ratio"] = ("" if not prev
                         else f"{row['median_iter_ms'] / prev:.3f}")
-
-    fields = ["instance", "instance_sha256", "n_vars", "method",
-              "iterations", "median_iter_ms", "ratio"]
-    sink = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
-    try:
-        writer = csv.DictWriter(sink, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            sink.close()
+    _write_csv(rows, args.out)
     return EXIT_OK
 
 
@@ -293,10 +280,7 @@ def cmd_compare(args):
     print(f"median lrsdcut={med_sd:.6f} meanfield={med_mf:.6f}")
 
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(rows, args.out)
     return EXIT_OK
 
 

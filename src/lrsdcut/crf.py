@@ -61,7 +61,7 @@ class CrfProblem:
                 raise ValueError("mu must have a zero diagonal")
             if np.any(mu < 0.0) or np.any(mu > 1.0):
                 raise ValueError("mu entries must lie in [0, 1]")
-            self.mu = mu
+            self.mu = 0.5 * (mu + mu.T)  # exact for symmetric input
 
     @property
     def n_vars(self):
@@ -101,8 +101,12 @@ class CrfProblem:
 
 
 def to_indicator(labels, n_labels):
-    """One-hot N x L indicator matrix of an integer labeling."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """One-hot N x L indicator matrix of an integer labeling; a
+    non-integral value raises ValueError (an int64 array is not copied)."""
+    given = np.asarray(labels)
+    labels = given.astype(np.int64, copy=False)
+    if labels is not given and not np.array_equal(labels, given):
+        raise ValueError("labels must be integers")
     if labels.ndim != 1:
         raise ValueError("labeling must be a 1-D integer vector")
     if labels.size and (labels.min() < 0 or labels.max() >= n_labels):

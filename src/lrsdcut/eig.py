@@ -99,7 +99,7 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
-def leading_eigpairs(op, k, seed=0):
+def leading_eigpairs(op, k, seed):
     """Top-k algebraic eigenpairs of a symmetric operator, descending.
 
     Uses ARPACK (tolerance ``EIG_TOL``, at most ``EIG_RESTARTS`` restarts)

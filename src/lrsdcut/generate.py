@@ -30,6 +30,30 @@ def _planted_unary(rng, labels_true, n_labels, margin, noise):
     return unary
 
 
+def _planted_instance(head, labels_true, unary, feature_blocks, thetas,
+                      weight, landmarks, rank):
+    """Instance dict of a planted Potts family with one Nystrom-factorized
+    Gaussian kernel; ``head`` holds the keys that precede ``n_vars``."""
+    n, n_labels = unary.shape
+    landmarks = min(landmarks, n)
+    return {
+        **head,
+        "n_vars": int(n),
+        "n_labels": int(n_labels),
+        "unary": unary.tolist(),
+        "kernels": [{
+            "type": "gaussian",
+            "feature_blocks": [block.tolist() for block in feature_blocks],
+            "thetas": thetas,
+            "weight": weight,
+            "nystrom": {"landmarks": landmarks,
+                        "rank": min(rank, landmarks), "seed": head["seed"]},
+        }],
+        "compatibility": "potts",
+        "planted_labels": labels_true.tolist(),
+    }
+
+
 def gen_clusters(n, n_labels, seed, *, noise=0.8, margin=1.0, weight=1.5,
                  separation=6.0, theta_pos=1.5, theta_color=0.5,
                  color_noise=0.25, landmarks=40, rank=20):
@@ -42,24 +66,9 @@ def gen_clusters(n, n_labels, seed, *, noise=0.8, margin=1.0, weight=1.5,
     positions = pos_centers[labels_true] + rng.standard_normal((n, 2))
     colors = color_centers[labels_true] + color_noise * rng.standard_normal((n, 3))
     unary = _planted_unary(rng, labels_true, n_labels, margin, noise)
-    landmarks = min(landmarks, n)
-    return {
-        "kind": "clusters",
-        "seed": int(seed),
-        "n_vars": int(n),
-        "n_labels": int(n_labels),
-        "unary": unary.tolist(),
-        "kernels": [{
-            "type": "gaussian",
-            "feature_blocks": [positions.tolist(), colors.tolist()],
-            "thetas": [theta_pos, theta_color],
-            "weight": weight,
-            "nystrom": {"landmarks": landmarks,
-                        "rank": min(rank, landmarks), "seed": int(seed)},
-        }],
-        "compatibility": "potts",
-        "planted_labels": labels_true.tolist(),
-    }
+    return _planted_instance({"kind": "clusters", "seed": int(seed)},
+                             labels_true, unary, [positions, colors],
+                             [theta_pos, theta_color], weight, landmarks, rank)
 
 
 def gen_random(n, n_labels, seed, *, weight=1.0, rank=3):
@@ -109,24 +118,8 @@ def gen_grid(width, height, n_labels, seed, *, noise=0.8, margin=1.0,
     color_centers = 2.0 * rng.standard_normal((n_labels, 3))
     colors = color_centers[labels_true] + color_noise * rng.standard_normal((n, 3))
     unary = _planted_unary(rng, labels_true, n_labels, margin, noise)
-    landmarks = min(landmarks, n)
-    return {
-        "kind": "grid",
-        "seed": int(seed),
-        "width": int(width),
-        "height": int(height),
-        "spacing": [spacing_x, spacing_y],
-        "n_vars": int(n),
-        "n_labels": int(n_labels),
-        "unary": unary.tolist(),
-        "kernels": [{
-            "type": "gaussian",
-            "feature_blocks": [positions.tolist(), colors.tolist()],
-            "thetas": [theta_pos, theta_color],
-            "weight": weight,
-            "nystrom": {"landmarks": landmarks,
-                        "rank": min(rank, landmarks), "seed": int(seed)},
-        }],
-        "compatibility": "potts",
-        "planted_labels": labels_true.tolist(),
-    }
+    return _planted_instance({"kind": "grid", "seed": int(seed),
+                              "width": int(width), "height": int(height),
+                              "spacing": [spacing_x, spacing_y]},
+                             labels_true, unary, [positions, colors],
+                             [theta_pos, theta_color], weight, landmarks, rank)

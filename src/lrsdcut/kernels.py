@@ -106,7 +106,7 @@ def _as_feature_blocks(blocks):
     return out
 
 
-def select_landmarks(features, n_landmarks, seed=0):
+def select_landmarks(features, n_landmarks, seed):
     """Pick landmark indices as the data points nearest to k-means centroids.
 
     Runs seeded k-means (k-means++ initialization, squared-Euclidean
@@ -340,7 +340,7 @@ class GaussianKernel:
             expo += np.sum(diff * diff, axis=1) / (2.0 * t * t)
         return np.exp(-expo)
 
-    def factorize(self, n_landmarks, rank, seed=0):
+    def factorize(self, n_landmarks, rank, seed):
         """Nystrom-factorize into a :class:`LowRankKernel`.
 
         Landmarks come from k-means on the raw concatenated feature rows;

@@ -78,7 +78,7 @@ class MeanFieldResult:
     n_iterations: int = 0
 
 
-def mf_solve(problem, restarts=1, seed=0):
+def mf_solve(problem, restarts=1, *, seed):
     """Run mean field with restarts, return the best decode.
 
     The first restart starts from the unary softmax; later restarts use

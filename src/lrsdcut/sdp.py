@@ -168,8 +168,6 @@ class SdpLifting:
         self._kernel_diag = problem.kernel_diag()
         # K/2 = F F' for positive_count's inertia count, None without one
         self._count_factor = _half_kernel_factor(problem)
-        if self._count_factor is not None:
-            self._count_rows_sq = np.sum(self._count_factor ** 2, axis=1)
 
     def _vector(self, d):
         d = np.asarray(d, dtype=np.float64)
@@ -308,8 +306,9 @@ class PottsSdp(SdpLifting):
         head = head - sigma * np.eye(self.n_labels)
         schur = -np.block([[np.eye(R) + factor.T @ scaled, cross.T],
                            [cross, coupling.T @ (coupling / pivots[:, None]) - head]])
-        # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|
-        spread = (self._count_rows_sq + np.sum(coupling ** 2, axis=1)) @ (1.0 / size)
+        # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|,
+        # where |f_i|^2 = K_ii / 2
+        spread = (0.5 * self._kernel_diag + np.sum(coupling ** 2, axis=1)) @ (1.0 / size)
         noise = COUNT_REL_TOL * (spread + np.abs(head).max() + 1.0)
         return _positive_inertia(np.count_nonzero(pivots > 0.0), schur, noise)
 
@@ -428,9 +427,9 @@ class GeneralSdp(SdpLifting):
         lifted = (inverse[:, :, None] * factor[:, None, :]).reshape(N, -1)
         gram = (factor.T @ lifted).reshape(R, -1, R)[:, self._count_pair_of, :]
         schur = self._count_head - gram.transpose(0, 1, 3, 2).reshape(R * L, R * L)
-        # |f_i|^2 times the size of D_i^-1 scales the roundoff of variable
-        # i's contribution
-        spread = self._count_rows_sq @ np.abs(inverse).sum(axis=1)
+        # |f_i|^2 = K_ii / 2 times the size of D_i^-1 scales the roundoff
+        # of variable i's contribution
+        spread = (0.5 * self._kernel_diag) @ np.abs(inverse).sum(axis=1)
         noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
         count = _positive_inertia(positive, schur, noise)
         return None if count is None else count - self._count_offset
@@ -552,12 +551,11 @@ class LbfgsAscent:
             return AscentStep(self.value, self.payload, converged=True,
                               stalled=False)
         direction = self._direction(g_min)
-        slope = g_min @ direction
-        if slope >= 0.0:  # stale curvature produced a non-descent direction
+        if g_min @ direction >= 0.0:  # stale curvature: not a descent direction
             self._s.clear()
             self._y.clear()
-            direction = -g_min / max(np.linalg.norm(g_min), 1.0)
-            slope = g_min @ direction
+            direction = self._direction(g_min)
+        slope = g_min @ direction
 
         f0 = -self.value
         rho = 1.0

@@ -48,6 +48,38 @@ class TestGen:
                      str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", ["unset", "set"])
+    @pytest.mark.parametrize("kind", ["clusters", "random", "grid"])
+    def test_file_matches_generator_called_directly(self, tmp_path, kind,
+                                                    flags):
+        # unset flags must take the generator's family defaults (N exceeds
+        # the default landmark count, so a drifted one shows), and set ones,
+        # --noise 0 included, must reach it under their keywords; random
+        # reads only --weight, and only grid reads the spacing
+        from lrsdcut import generate
+        given = {"noise": 0.0, "weight": 0.7, "theta_pos": 2.5,
+                 "theta_color": 0.3, "landmarks": 9, "rank": 6,
+                 "spacing_x": 0.5, "spacing_y": 2.0}
+        argv = ["gen", "--kind", kind, "--labels", "3", "--seed", "4",
+                "--n", "50", "--grid-w", "8", "--grid-h", "7"]
+        if flags == "set":
+            argv += ["--noise", "0", "--weight", "0.7", "--theta-pos", "2.5",
+                     "--theta-color", "0.3", "--nystrom-landmarks", "9",
+                     "--nystrom-rank", "6", "--spacing-x", "0.5",
+                     "--spacing-y", "2.0"]
+        out = tmp_path / "inst.json"
+        assert main(argv + [str(out)]) == 0
+        read = {"clusters": list(given)[:6], "random": ["weight"],
+                "grid": list(given)}[kind]
+        kwargs = {key: given[key] for key in read} if flags == "set" else {}
+        if kind == "clusters":
+            expected = generate.gen_clusters(50, 3, 4, **kwargs)
+        elif kind == "random":
+            expected, _ = generate.gen_random(50, 3, 4, **kwargs)
+        else:
+            expected = generate.gen_grid(8, 7, 3, 4, **kwargs)
+        assert out.read_text() == json.dumps(expected)
+
     def test_grid_is_loadable_by_all_solvers(self, tmp_path):
         out = tmp_path / "grid.json"
         assert main(["gen", "--kind", "grid", "--grid-w", "20", "--grid-h",

@@ -206,6 +206,15 @@ class TestIndicatorBijection:
         with pytest.raises(ValueError):
             to_indicator(np.array([0, 3]), 3)
 
+    def test_non_integral_labels_rejected(self):
+        # a float cast would price [0.7, 1.2] as the labeling [0, 1]
+        problem = random_potts_problem(2, 2, seed=3)
+        with pytest.raises(ValueError, match="integers"):
+            energy(problem, [0.7, 1.2])
+        with pytest.raises(ValueError, match="integers"):
+            to_indicator(np.array([0.0, 1.5]), 2)
+        assert energy(problem, np.array([0.0, 1.0])) == energy(problem, [0, 1])
+
 
 class TestProblemValidation:
     def test_mu_checks(self):
@@ -216,6 +225,25 @@ class TestProblemValidation:
             CrfProblem(unary, [], mu=np.array([[0.2, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             CrfProblem(unary, [], mu=np.array([[0.0, 1.5], [1.5, 0.0]]))
+
+    def test_nearly_symmetric_mu_is_stored_symmetric(self):
+        # allclose admits a 4e-6 asymmetry, which would make C(u), and so
+        # the symmetric eigensolvers' input, asymmetric
+        from lrsdcut.sdp import make_sdp
+        base = random_general_problem(6, 3, seed=4)
+        mu = base.mu.copy()
+        mu[0, 1] = mu[1, 0] = 0.9
+        mu[0, 1] += 4e-6
+        problem = CrfProblem(base.unary, base.kernels, mu=mu)
+        assert np.array_equal(problem.mu, problem.mu.T)
+        assert problem.mu[0, 1] == pytest.approx(0.9 + 2e-6, rel=0, abs=1e-15)
+        sdp = make_sdp(problem, gamma=10.0)
+        op = sdp.operator(np.zeros(sdp.q))
+        dense = np.column_stack([op.matvec(e) for e in np.eye(sdp.n)])
+        np.testing.assert_allclose(dense, dense.T, rtol=0, atol=1e-12)
+        # exactly symmetric input is stored bit for bit
+        assert np.array_equal(CrfProblem(base.unary, base.kernels,
+                                         mu=base.mu).mu, base.mu)
 
     def test_gaussian_kernel_must_be_factorized_first(self, rng):
         from lrsdcut.kernels import GaussianKernel

@@ -40,7 +40,7 @@ class TestSelectLandmarks:
 
     def test_too_many_landmarks_rejected(self, rng):
         with pytest.raises(ValueError):
-            select_landmarks(rng.standard_normal((4, 2)), 5)
+            select_landmarks(rng.standard_normal((4, 2)), 5, seed=0)
 
     def test_indices_distinct(self, rng):
         feats = np.zeros((10, 2))  # fully degenerate features

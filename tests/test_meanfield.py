@@ -171,7 +171,7 @@ class TestSolve:
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError):
-            mf_solve(random_potts_problem(6, 2, seed=12), restarts=0)
+            mf_solve(random_potts_problem(6, 2, seed=12), restarts=0, seed=0)
 
     def test_deterministic_given_seed(self):
         problem = random_potts_problem(10, 2, seed=13, weight=1.4)
