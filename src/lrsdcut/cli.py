@@ -27,8 +27,8 @@ EXIT_SOLVER = 3
 _PARAM_FIELDS = {"gamma": "gamma", "kmax": "k_max", "rank_init": "rank_init",
                  "tau": "tau", "seed": "seed", "samples": "n_samples"}
 
-# the gen flags each kind reads, stored under the generator's keywords; an
-# unset flag is not passed, so it takes the generator's family default
+# the gen flags each kind reads, under the generator's keywords: an unset one
+# takes the generator's family default, and one the kind does not read exits 2
 _GAUSSIAN_FLAGS = ("noise", "weight", "theta_pos", "theta_color", "landmarks",
                    "rank")
 _GEN_FLAGS = {"clusters": _GAUSSIAN_FLAGS, "random": ("weight",),
@@ -170,20 +170,18 @@ def _write_csv(rows, path):
 def cmd_gen(args):
     from . import generate, kernels
 
-    if args.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {args.seed}")
-    kwargs = {key: getattr(args, key) for key in _GEN_FLAGS[args.kind]
-              if getattr(args, key) is not None}
-    artifacts = {}
-    if args.kind == "clusters":
-        instance = generate.gen_clusters(args.n, args.labels, args.seed,
-                                         **kwargs)
-    elif args.kind == "random":
-        instance, artifacts = generate.gen_random(args.n, args.labels,
-                                                  args.seed, **kwargs)
-    else:
-        instance = generate.gen_grid(args.grid_w, args.grid_h, args.labels,
-                                     args.seed, **kwargs)
+    kwargs = {key: getattr(args, key) for flags in _GEN_FLAGS.values()
+              for key in flags if getattr(args, key) is not None}
+    unread = sorted(set(kwargs) - set(_GEN_FLAGS[args.kind]))
+    if unread:
+        raise UsageError(f"--kind {args.kind} does not read {', '.join(unread)}")
+    sizes = (args.grid_w, args.grid_h) if args.kind == "grid" else (args.n,)
+    try:  # the generator rejects a value that would give an unloadable instance
+        made = getattr(generate, f"gen_{args.kind}")(*sizes, args.labels,
+                                                     args.seed, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    instance, artifacts = made if args.kind == "random" else (made, {})
 
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)

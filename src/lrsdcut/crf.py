@@ -62,6 +62,7 @@ class CrfProblem:
             if np.any(mu < 0.0) or np.any(mu > 1.0):
                 raise ValueError("mu entries must lie in [0, 1]")
             self.mu = 0.5 * (mu + mu.T)  # exact for symmetric input
+        self._kernel_diag = None
 
     @property
     def n_vars(self):
@@ -93,11 +94,12 @@ class CrfProblem:
         return out
 
     def kernel_diag(self):
-        """diag(K) of the combined weighted kernel."""
-        out = np.zeros(self.n_vars)
-        for k in self.kernels:
-            out += k.diag()
-        return out
+        """diag(K) of the combined weighted kernel, cached read-only."""
+        if self._kernel_diag is None:
+            self._kernel_diag = sum((k.diag() for k in self.kernels),
+                                    np.zeros(self.n_vars))
+            self._kernel_diag.flags.writeable = False
+        return self._kernel_diag
 
 
 def to_indicator(labels, n_labels):
@@ -114,6 +116,15 @@ def to_indicator(labels, n_labels):
     x = np.zeros((labels.size, n_labels))
     x[np.arange(labels.size), labels] = 1.0
     return x
+
+
+def messages(problem, x, kx=None):
+    """Pairwise messages ``(K X - diag(K) o X) mu`` into every variable
+    from an N x L hard or soft indicator X (``kx`` is K X when the caller
+    holds it): row i, column l sums ``mu(l, m) K_ij X_jm`` over j != i."""
+    if kx is None:
+        kx = problem.kernel_matvec(x)
+    return (kx - problem.kernel_diag()[:, None] * x) @ problem.mu_matrix()
 
 
 def lifted_energy(problem, x, kx=None):

@@ -18,7 +18,18 @@ randomness comes from the embedded seed so generated files are replayable.
 
 import numpy as np
 
-from .kernels import LowRankFactor
+from .kernels import GaussianKernel, LowRankFactor, LowRankKernel
+
+# the least value of each generator argument that gives a loadable instance;
+# a generator raises ValueError below it
+_LEAST = {"n": 1, "width": 1, "height": 1, "n_labels": 2, "seed": 0,
+          "landmarks": 1, "rank": 1}
+
+
+def _check(**args):
+    for name, value in args.items():
+        if value < _LEAST[name]:
+            raise ValueError(f"{name} must be >= {_LEAST[name]}, got {value}")
 
 
 def _planted_unary(rng, labels_true, n_labels, margin, noise):
@@ -35,6 +46,8 @@ def _planted_instance(head, labels_true, unary, feature_blocks, thetas,
     """Instance dict of a planted Potts family with one Nystrom-factorized
     Gaussian kernel; ``head`` holds the keys that precede ``n_vars``."""
     n, n_labels = unary.shape
+    _check(landmarks=landmarks, rank=rank)
+    GaussianKernel(feature_blocks, thetas, weight)  # its weight and bandwidth rules
     landmarks = min(landmarks, n)
     return {
         **head,
@@ -58,6 +71,7 @@ def gen_clusters(n, n_labels, seed, *, noise=0.8, margin=1.0, weight=1.5,
                  separation=6.0, theta_pos=1.5, theta_color=0.5,
                  color_noise=0.25, landmarks=40, rank=20):
     """Planted-cluster instance (Potts, one Gaussian kernel)."""
+    _check(n=n, n_labels=n_labels, seed=seed)
     rng = np.random.default_rng(seed)
     labels_true = rng.permuted(np.arange(n) % n_labels)
     angles = 2.0 * np.pi * np.arange(n_labels) / n_labels
@@ -77,9 +91,11 @@ def gen_random(n, n_labels, seed, *, weight=1.0, rank=3):
     Returns ``(instance, artifacts)`` where artifacts maps the referenced
     factor file name to its :class:`LowRankFactor`.
     """
+    _check(n=n, n_labels=n_labels, seed=seed, rank=rank)
     rng = np.random.default_rng(seed)
     unary = rng.standard_normal((n, n_labels))
-    phi = rng.standard_normal((n, rank)) / np.sqrt(rank)
+    factor = LowRankFactor(rng.standard_normal((n, rank)) / np.sqrt(rank))
+    LowRankKernel(factor, weight)  # its weight rule
     factor_file = f"random-n{n}-l{n_labels}-s{seed}.factor.lrkf"
     instance = {
         "kind": "random",
@@ -91,7 +107,7 @@ def gen_random(n, n_labels, seed, *, weight=1.0, rank=3):
                      "weight": weight}],
         "compatibility": "potts",
     }
-    return instance, {factor_file: LowRankFactor(phi)}
+    return instance, {factor_file: factor}
 
 
 def gen_grid(width, height, n_labels, seed, *, noise=0.8, margin=1.0,
@@ -104,6 +120,7 @@ def gen_grid(width, height, n_labels, seed, *, noise=0.8, margin=1.0,
     (useful for scaling studies where the kernel structure should stay
     fixed while N grows).
     """
+    _check(width=width, height=height, n_labels=n_labels, seed=seed)
     rng = np.random.default_rng(seed)
     n = width * height
     xs, ys = np.meshgrid(spacing_x * np.arange(width, dtype=np.float64),

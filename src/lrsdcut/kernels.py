@@ -165,16 +165,16 @@ def nystrom_factor(column_oracle, landmarks, rank):
     ``1e-10 * lambda_max(W)``.  The effective rank can be lower than
     requested when W has fewer eigenvalues above the floor.
 
-    Raises ValueError when W is indefinite beyond that tolerance, which
-    signals a non-PSD kernel input.
+    Raises ValueError for a rank outside 1..|S|, and when W is indefinite
+    beyond that tolerance, which signals a non-PSD kernel input.
     """
     landmarks = np.asarray(landmarks, dtype=np.int64)
     if landmarks.ndim != 1 or landmarks.size == 0:
         raise ValueError("landmarks must be a non-empty index vector")
     if np.unique(landmarks).size != landmarks.size:
         raise ValueError("landmark indices must be distinct")
-    if rank > landmarks.size:
-        raise ValueError(f"rank {rank} exceeds number of landmarks {landmarks.size}")
+    if not 1 <= rank <= landmarks.size:
+        raise ValueError(f"need 1 <= rank <= {landmarks.size} landmarks, got {rank}")
 
     cols = np.column_stack([np.asarray(column_oracle(int(j)), dtype=np.float64)
                             for j in landmarks])

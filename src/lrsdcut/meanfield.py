@@ -6,11 +6,10 @@ is
 
     Q_i(l)  propto  exp(-psi_i(l) - sum_{j != i} sum_{l'} Q_j(l') mu(l, l') K_ij),
 
-i.e. a softmax of the negated unary plus incoming messages.  The message
-bottleneck ``K Q`` runs through one factored block product over all label
-columns; the j = i self-interaction is removed explicitly with diag(K)
-(row norms of the factors).  The solver updates every site at once from
-the current marginals.
+i.e. a softmax of the negated unary plus the messages of
+:func:`crf.messages`.  The solver updates every site at once from the
+current marginals; at zero temperature the softmax becomes the row argmin
+of the parallel ICM sweeps that polish the SDP solver's roundings.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .crf import energy
+from .crf import energy, messages
 
 # a mean-field run stops after this many updates, or earlier at a fixed
 # point: a largest absolute marginal change below MF_TOL
@@ -32,19 +31,14 @@ def _softmax_rows(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _messages(problem, marginals):
-    """Incoming pairwise messages: ((K Q) - diag(K) o Q) mu, shape N x L."""
-    passed = problem.kernel_matvec(marginals)
-    passed -= problem.kernel_diag()[:, None] * marginals
-    return passed @ problem.mu_matrix()
-
-
-def mf_init(problem, seed=0, mode="unary"):
+def mf_init(problem, seed=None, mode="unary"):
     """Initial marginals: softmax of the negated unaries ('unary') or
-    seeded Dirichlet(1) rows ('random')."""
+    Dirichlet(1) rows drawn from ``seed``, which may not be None ('random')."""
     if mode == "unary":
         return _softmax_rows(-problem.unary)
     if mode == "random":
+        if seed is None:
+            raise ValueError("random init needs a seed")
         rng = np.random.default_rng(seed)
         return rng.dirichlet(np.ones(problem.n_labels), size=problem.n_vars)
     raise ValueError(f"unknown init mode {mode!r}")
@@ -53,20 +47,15 @@ def mf_init(problem, seed=0, mode="unary"):
 def mf_update(problem, marginals):
     """One mean-field update: every row recomputed at once from the current
     marginals (no monotonicity guarantee)."""
-    return _softmax_rows(-(problem.unary + _messages(problem, marginals)))
+    return _softmax_rows(-(problem.unary + messages(problem, marginals)))
 
 
 def mf_free_energy(problem, marginals):
-    """Variational free energy: entropy term plus expected unary and
-    pairwise energy under the factorized distribution (0 log 0 = 0)."""
+    """Variational free energy: entropy plus expected unary and pairwise
+    energy (half of <Q, messages of Q>) under Q, with 0 log 0 = 0."""
     q = np.asarray(marginals, dtype=np.float64)
-    entropy_term = float(xlogy(q, q).sum())
-    unary_term = float(np.sum(problem.unary * q))
-    mu = problem.mu_matrix()
-    gram = q.T @ problem.kernel_matvec(q)
-    self_term = np.einsum("i,il,lm,im->", problem.kernel_diag(), q, mu, q)
-    pair_term = 0.5 * (float(np.sum(mu * gram)) - float(self_term))
-    return entropy_term + unary_term + pair_term
+    return float(xlogy(q, q).sum() + np.sum(problem.unary * q)
+                 + 0.5 * np.sum(q * messages(problem, q)))
 
 
 @dataclass

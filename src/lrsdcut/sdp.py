@@ -38,7 +38,8 @@ import numpy as np
 from scipy.linalg import qr
 from scipy.linalg.lapack import dsytrf
 
-from .crf import energy_offset, lifted_energy, lifted_energy_general, to_indicator
+from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
+                  to_indicator)
 from .eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
                   SymmetricOperator, leading_eigpairs, leading_psd_part)
 from .kernels import LowRankKernel
@@ -54,10 +55,6 @@ LBFGS_MEMORY = 10
 STEP_TOL = 1e-10
 ARMIJO = 1e-4
 MAX_HALVINGS = 30
-
-# rounding's column-compare row argmax beats numpy's row reduction from
-# about this many rows per compared column (L = 2..5, one BLAS thread)
-ROW_ARGMAX_MIN_ROWS = 1000
 
 
 def _half_kernel_factor(problem):
@@ -165,7 +162,6 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
-        self._kernel_diag = problem.kernel_diag()
         # K/2 = F F' for positive_count's inertia count, None without one
         self._count_factor = _half_kernel_factor(problem)
 
@@ -274,7 +270,7 @@ class PottsSdp(SdpLifting):
         the N variable entries ``diag_j + K_jj/2``."""
         head, _, diag = parts
         head_eigs = np.maximum(np.linalg.eigvalsh(head), 0.0)
-        var = np.maximum(diag + 0.5 * self._kernel_diag, 0.0)
+        var = np.maximum(diag + 0.5 * self.problem.kernel_diag(), 0.0)
         return float(head_eigs @ head_eigs + var @ var)
 
     def positive_count(self, parts, sigma):
@@ -308,8 +304,8 @@ class PottsSdp(SdpLifting):
                            [cross, coupling.T @ (coupling / pivots[:, None]) - head]])
         # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|,
         # where |f_i|^2 = K_ii / 2
-        spread = (0.5 * self._kernel_diag + np.sum(coupling ** 2, axis=1)) @ (1.0 / size)
-        noise = COUNT_REL_TOL * (spread + np.abs(head).max() + 1.0)
+        row_sq = 0.5 * self.problem.kernel_diag() + np.sum(coupling ** 2, axis=1)
+        noise = COUNT_REL_TOL * (row_sq @ (1.0 / size) + np.abs(head).max() + 1.0)
         return _positive_inertia(np.count_nonzero(pivots > 0.0), schur, noise)
 
 
@@ -394,7 +390,7 @@ class GeneralSdp(SdpLifting):
         in O(N L^3).  A block whose Gershgorin discs all lie at or left of
         zero is negative semidefinite and adds 0, so only the other blocks
         need eigenvalues."""
-        diag_blocks = parts - self._kernel_diag[:, None, None] * self._half_u
+        diag_blocks = parts - self.problem.kernel_diag()[:, None, None] * self._half_u
         centers = np.diagonal(diag_blocks, axis1=1, axis2=2)
         right_ends = centers - np.abs(centers) + np.abs(diag_blocks).sum(axis=2)
         undecided = diag_blocks[np.any(right_ends > 0.0, axis=1)]
@@ -429,7 +425,7 @@ class GeneralSdp(SdpLifting):
         schur = self._count_head - gram.transpose(0, 1, 3, 2).reshape(R * L, R * L)
         # |f_i|^2 = K_ii / 2 times the size of D_i^-1 scales the roundoff
         # of variable i's contribution
-        spread = (0.5 * self._kernel_diag) @ np.abs(inverse).sum(axis=1)
+        spread = (0.5 * self.problem.kernel_diag()) @ np.abs(inverse).sum(axis=1)
         noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
         count = _positive_inertia(positive, schur, noise)
         return None if count is None else count - self._count_offset
@@ -581,40 +577,20 @@ class LbfgsAscent:
                           stalled=True)
 
 
-def _row_argmax(scores):
-    """``np.argmax(scores, axis=1)`` for an N x L array, or an N x L x S
-    stack of S such arrays (ties fall to the smallest label).  numpy
-    reduces each short row on its own; on a tall block one strict compare
-    per column is several times faster (N x 2 at N = 10,000: about 4x),
-    while on a short one the compares' fixed cost per column loses, so
-    short blocks keep numpy's reduction."""
-    n_labels = scores.shape[1]
-    if scores.size // n_labels < ROW_ARGMAX_MIN_ROWS * (n_labels - 1):
-        return np.argmax(scores, axis=1)
-    best = scores[:, 0]
-    labels = np.zeros(best.shape, dtype=np.intp)
-    for label in range(1, n_labels):
-        column = scores[:, label]
-        better = column > best
-        labels += better * (label - labels)
-        best = np.maximum(best, column)
-    return labels
-
-
 def icm_polish(sdp, labels):
     """Parallel ICM sweeps (Besag 1986) from ``labels``; returns the
     polished ``(labels, lifted_energy)``.
 
-    A sweep moves every variable at once to the argmin of its unary plus
-    the messages from the current one-hot labels X,
-    ``unary + (K X - diag(K) o X) (mu - 11')``, ties falling to the
+    A sweep is a mean-field update at zero temperature: every variable
+    moves at once to the argmin of its unary plus :func:`crf.messages`
+    from the current one-hot labels X (priced with mu, not the lifted
+    energy's mu - 11', a per-row constant apart), ties falling to the
     smallest label.  Each sweep makes one kernel product, K X of the new
     labels, which :func:`lifted_energy` also prices them from; the sweeps
     stop once the labels stop changing or the energy does not strictly
     fall, and the last labels that lowered it are returned.
     """
     problem = sdp.problem
-    compat = problem.mu_matrix() - 1.0
     best = None
     while True:
         x = to_indicator(labels, sdp.n_labels)
@@ -623,8 +599,7 @@ def icm_polish(sdp, labels):
         if best is not None and not value < best[1]:
             return best
         best = labels, value
-        scores = problem.unary + (kx - sdp._kernel_diag[:, None] * x) @ compat
-        labels = _row_argmax(-scores)
+        labels = np.argmin(problem.unary + messages(problem, x, kx), axis=1)
         if np.array_equal(labels, best[0]):
             return best
 
@@ -646,11 +621,11 @@ def round_solution(psd, sdp, seed, n_samples):
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
     psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
     if isinstance(sdp, PottsSdp):
-        return icm_polish(sdp, _row_argmax(psi[n_labels:] @ psi[:n_labels].T))
+        return icm_polish(sdp, np.argmax(psi[n_labels:] @ psi[:n_labels].T, axis=1))
     if psd.rank == 0:
         return icm_polish(sdp, np.zeros(n_vars, dtype=np.int64))
     draws = np.random.default_rng(seed).standard_normal((n_samples, psd.rank))
-    labels = _row_argmax((psi @ draws.T).reshape(n_vars, n_labels, n_samples))
+    labels = np.argmax((psi @ draws.T).reshape(n_vars, n_labels, n_samples), axis=1)
     # column s is sample s's one-hot vectorization
     stack = (labels[:, None, :] == np.arange(n_labels)[:, None]).reshape(-1, n_samples)
     values = lifted_energy_general(sdp.problem, stack)

@@ -55,22 +55,23 @@ class TestGen:
         # unset flags must take the generator's family defaults (N exceeds
         # the default landmark count, so a drifted one shows), and set ones,
         # --noise 0 included, must reach it under their keywords; random
-        # reads only --weight, and only grid reads the spacing
+        # reads only --weight, and only grid reads the spacing (a flag that
+        # the kind does not read exits 2, see below)
         from lrsdcut import generate
         given = {"noise": 0.0, "weight": 0.7, "theta_pos": 2.5,
                  "theta_color": 0.3, "landmarks": 9, "rank": 6,
                  "spacing_x": 0.5, "spacing_y": 2.0}
         argv = ["gen", "--kind", kind, "--labels", "3", "--seed", "4",
                 "--n", "50", "--grid-w", "8", "--grid-h", "7"]
-        if flags == "set":
-            argv += ["--noise", "0", "--weight", "0.7", "--theta-pos", "2.5",
-                     "--theta-color", "0.3", "--nystrom-landmarks", "9",
-                     "--nystrom-rank", "6", "--spacing-x", "0.5",
-                     "--spacing-y", "2.0"]
-        out = tmp_path / "inst.json"
-        assert main(argv + [str(out)]) == 0
         read = {"clusters": list(given)[:6], "random": ["weight"],
                 "grid": list(given)}[kind]
+        if flags == "set":
+            flag = {"landmarks": "nystrom_landmarks", "rank": "nystrom_rank"}
+            for key in read:
+                argv += ["--" + flag.get(key, key).replace("_", "-"),
+                         "0" if key == "noise" else str(given[key])]
+        out = tmp_path / "inst.json"
+        assert main(argv + [str(out)]) == 0
         kwargs = {key: given[key] for key in read} if flags == "set" else {}
         if kind == "clusters":
             expected = generate.gen_clusters(50, 3, 4, **kwargs)
@@ -79,6 +80,23 @@ class TestGen:
         else:
             expected = generate.gen_grid(8, 7, 3, 4, **kwargs)
         assert out.read_text() == json.dumps(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "random", "--noise", "0"],
+        ["--kind", "clusters", "--spacing-x", "0.5"],
+        ["--kind", "clusters", "--labels", "1"],
+        ["--kind", "random", "--n", "0"],
+        ["--kind", "grid", "--grid-w", "0"],
+        ["--kind", "random", "--weight", "-1"],
+        ["--kind", "clusters", "--nystrom-rank", "0"],
+    ], ids=["unread-noise", "unread-spacing", "one-label", "no-variables",
+            "empty-grid", "negative-weight", "nystrom-rank-zero"])
+    def test_rejected_input_exits_two_and_writes_nothing(self, tmp_path,
+                                                         argv):
+        # flags the kind ignores, and values that solve would refuse to load
+        out = tmp_path / "out" / "inst.json"
+        assert main(["gen", *argv, "--seed", "1", str(out)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_grid_is_loadable_by_all_solvers(self, tmp_path):
         out = tmp_path / "grid.json"

@@ -10,6 +10,7 @@ from conftest import (mixed_kernel_problem, per_column_kernel_product,
 from lrsdcut.crf import (CrfProblem, InstanceFormatError, build_problem,
                          energy, energy_offset, lifted_energy,
                          lifted_energy_general, load_instance, to_indicator)
+from lrsdcut.generate import gen_clusters
 from lrsdcut.kernels import LowRankFactor, LowRankKernel, save_factor
 from lrsdcut.oracle import dense_problem_kernel, direct_energy
 
@@ -182,6 +183,20 @@ class TestEnergyOffset:
             0.5 * np.ones(20) @ k @ np.ones(20), abs=1e-10)
 
 
+class TestKernelDiag:
+    def test_one_read_only_array_on_every_call(self):
+        for problem in (mixed_kernel_problem(13, 2, seed=19),
+                        CrfProblem(np.zeros((4, 2)), [])):
+            first = problem.kernel_diag()
+            assert problem.kernel_diag() is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 1.0
+            np.testing.assert_allclose(first,
+                                       np.diag(dense_problem_kernel(problem)),
+                                       rtol=1e-12, atol=1e-12)
+
+
 class TestIndicatorBijection:
     def test_round_trip_both_ways(self, rng):
         for _ in range(20):
@@ -305,6 +320,13 @@ class TestInstanceJson:
         problem, _, _ = load_instance(path)
         assert not problem.is_potts
         np.testing.assert_allclose(problem.mu, mu)
+
+    def test_nystrom_rank_zero_rejected(self):
+        # an N x 0 factor would load as an empty kernel and drop the pairs
+        instance = gen_clusters(12, 2, seed=1)
+        instance["kernels"][0]["nystrom"]["rank"] = 0
+        with pytest.raises(InstanceFormatError, match="rank"):
+            build_problem(instance)
 
     def test_malformed_instances_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import pytest
 from conftest import (mf_site_update, mixed_kernel_problem,
                       per_column_kernel_product, random_general_problem,
                       random_potts_problem)
+from lrsdcut import crf
 from lrsdcut.crf import CrfProblem, energy, to_indicator
 from lrsdcut.kernels import LowRankFactor, LowRankKernel
 from lrsdcut.meanfield import mf_free_energy, mf_init, mf_solve, mf_update
@@ -34,6 +35,11 @@ class TestInit:
         assert np.array_equal(q1, q2)
         np.testing.assert_allclose(q1.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(q1 >= 0)
+
+    def test_random_mode_without_seed_rejected(self):
+        # a default seed would give every caller the same "random" start
+        with pytest.raises(ValueError, match="seed"):
+            mf_init(random_potts_problem(3, 2, seed=3), mode="random")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +165,13 @@ class TestBlockEvaluators:
         scores = np.exp(-(problem.unary + messages))
         ref = scores / scores.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(mf_update(problem, q), ref, rtol=1e-12)
+        # the one message formula against the dense kernel with its diagonal
+        # removed
+        dense = dense_problem_kernel(problem)
+        off_diagonal = dense - np.diag(np.diag(dense))
+        np.testing.assert_allclose(crf.messages(problem, q),
+                                   off_diagonal @ q @ problem.mu_matrix(),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestSolve:

@@ -503,20 +503,6 @@ class TestLbfgsAscent:
 
 
 class TestRoundSolution:
-    # 4,000 rows take the column compares at every L here, 100 numpy's
-    @pytest.mark.parametrize("n_rows", [100, 4000])
-    @pytest.mark.parametrize("n_labels", [2, 3, 4, 5])
-    def test_row_argmax_matches_numpy(self, rng, n_rows, n_labels):
-        random = rng.standard_normal((n_rows, n_labels))
-        # small integers tie often, the last rows tie across every label, and
-        # the last array is column-major
-        ties = rng.integers(0, 3, (n_rows, n_labels)).astype(np.float64)
-        ties[-5:] = 1.0
-        for scores in (random, ties, ties.T.copy().T):
-            labels = sdp_module._row_argmax(scores)
-            assert labels.dtype == np.intp
-            np.testing.assert_array_equal(labels, np.argmax(scores, axis=1))
-
     # label rows [1, -1] put the sign pattern into the X block
     def test_rank_one_sign_pattern_is_deterministic(self):
         problem = CrfProblem(np.zeros((6, 2)),
@@ -617,7 +603,7 @@ def _rounding_one_sample_at_a_time(psd, sdp, seed, n_samples):
 
 
 class TestBatchedGeneralRounding:
-    # 7 x 5 samples take numpy's row argmax, 80 x 40 the column compares
+    # a short and a tall stack of samples, each discretized by one row argmax
     @pytest.mark.parametrize("n_vars, n_samples", [(7, 5), (80, 40)])
     @pytest.mark.parametrize("n_labels", [2, 3, 4])
     def test_matches_one_sample_at_a_time(self, n_vars, n_samples, n_labels):
