@@ -27,12 +27,15 @@ EXIT_SOLVER = 3
 _PARAM_FIELDS = {"gamma": "gamma", "kmax": "k_max", "rank_init": "rank_init",
                  "tau": "tau", "seed": "seed", "samples": "n_samples"}
 
-# the gen flags each kind reads, under the generator's keywords: an unset one
-# takes the generator's family default, and one the kind does not read exits 2
+# the gen flags each kind reads, under the generator's keywords: an unset size
+# takes _GEN_SIZES, any other unset one the generator's family default, and a
+# flag the kind does not read exits 2
 _GAUSSIAN_FLAGS = ("noise", "weight", "theta_pos", "theta_color", "landmarks",
                    "rank")
-_GEN_FLAGS = {"clusters": _GAUSSIAN_FLAGS, "random": ("weight",),
-              "grid": _GAUSSIAN_FLAGS + ("spacing_x", "spacing_y")}
+_GEN_FLAGS = {"clusters": ("n",) + _GAUSSIAN_FLAGS, "random": ("n", "weight"),
+              "grid": ("width", "height") + _GAUSSIAN_FLAGS
+              + ("spacing_x", "spacing_y")}
+_GEN_SIZES = {"n": 100, "width": 20, "height": 20}
 
 MF_RESTARTS = 5  # mean-field restarts of solve and compare
 
@@ -68,12 +71,14 @@ def _build_parser():
     gen = sub.add_parser("gen", help="generate a synthetic instance file")
     gen.add_argument("--kind", choices=["clusters", "random", "grid"],
                      required=True)
-    gen.add_argument("--n", type=int, default=100,
-                     help="number of variables (clusters/random)")
+    gen.add_argument("--n", type=int,
+                     help="number of variables (clusters/random; default 100)")
     gen.add_argument("--labels", type=int, default=2)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--grid-w", type=int, default=20)
-    gen.add_argument("--grid-h", type=int, default=20)
+    gen.add_argument("--grid-w", type=int, dest="width",
+                     help="grid width (default 20)")
+    gen.add_argument("--grid-h", type=int, dest="height",
+                     help="grid height (default 20)")
     gen.add_argument("--spacing-x", type=float)
     gen.add_argument("--spacing-y", type=float)
     gen.add_argument("--noise", type=float)
@@ -170,15 +175,16 @@ def _write_csv(rows, path):
 def cmd_gen(args):
     from . import generate, kernels
 
-    kwargs = {key: getattr(args, key) for flags in _GEN_FLAGS.values()
-              for key in flags if getattr(args, key) is not None}
-    unread = sorted(set(kwargs) - set(_GEN_FLAGS[args.kind]))
+    given = {key: getattr(args, key) for flags in _GEN_FLAGS.values()
+             for key in flags if getattr(args, key) is not None}
+    unread = sorted(set(given) - set(_GEN_FLAGS[args.kind]))
     if unread:
         raise UsageError(f"--kind {args.kind} does not read {', '.join(unread)}")
-    sizes = (args.grid_w, args.grid_h) if args.kind == "grid" else (args.n,)
+    kwargs = {key: size for key, size in _GEN_SIZES.items()
+              if key in _GEN_FLAGS[args.kind]} | given
     try:  # the generator rejects a value that would give an unloadable instance
-        made = getattr(generate, f"gen_{args.kind}")(*sizes, args.labels,
-                                                     args.seed, **kwargs)
+        made = getattr(generate, f"gen_{args.kind}")(
+            n_labels=args.labels, seed=args.seed, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     instance, artifacts = made if args.kind == "random" else (made, {})

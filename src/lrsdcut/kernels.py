@@ -38,6 +38,8 @@ class LowRankFactor:
         phi = np.ascontiguousarray(np.atleast_2d(np.asarray(phi, dtype=np.float64)))
         if phi.ndim != 2:
             raise ValueError("factor must be a 2-D array")
+        if phi.shape[1] < 1:
+            raise ValueError(f"factor rank must be >= 1, got {phi.shape[1]}")
         if not np.all(np.isfinite(phi)):
             raise ValueError("factor entries must be finite")
         self.phi = phi
@@ -88,6 +90,7 @@ def _check_blocks(blocks, n):
 
 
 def _as_feature_blocks(blocks):
+    """Validated N x D feature blocks, each stored transposed (D x N)."""
     out = []
     n = None
     for b in blocks:
@@ -100,10 +103,19 @@ def _as_feature_blocks(blocks):
             n = b.shape[0]
         elif b.shape[0] != n:
             raise ValueError("feature blocks must share the same number of rows")
-        out.append(b)
+        out.append(b.T.copy())
     if not out:
         raise ValueError("at least one feature block is required")
     return out
+
+
+def _sq_dist(xt, c):
+    """Squared distances from each column of the D x N ``xt`` to ``c``,
+    summed over the D dimensions in order."""
+    acc = (xt[0] - c[0]) ** 2
+    for row, v in zip(xt[1:], c[1:]):
+        acc += (row - v) ** 2
+    return acc
 
 
 def select_landmarks(features, n_landmarks, seed):
@@ -114,7 +126,8 @@ def select_landmarks(features, n_landmarks, seed):
     rows and returns the sorted indices of the distinct points closest to
     the final centroids.  Deterministic for a fixed seed.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64, order="C"))
+    xt = x.T.copy()
     n = x.shape[0]
     if not 1 <= n_landmarks <= n:
         raise ValueError(f"need 1 <= n_landmarks <= {n}, got {n_landmarks}")
@@ -124,14 +137,14 @@ def select_landmarks(features, n_landmarks, seed):
     rng = np.random.default_rng(seed)
     centers = np.empty((n_landmarks, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = _sq_dist(xt, centers[0])
     for k in range(1, n_landmarks):
         total = d2.sum()
         if total <= 0.0:
             centers[k] = x[rng.integers(n)]
         else:
             centers[k] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centers[k]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dist(xt, centers[k]))
 
     assign = np.full(n, -1)
     for _ in range(KMEANS_ITERS):
@@ -139,10 +152,12 @@ def select_landmarks(features, n_landmarks, seed):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for k in range(n_landmarks):
-            members = x[assign == k]
-            if members.shape[0]:
-                centers[k] = members.mean(axis=0)
+        # an empty cluster keeps its centroid
+        counts = np.bincount(assign, minlength=n_landmarks)
+        full = counts > 0
+        for d, row in enumerate(xt):
+            sums = np.bincount(assign, weights=row, minlength=n_landmarks)
+            centers[full, d] = sums[full] / counts[full]
 
     # Nearest distinct data point per centroid, in centroid order; ties
     # fall to the smallest index.
@@ -315,7 +330,8 @@ class GaussianKernel:
     ``k(f_i, f_j) = exp(-sum_b |f_i^b - f_j^b|^2 / (2 theta_b^2))``.  This
     class only provides exact column evaluation (the Nystrom oracle) and
     :meth:`factorize`; it deliberately has no ``matvec`` so the O(N^2)
-    dense product can never sneak into a solver.
+    dense product can never sneak into a solver.  Each N x D feature block
+    is held transposed (D x N), so distances sum D contiguous N-vectors.
     """
 
     def __init__(self, blocks, thetas, weight=1.0, mask_blocks=None):
@@ -328,16 +344,15 @@ class GaussianKernel:
         if weight < 0.0:
             raise ValueError("kernel weight must be non-negative")
         self.weight = float(weight)
-        self.n = self.feature_blocks[0].shape[0]
+        self.n = self.feature_blocks[0].shape[1]
         self.mask_blocks = (None if mask_blocks is None
                             else _check_blocks(mask_blocks, self.n))
 
     def column(self, j):
         """Exact (unmasked) kernel column j."""
         expo = np.zeros(self.n)
-        for b, t in zip(self.feature_blocks, self.thetas):
-            diff = b - b[j]
-            expo += np.sum(diff * diff, axis=1) / (2.0 * t * t)
+        for bt, t in zip(self.feature_blocks, self.thetas):
+            expo += _sq_dist(bt, bt[:, j]) / (2.0 * t * t)
         return np.exp(-expo)
 
     def factorize(self, n_landmarks, rank, seed):
@@ -347,7 +362,7 @@ class GaussianKernel:
         any block mask carries over to the factored kernel (the factor
         itself approximates the unmasked kernel).
         """
-        feats = np.hstack(self.feature_blocks)
+        feats = np.vstack(self.feature_blocks).T
         landmarks = select_landmarks(feats, n_landmarks, seed)
         factor = nystrom_factor(self.column, landmarks, rank)
         return LowRankKernel(factor, self.weight, self.mask_blocks)

@@ -61,8 +61,9 @@ class TestGen:
         given = {"noise": 0.0, "weight": 0.7, "theta_pos": 2.5,
                  "theta_color": 0.3, "landmarks": 9, "rank": 6,
                  "spacing_x": 0.5, "spacing_y": 2.0}
-        argv = ["gen", "--kind", kind, "--labels", "3", "--seed", "4",
-                "--n", "50", "--grid-w", "8", "--grid-h", "7"]
+        argv = ["gen", "--kind", kind, "--labels", "3", "--seed", "4"]
+        argv += (["--grid-w", "8", "--grid-h", "7"] if kind == "grid"
+                 else ["--n", "50"])
         read = {"clusters": list(given)[:6], "random": ["weight"],
                 "grid": list(given)}[kind]
         if flags == "set":
@@ -81,15 +82,32 @@ class TestGen:
             expected = generate.gen_grid(8, 7, 3, 4, **kwargs)
         assert out.read_text() == json.dumps(expected)
 
+    @pytest.mark.parametrize("kind", ["clusters", "random", "grid"])
+    def test_unset_sizes_give_n_100_or_a_20x20_grid(self, tmp_path, kind):
+        from lrsdcut import generate
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--kind", kind, "--seed", "2", str(out)]) == 0
+        if kind == "clusters":
+            expected = generate.gen_clusters(100, 2, 2)
+        elif kind == "random":
+            expected, _ = generate.gen_random(100, 2, 2)
+        else:
+            expected = generate.gen_grid(20, 20, 2, 2)
+        assert out.read_text() == json.dumps(expected)
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "random", "--noise", "0"],
         ["--kind", "clusters", "--spacing-x", "0.5"],
+        ["--kind", "grid", "--n", "5"],
+        ["--kind", "clusters", "--grid-w", "3"],
+        ["--kind", "random", "--grid-h", "3"],
         ["--kind", "clusters", "--labels", "1"],
         ["--kind", "random", "--n", "0"],
         ["--kind", "grid", "--grid-w", "0"],
         ["--kind", "random", "--weight", "-1"],
         ["--kind", "clusters", "--nystrom-rank", "0"],
-    ], ids=["unread-noise", "unread-spacing", "one-label", "no-variables",
+    ], ids=["unread-noise", "unread-spacing", "unread-n", "unread-grid-w",
+            "unread-grid-h", "one-label", "no-variables",
             "empty-grid", "negative-weight", "nystrom-rank-zero"])
     def test_rejected_input_exits_two_and_writes_nothing(self, tmp_path,
                                                          argv):

@@ -1,6 +1,7 @@
 """Energy evaluation, liftings, and the instance JSON interface."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -327,6 +328,19 @@ class TestInstanceJson:
         instance["kernels"][0]["nystrom"]["rank"] = 0
         with pytest.raises(InstanceFormatError, match="rank"):
             build_problem(instance)
+
+    @pytest.mark.parametrize("ktype", ["lowrank", "centered_discriminative"])
+    def test_zero_column_factor_file_rejected(self, tmp_path, ktype):
+        # a header of N = 3, R = 0 and no payload would load as an empty
+        # kernel and drop the pairwise term
+        (tmp_path / "empty.lrkf").write_bytes(struct.pack("<4sII", b"LRKF",
+                                                          3, 0))
+        instance = {"n_vars": 3, "n_labels": 2, "unary": np.zeros((3, 2)).tolist(),
+                    "kernels": [{"type": ktype, "factor_file": "empty.lrkf",
+                                 "kappa": 0.5}],
+                    "compatibility": "potts"}
+        with pytest.raises(InstanceFormatError, match="rank"):
+            build_problem(instance, tmp_path)
 
     def test_malformed_instances_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

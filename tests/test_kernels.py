@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import distance
 
 from lrsdcut import kernels as kernels_module
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, GaussianKernel,
@@ -20,7 +21,93 @@ def dense_gaussian(blocks, thetas):
     return np.exp(-np.clip(expo, 0.0, None))
 
 
+def landmarks_by_row_sums(features, n_landmarks, seed):
+    """select_landmarks with row-wise distance sums and masked-mean centroid
+    updates; returns the indices, the final centroids and whether some Lloyd
+    round left a cluster empty."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((n_landmarks, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for k in range(1, n_landmarks):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[k] = x[rng.integers(n)]
+        else:
+            centers[k] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((x - centers[k]) ** 2, axis=1))
+    assign, saw_empty = np.full(n, -1), False
+    for _ in range(kernels_module.KMEANS_ITERS):
+        new_assign = np.argmin(distance.cdist(x, centers, "sqeuclidean"), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for k in range(n_landmarks):
+            members = x[assign == k]
+            if members.shape[0]:
+                centers[k] = members.mean(axis=0)
+            else:
+                saw_empty = True
+    chosen, free = [], np.ones(n, dtype=bool)
+    for row in distance.cdist(centers, x, "sqeuclidean"):
+        idx = np.flatnonzero(free)[np.argmin(row[free])]
+        free[idx] = False
+        chosen.append(idx)
+    return np.sort(chosen), centers, saw_empty
+
+
 class TestSelectLandmarks:
+    @pytest.fixture
+    def final_centroids(self, monkeypatch):
+        # select_landmarks' last cdist call measures centroids to points
+        seen = []
+
+        def recording_cdist(a, b, metric):
+            if a.shape[0] < b.shape[0]:
+                seen.append(a.copy())
+            return distance.cdist(a, b, metric)
+
+        monkeypatch.setattr(kernels_module, "cdist", recording_cdist)
+        return seen
+
+    def _assert_same_as_row_sums(self, feats, n_landmarks, seed, seen):
+        picks = select_landmarks(feats, n_landmarks, seed=seed)
+        want, centers, saw_empty = landmarks_by_row_sums(feats, n_landmarks,
+                                                         seed)
+        assert np.array_equal(picks, want)
+        assert np.array_equal(seen[-1], centers)
+        return saw_empty
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_lattice_rows_match_row_sums(self, rng, final_centroids, width):
+        # integer rows with duplicates: seeding distances and cluster sums
+        # are exact, so ties are exact and every width must agree
+        empties = 0
+        for case in range(12):
+            base = rng.integers(0, 3, (15, width)).astype(float)
+            feats = base[rng.integers(0, 15, 90)]
+            empties += self._assert_same_as_row_sums(
+                feats, int(rng.integers(2, 25)), case, final_centroids)
+        assert empties  # some case reached an empty cluster
+
+    @pytest.mark.parametrize("width", range(2, 8))
+    def test_real_rows_match_row_sums(self, rng, final_centroids, width):
+        # numpy adds a row of 2-7 entries and an axis-0 mean of a block at
+        # least 2 wide left to right, as the per-dimension sums do
+        for case in range(6):
+            feats = rng.standard_normal((300, width)) * rng.uniform(0.1, 20.0,
+                                                                    width)
+            self._assert_same_as_row_sums(feats, int(rng.integers(2, 40)),
+                                          case, final_centroids)
+
+    def test_empty_cluster_keeps_its_centroid(self, final_centroids):
+        # three distinct points: seeding runs out of them, so the later
+        # centroids repeat earlier ones and their clusters stay empty
+        feats = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]], 10, axis=0)
+        assert self._assert_same_as_row_sums(feats, 6, 4, final_centroids)
+
     def test_full_sampling_returns_all(self, rng):
         feats = rng.standard_normal((7, 2))
         assert np.array_equal(select_landmarks(feats, 7, seed=0), np.arange(7))
@@ -298,6 +385,17 @@ class TestKernelInvariants:
                         np.zeros(kernel.n - 1)):
                 with pytest.raises(ValueError):
                     kernel.matvec(bad)
+
+    @pytest.mark.parametrize("widths", [(1,), (2,), (3,), (2, 3), (1, 2, 3)])
+    def test_gaussian_column_matches_row_wise_sums(self, rng, widths):
+        blocks = [3.0 * rng.standard_normal((40, w)) for w in widths]
+        thetas = rng.uniform(0.5, 2.0, len(widths))
+        gk = GaussianKernel(blocks, thetas)
+        for j in (0, 17, 39):
+            expo = np.zeros(40)
+            for b, t in zip(blocks, thetas):
+                expo += np.sum((b - b[j]) ** 2, axis=1) / (2.0 * t * t)
+            assert np.array_equal(gk.column(j), np.exp(-expo))
 
     def test_gaussian_factorization_approximates_true_kernel(self, rng):
         pts = rng.standard_normal((40, 2))
