@@ -89,6 +89,9 @@ def _build_parser():
     gen.add_argument("--nystrom-landmarks", type=int, dest="landmarks")
     gen.add_argument("--nystrom-rank", type=int, dest="rank")
     gen.add_argument("out", help="output instance JSON path")
+    # each flag as typed, by dest, for cmd_gen (argparse's action list is private)
+    gen.set_defaults(flags={action.dest: action.option_strings[0]
+                            for action in gen._actions if action.option_strings})
 
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--method", choices=["lrsdcut", "meanfield", "brute"],
@@ -177,7 +180,7 @@ def cmd_gen(args):
 
     given = {key: getattr(args, key) for flags in _GEN_FLAGS.values()
              for key in flags if getattr(args, key) is not None}
-    unread = sorted(set(given) - set(_GEN_FLAGS[args.kind]))
+    unread = sorted(args.flags[k] for k in given if k not in _GEN_FLAGS[args.kind])
     if unread:
         raise UsageError(f"--kind {args.kind} does not read {', '.join(unread)}")
     kwargs = {key: size for key, size in _GEN_SIZES.items()

@@ -1,19 +1,19 @@
 """Partial symmetric eigendecomposition of implicit operators.
 
 The solver repeatedly needs the positive spectral part of a symmetric
-operator that is only available through matrix-vector products.  ARPACK's
-implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the
-leading eigenpairs; this module wraps it, at one tolerance (``EIG_TOL``,
-also the positivity threshold) and one restart budget (``EIG_RESTARTS``),
-with seeded random vectors, a request sized by the caller's exact count
-of positive eigenvalues when it has one (the count then proves the factor
-complete, and a Lanczos result that contradicts it is a typed failure),
-adaptive subspace growth otherwise, an early stop once the partial norm
-(or a caller's lower bound on the whole norm, before any Lanczos run)
-passes a caller's limit, eigenpairs already in hand (from a Lanczos run
-or a small dense problem on a shifted copy of the operator) standing in
-for the first Lanczos run, and a dense fallback for operators too small
-for ARPACK.
+operator that is only available through matrix-vector products, or
+through solves with a copy shifted past its spectrum.  ARPACK's implicitly
+restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the leading
+eigenpairs, in shift-invert mode when given the solves; this module wraps
+it, at one tolerance (``EIG_TOL``, also the positivity threshold) and one
+restart budget (``EIG_RESTARTS``), with seeded random vectors, a request
+sized by the caller's exact count of positive eigenvalues when it has one
+(the count then proves the factor complete, and a Lanczos result that
+contradicts it is a typed failure), adaptive subspace growth otherwise, an
+early stop once the partial norm (or a caller's lower bound on the whole
+norm, before any Lanczos run) passes a caller's limit, eigenpairs already
+in hand standing in for the first Lanczos run, and a dense fallback for
+operators too small for ARPACK.
 """
 
 import inspect
@@ -99,7 +99,7 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
-def leading_eigpairs(op, k, seed):
+def leading_eigpairs(op, k, seed, shift=None):
     """Top-k algebraic eigenpairs of a symmetric operator, descending.
 
     Uses ARPACK (tolerance ``EIG_TOL``, at most ``EIG_RESTARTS`` restarts)
@@ -108,6 +108,10 @@ def leading_eigpairs(op, k, seed):
     a subspace of only 2k + 10 vectors can converge to k Ritz
     values that are not the top of the spectrum, so a positive part built
     from them silently misses eigenvalues and its dual value is no bound.
+    ``shift = (sigma, solve)``, with sigma above op's spectrum and
+    ``solve(b) = (op - sigma I)^-1 b``, runs ARPACK in shift-invert mode on
+    ``solve`` alone, whose largest-magnitude eigenvalues 1/(lambda - sigma)
+    are op's top k, spread apart (Ericsson & Ruhe 1980).
     The start is never warm: Lanczos from a combination of a nearby
     operator's eigenvectors can miss new positive directions.  Falls back
     to a dense eigendecomposition built from n matvecs when k >= n - 1
@@ -127,10 +131,12 @@ def leading_eigpairs(op, k, seed):
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
     scipy_op = LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
+    mode = {"which": "LA"} if shift is None else {"which": "LM", "sigma": shift[0],
+        "OPinv": LinearOperator((n, n), matvec=shift[1], dtype=np.float64)}
     ncv = min(n, max(2 * k + 10, 30))
     try:
-        vals, vecs = eigsh(scipy_op, k=k, which="LA", v0=v0, ncv=ncv,
-                           tol=EIG_TOL, maxiter=EIG_RESTARTS,
+        vals, vecs = eigsh(scipy_op, k=k, v0=v0, ncv=ncv, tol=EIG_TOL,
+                           maxiter=EIG_RESTARTS, **mode,
                            **({"rng": rng} if _SEEDED_RESTARTS else {}))
     except ArpackNoConvergence as exc:
         got = np.asarray(exc.eigenvalues, dtype=np.float64)
@@ -146,7 +152,7 @@ def leading_eigpairs(op, k, seed):
 
 
 def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
-                     frob_lower=0.0, count=None, pairs=None):
+                     frob_lower=0.0, count=None, pairs=None, shift=None):
     """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
     up to ``max_rank`` of them, as a :class:`PsdFactor`.
 
@@ -189,7 +195,7 @@ def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
     count, p values above ``EIG_TOL`` do, and a value at or below
     ``EIG_TOL`` among the first p raises :class:`EigenCountMismatch`.
     Pairs that prove neither leave the call exactly as it would be
-    without them.
+    without them.  ``shift`` goes to every Lanczos run and changes no proof.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -203,7 +209,7 @@ def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
     k = min(k0 if k0 is not None else min(10, max_rank), cap)
     while True:
         if pairs is None:
-            vals, vecs = leading_eigpairs(op, k, seed=seed)
+            vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
         else:
             vals, vecs = pairs[0][:count], pairs[1][:, :count]
         thresh = EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)

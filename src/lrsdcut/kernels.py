@@ -35,14 +35,14 @@ class LowRankFactor:
     __slots__ = ("phi",)
 
     def __init__(self, phi):
-        phi = np.ascontiguousarray(np.atleast_2d(np.asarray(phi, dtype=np.float64)))
+        phi = np.asarray(phi, dtype=np.float64)
         if phi.ndim != 2:
-            raise ValueError("factor must be a 2-D array")
+            raise ValueError(f"factor must be a 2-D array, got {phi.ndim}-D")
         if phi.shape[1] < 1:
             raise ValueError(f"factor rank must be >= 1, got {phi.shape[1]}")
         if not np.all(np.isfinite(phi)):
             raise ValueError("factor entries must be finite")
-        self.phi = phi
+        self.phi = np.ascontiguousarray(phi)
 
     @property
     def n(self):

@@ -9,22 +9,24 @@ dual eliminates the matrix variable:
 so one dual evaluation only needs the positive eigenpairs of C(u), which a
 matrix-free Lanczos solver obtains from structured O(N) matvecs.  Each
 lifting assembles C(u)'s blocks once per dual point, so a matvec is one
-low-rank kernel product plus a few small products; C(0) = -A.  The same
-blocks give a cheap lower bound on ||C(u)_+||_F^2 (the pinching
-inequality over C(u)'s diagonal blocks), which rejects an overshooting
-line-search trial before any Lanczos run.  The solver starts at a dual
-point where C(u) = -A + nu I has low positive rank (the leading
-eigenpairs of -A that give nu also give this first point's positive
-part; for Potts with a factored kernel stack they come exactly from a
-dense problem of dimension at most 2L + R, otherwise from Lanczos), ascends
-the dual with limited-memory BFGS, rounds the implicit primal matrix
-``Y = gamma (C(u))_+`` to a feasible labeling at every iteration (for
-Potts the row argmax of Y's variable-by-label block, the relaxed X; for
-the general lifting the best of ``n_samples`` Gaussian projections),
-polishes it with parallel ICM sweeps, keeps the best, and stops early
-once the relative dual improvement falls below a threshold.  Any
-untruncated dual value is a certified lower bound on the optimal lifted
-energy.
+low-rank kernel product plus a few small products; C(0) = -A.  For Potts
+with a factored kernel stack, the inertia count of C(u) - sigma I factors
+a small Schur complement that also solves with C(u) - sigma I at a
+matvec's cost, so a count proving sigma above the spectrum lets Lanczos
+run in shift-invert mode.  The same blocks give a cheap lower bound on
+||C(u)_+||_F^2 (the pinching inequality over C(u)'s diagonal blocks),
+which rejects an overshooting line-search trial before any Lanczos run.
+The solver starts at a dual point where C(u) = -A + nu I has low
+positive rank (the eigenpairs of -A that give nu, exact from a dense
+problem of dimension at most 2L + R for Potts with a factored kernel
+stack, give its positive part), ascends the dual with limited-memory
+BFGS, rounds the implicit primal matrix ``Y = gamma (C(u))_+`` to a
+feasible labeling at every iteration (for Potts the row argmax of Y's
+variable-by-label block, the relaxed X; for the general lifting the best
+of ``n_samples`` Gaussian projections), polishes it with parallel ICM
+sweeps, keeps the best, and stops early once the relative dual
+improvement falls below a threshold.  Any untruncated dual value is a
+certified lower bound on the optimal lifted energy.
 
 Two liftings are supported: the compact (N+L)-dimensional one for Potts
 compatibility and the (N*L)-dimensional one for a general symmetric label
@@ -35,8 +37,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import dsytrf
+from scipy.linalg import block_diag, qr
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
@@ -68,16 +70,16 @@ def _half_kernel_factor(problem):
                       for k in problem.kernels])
 
 
-def _positive_inertia(pivots_positive, schur, noise):
-    """Haynsworth inertia count ``pivots_positive + pos(schur)``.
+def _positive_inertia(pivots_positive, factored, noise):
+    """Haynsworth inertia count ``pivots_positive + pos(S)``.
 
-    The positive count of the symmetric Schur complement is read off its
-    Bunch-Kaufman factorization ``P S P' = L D L'`` (Sylvester's law of
-    inertia: D has the inertia of S).  D holds 1 x 1 pivots and 2 x 2
-    blocks; returns None when a pivot or a block eigenvalue lies within
-    ``noise`` of zero, where roundoff decides its sign.
+    The positive count of the symmetric Schur complement S is read off
+    ``factored = dsytrf(S, lower=1)``, its Bunch-Kaufman factorization
+    ``P S P' = L D L'`` (Sylvester's law of inertia: D has the inertia of
+    S).  D holds 1 x 1 pivots and 2 x 2 blocks; returns None when a pivot
+    or a block eigenvalue lies within ``noise`` of zero.
     """
-    ldu, ipiv, info = dsytrf(schur, lower=1)
+    ldu, ipiv, info = factored
     if info != 0:
         return None
     d = np.diag(ldu)
@@ -218,21 +220,26 @@ class PottsSdp(SdpLifting):
                          eta=n_vars + n_labels, b=b, identity=identity)
 
     def assemble(self, u):
-        """C(u)'s blocks ``(head, coupling, diag)``, with
+        """C(u)'s blocks ``(head, coupling, diag, w)``, with
         ``C(u) = [[head, coupling'], [coupling, Diag(diag) + K/2]]``:
         head = -Diag(u1) - ltri(u2)/2 (L x L), coupling = -(H + u3 1')/2
-        (N x L) and diag = -u4, for u = [u1; u2; u3; u4]."""
+        (N x L), diag = -u4 for u = [u1; u2; u3; u4], and ``w = [F, coupling]``
+        (N x (R+L), K/2 = F F'; None without F), of which coupling is a view."""
         L, N = self.n_labels, self.n_vars
         p = self.tril_rows.size
         u1, u2, u3, u4 = u[:L], u[L:L + p], u[L + p:L + p + N], u[L + p + N:]
         ltri = np.zeros((L, L))
         ltri[self.tril_rows, self.tril_cols] = u2
         head = -np.diag(u1) - 0.5 * (ltri + ltri.T)
-        return head, -0.5 * (self.problem.unary + u3[:, None]), -u4
+        coupling = -0.5 * (self.problem.unary + u3[:, None])
+        if self._count_factor is None:
+            return head, coupling, -u4, None
+        w = np.hstack([self._count_factor, coupling])
+        return head, w[:, -L:], -u4, w
 
     def c_matvec(self, parts, d):
         """C(u) d from :meth:`assemble`'s blocks in O(NL + N R_K)."""
-        head, coupling, diag = parts
+        head, coupling, diag, _ = parts
         d = self._vector(d)
         L = self.n_labels
         d1, d2 = d[:L], d[L:]
@@ -268,7 +275,7 @@ class PottsSdp(SdpLifting):
         """Lower bound on ||C(u)_+||_F^2 from the diagonal blocks of C(u)
         (:meth:`assemble`'s ``parts``), in O(N + L^3): the L x L head and
         the N variable entries ``diag_j + K_jj/2``."""
-        head, _, diag = parts
+        head, _, diag, _ = parts
         head_eigs = np.maximum(np.linalg.eigvalsh(head), 0.0)
         var = np.maximum(diag + 0.5 * self.problem.kernel_diag(), 0.0)
         return float(head_eigs @ head_eigs + var @ var)
@@ -279,7 +286,7 @@ class PottsSdp(SdpLifting):
         In C(u) - sigma I the variable block is D + F F', with the diagonal
         D = Diag(diag) - sigma I and K/2 = F F' (F is N x R), and it couples
         to the L label rows through E = coupling, where ``(head, coupling,
-        diag) = parts`` are :meth:`assemble`'s blocks.  Bordering F with
+        diag, W) = parts`` are :meth:`assemble`'s blocks.  Bordering F with
         -I_R gives a matrix of inertia In(-I_R) + In(C(u) - sigma I); by
         Haynsworth additivity its inertia is also In(D) + In(S) with the
         (R+L) x (R+L) Schur complement
@@ -288,25 +295,38 @@ class PottsSdp(SdpLifting):
         unblocked low-rank one, or a pivot or Schur pivot is within
         roundoff of zero.
         """
-        factor = self._count_factor
-        if factor is None:
+        inverse = self.shifted_inverse(parts, sigma)
+        return None if inverse is None else inverse[0]
+
+    def shifted_inverse(self, parts, sigma):
+        """:meth:`positive_count`'s count and, from the same factorization
+        of S, ``solve(b) = (C(u) - sigma I)^-1 b`` in two passes over W:
+        with b = [b1; b2] and y = D^-1 b2, ``[z; x1] = S^-1 [-F'y; b1 - E'y]``
+        and ``x2 = D^-1 (b2 - W [z; x1])``.  None where the count is None.
+        """
+        head, coupling, diag, w = parts
+        if w is None:
             return None
-        R = factor.shape[1]
-        head, coupling, diag = parts
+        L = self.n_labels
         pivots = diag - sigma
         size = np.abs(pivots)
         if size.min() <= COUNT_REL_TOL * size.max():
             return None
-        scaled = factor / pivots[:, None]
-        cross = coupling.T @ scaled
-        head = head - sigma * np.eye(self.n_labels)
-        schur = -np.block([[np.eye(R) + factor.T @ scaled, cross.T],
-                           [cross, coupling.T @ (coupling / pivots[:, None]) - head]])
+        head = head - sigma * np.eye(L)
+        schur = block_diag(-np.eye(w.shape[1] - L), head) - w.T @ (w / pivots[:, None])
         # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|,
         # where |f_i|^2 = K_ii / 2
         row_sq = 0.5 * self.problem.kernel_diag() + np.sum(coupling ** 2, axis=1)
         noise = COUNT_REL_TOL * (row_sq @ (1.0 / size) + np.abs(head).max() + 1.0)
-        return _positive_inertia(np.count_nonzero(pivots > 0.0), schur, noise)
+        ldu, ipiv, _ = factored = dsytrf(schur, lower=1)
+        count = _positive_inertia(np.count_nonzero(pivots > 0.0), factored, noise)
+
+        def solve(b):
+            rhs = -(b[L:] / pivots) @ w
+            rhs[-L:] += b[:L]
+            zx = dsytrs(ldu, ipiv, rhs, lower=1)[0]
+            return np.concatenate([zx[-L:], (b[L:] - w @ zx) / pivots])
+        return None if count is None else (count, solve)
 
 
 class GeneralSdp(SdpLifting):
@@ -427,7 +447,7 @@ class GeneralSdp(SdpLifting):
         # of variable i's contribution
         spread = (0.5 * self.problem.kernel_diag()) @ np.abs(inverse).sum(axis=1)
         noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
-        count = _positive_inertia(positive, schur, noise)
+        count = _positive_inertia(positive, dsytrf(schur, lower=1), noise)
         return None if count is None else count - self._count_offset
 
 
@@ -487,6 +507,20 @@ def spectral_shift_init(sdp, r, seed=0):
     vals, vecs = (_low_rank_start_pairs(sdp, r)
                   or leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed))
     return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
+
+
+def _proven_shift(sdp, parts, sigma):
+    """``(sigma, solve)`` for shift-invert Lanczos on a Potts C(u), sigma
+    doubled (at most 4 times) until its inertia count proves it above C(u)'s
+    spectrum; None for the general lifting, at sigma 0 (rank 0), or when
+    that count stays positive or is undecided."""
+    if not isinstance(sdp, PottsSdp) or not sigma:
+        return None
+    for sigma in sigma * 2.0 ** np.arange(5):
+        inverse = sdp.shifted_inverse(parts, sigma)
+        if inverse is None or inverse[0] == 0:
+            return inverse and (sigma, inverse[1])
+    return None
 
 
 @dataclass
@@ -753,9 +787,9 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     # A trial whose pinching bound on ||C(u)_+||_F^2 already passes the
     # limit is rejected before any Lanczos run or inertia count.  The first
     # evaluation, at u0, reads C(u0)'s eigenpairs from the start's pairs
-    # instead of running Lanczos
+    # instead of running Lanczos.  "sigma" seeds a counted request's shift
     warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf,
-            "pairs": start_pairs}
+            "pairs": start_pairs, "sigma": 0.0}
     bound_rejections = 0
 
     def obj_grad(u):
@@ -768,15 +802,16 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                       else 0.0)
         rejected = bool(frob_lower > frob_limit)
         bound_rejections += rejected
+        count = None if rejected else sdp.positive_count(parts, EIG_TOL)
         try:
             # the seed is drawn for every evaluation, so later Lanczos runs
             # keep their seeds whether or not the bound rejects this one
             factor = leading_psd_part(
                 sdp.parts_operator(parts), rank_cap,
                 seed=next_seed(eig_seed_rng), k0=warm["k0"],
-                frob_limit=frob_limit, frob_lower=frob_lower,
-                count=None if rejected else sdp.positive_count(parts, EIG_TOL),
-                pairs=warm.pop("pairs", None))
+                frob_limit=frob_limit, frob_lower=frob_lower, count=count,
+                pairs=warm.pop("pairs", None),
+                shift=_proven_shift(sdp, parts, warm["sigma"]) if count else None)
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor
@@ -812,6 +847,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     for k in range(1, params.k_max + 1):
         started = time.perf_counter()
         warm["floor"] = optimizer.value
+        warm["sigma"] = 1.5 * optimizer.payload.values.max(initial=0.0)
         step = optimizer.step()
         if step.converged:
             break

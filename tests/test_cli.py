@@ -95,26 +95,36 @@ class TestGen:
             expected = generate.gen_grid(20, 20, 2, 2)
         assert out.read_text() == json.dumps(expected)
 
-    @pytest.mark.parametrize("argv", [
-        ["--kind", "random", "--noise", "0"],
-        ["--kind", "clusters", "--spacing-x", "0.5"],
-        ["--kind", "grid", "--n", "5"],
-        ["--kind", "clusters", "--grid-w", "3"],
-        ["--kind", "random", "--grid-h", "3"],
-        ["--kind", "clusters", "--labels", "1"],
-        ["--kind", "random", "--n", "0"],
-        ["--kind", "grid", "--grid-w", "0"],
-        ["--kind", "random", "--weight", "-1"],
-        ["--kind", "clusters", "--nystrom-rank", "0"],
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "random", "--noise", "0"],
+         "--kind random does not read --noise"),
+        (["--kind", "clusters", "--spacing-x", "0.5"],
+         "--kind clusters does not read --spacing-x"),
+        (["--kind", "grid", "--n", "5"], "--kind grid does not read --n"),
+        (["--kind", "clusters", "--grid-w", "3"],
+         "--kind clusters does not read --grid-w"),
+        (["--kind", "random", "--grid-h", "3"],
+         "--kind random does not read --grid-h"),
+        (["--kind", "random", "--nystrom-rank", "6", "--theta-pos", "2"],
+         "--kind random does not read --nystrom-rank, --theta-pos"),
+        (["--kind", "clusters", "--labels", "1"], "n_labels must be >= 2"),
+        (["--kind", "random", "--n", "0"], "n must be >= 1"),
+        (["--kind", "grid", "--grid-w", "0"], "width must be >= 1"),
+        (["--kind", "random", "--weight", "-1"],
+         "kernel weight must be non-negative"),
+        (["--kind", "clusters", "--nystrom-rank", "0"], "rank must be >= 1"),
     ], ids=["unread-noise", "unread-spacing", "unread-n", "unread-grid-w",
-            "unread-grid-h", "one-label", "no-variables",
+            "unread-grid-h", "unread-nystrom-rank", "one-label", "no-variables",
             "empty-grid", "negative-weight", "nystrom-rank-zero"])
     def test_rejected_input_exits_two_and_writes_nothing(self, tmp_path,
-                                                         argv):
-        # flags the kind ignores, and values that solve would refuse to load
+                                                         capsys, argv,
+                                                         message):
+        # flags the kind ignores, named as typed, and values that solve
+        # would refuse to load
         out = tmp_path / "out" / "inst.json"
         assert main(["gen", *argv, "--seed", "1", str(out)]) == 2
         assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_grid_is_loadable_by_all_solvers(self, tmp_path):
         out = tmp_path / "grid.json"

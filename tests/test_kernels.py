@@ -206,6 +206,22 @@ class TestNystrom:
             nystrom_factor(lambda j: k[:, j], [0, 1], rank=3)
 
 
+class TestLowRankFactor:
+    # a length-N vector is not read as one 1 x N row (nor as one column)
+    @pytest.mark.parametrize("phi", [np.ones(5), 2.0, np.ones((4, 2, 1))],
+                             ids=["vector", "scalar", "three-d"])
+    def test_input_that_is_not_two_dimensional_is_rejected(self, phi):
+        with pytest.raises(ValueError, match="2-D"):
+            LowRankFactor(phi)
+
+    def test_column_major_input_is_stored_row_major(self, rng):
+        phi = np.asfortranarray(rng.standard_normal((6, 2)))
+        factor = LowRankFactor(phi)
+        assert factor.phi.flags.c_contiguous
+        assert (factor.n, factor.rank) == (6, 2)
+        np.testing.assert_array_equal(factor.phi, phi)
+
+
 def lowrank(phi, **kwargs):
     return LowRankKernel(LowRankFactor(phi), **kwargs)
 

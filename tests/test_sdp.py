@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dsytrf
 
 from conftest import (constraint_values, mixed_kernel_problem,
                       random_general_problem, random_potts_problem,
                       reconstruct)
 from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
                          lifted_energy, to_indicator)
-from lrsdcut.eig import (PsdFactor, SymmetricOperator, leading_eigpairs,
-                         leading_psd_part)
+from lrsdcut.eig import (EIG_TOL, PsdFactor, SymmetricOperator,
+                         leading_eigpairs, leading_psd_part)
 from lrsdcut import eig as eig_module
 from lrsdcut import sdp as sdp_module
 from lrsdcut.generate import gen_clusters, gen_grid
@@ -225,7 +226,8 @@ class TestPositiveCount:
             mat = rng.standard_normal((n, n))
             mat += mat.T
             np.fill_diagonal(mat, 0.0)
-            assert sdp_module._positive_inertia(3, mat, 1e-12) == \
+            factored = dsytrf(mat, lower=1)
+            assert sdp_module._positive_inertia(3, factored, 1e-12) == \
                 3 + np.count_nonzero(np.linalg.eigvalsh(mat) > 0.0)
 
     @pytest.mark.parametrize("general", [False, True])
@@ -233,6 +235,117 @@ class TestPositiveCount:
         sdp = make_sdp(mixed_kernel_problem(9, 3, seed=4, general=general),
                        1000.0)
         assert _inertia_count(sdp, rng.standard_normal(sdp.q), 0.0) is None
+
+
+def _dense_c(sdp, parts):
+    """C(u) as a dense matrix, from :meth:`assemble`'s blocks."""
+    op = sdp.parts_operator(parts)
+    return np.column_stack([op.apply(col) for col in np.eye(sdp.n)])
+
+
+def _refuse_matvec(d):
+    raise AssertionError("shift-invert Lanczos applied C(u) itself")
+
+
+class TestShiftInvert:
+    """Counted Potts requests run Lanczos on (C(u) - sigma I)^-1, with sigma
+    proven above C(u)'s spectrum by an inertia count whose factorization
+    also gives the solves."""
+
+    @staticmethod
+    def _random_point(kind, seed, rng):
+        instance = (gen_grid(6, 5, 3, seed=seed) if kind == "grid"
+                    else gen_clusters(30, 4, seed=seed))
+        sdp = make_sdp(build_problem(instance), 1000.0)
+        u0, _ = spectral_shift_init(sdp, 4)
+        parts = sdp.assemble(u0 + 0.5 * rng.standard_normal(sdp.q))
+        return sdp, parts, np.linalg.eigvalsh(_dense_c(sdp, parts))
+
+    @pytest.mark.parametrize("kind", ["grid", "clusters"])
+    def test_solve_inverts_the_shifted_operator(self, rng, kind):
+        for seed in range(4):
+            sdp, parts, eigs = self._random_point(kind, seed, rng)
+            scale = max(abs(eigs[-1]), 1.0)
+            for sigma in (eigs[-1] + 0.05 * scale, eigs[-1] + 2.0 * scale):
+                count, solve = sdp.shifted_inverse(parts, sigma)
+                assert count == 0
+                for x in rng.standard_normal((3, sdp.n)):
+                    back = solve(sdp.c_matvec(parts, x) - sigma * x)
+                    assert np.linalg.norm(back - x) <= \
+                        1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ["grid", "clusters"])
+    def test_count_is_zero_exactly_above_the_spectrum(self, rng, kind):
+        for seed in range(4):
+            sdp, parts, eigs = self._random_point(kind, seed, rng)
+            scale = max(abs(eigs[-1]), 1.0)
+            for step in (-0.5, -1e-4, 1e-4, 0.5):
+                sigma = eigs[-1] + step * scale
+                count, _ = sdp.shifted_inverse(parts, sigma)
+                assert count == np.count_nonzero(eigs > sigma)
+                assert count == sdp.positive_count(parts, sigma)
+                assert (count == 0) == (sigma >= eigs[-1])
+
+    @pytest.mark.parametrize("capped", [False, True],
+                             ids=["complete", "rank-capped"])
+    def test_positive_part_matches_the_dense_one(self, rng, capped):
+        sdp = make_sdp(build_problem(gen_grid(8, 8, 3, seed=2)), 1000.0)
+        u0, _ = spectral_shift_init(sdp, 6)
+        parts = sdp.assemble(u0 - 0.05 * sdp.identity
+                             + 1e-3 * rng.standard_normal(sdp.q))
+        vals, vecs = np.linalg.eigh(_dense_c(sdp, parts))
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        count = sdp.positive_count(parts, EIG_TOL)
+        assert count == np.count_nonzero(vals > EIG_TOL) >= 4
+        sigma = 1.5 * vals[0]
+        shift = sigma, sdp.shifted_inverse(parts, sigma)[1]
+        rank = count - 2 if capped else count
+        # the run needs the solves alone, never C(u) itself; k0 = 2 makes
+        # the request grow
+        factor = leading_psd_part(SymmetricOperator(sdp.n, _refuse_matvec),
+                                  rank, seed=3, k0=2, count=count,
+                                  shift=shift)
+        assert factor.truncated == capped
+        np.testing.assert_allclose(factor.values, vals[:rank], rtol=1e-10)
+        np.testing.assert_allclose(factor.vectors @ factor.vectors.T,
+                                   vecs[:, :rank] @ vecs[:, :rank].T,
+                                   atol=1e-8)
+
+    # a start 0.1 times the usual doubles up to the spectrum; one 1e-3
+    # times it stays below after 4 doublings and falls back to Lanczos on
+    # C(u) itself
+    @pytest.mark.parametrize("scale, found", [(0.1, True), (1e-3, False)],
+                             ids=["doubles", "falls-back"])
+    def test_a_low_sigma_doubles_or_falls_back(self, monkeypatch, scale,
+                                               found):
+        proven = sdp_module._proven_shift
+        shifts = []  # (start, proven shift or None, dense lambda_max)
+
+        def low_start(sdp, parts, sigma):
+            shift = proven(sdp, parts, scale * sigma)
+            if sigma:
+                shifts.append((scale * sigma, shift,
+                               np.linalg.eigvalsh(_dense_c(sdp, parts))[-1]))
+            return shift
+
+        monkeypatch.setattr(sdp_module, "_proven_shift", low_start)
+        calls = _record_psd_calls(monkeypatch)
+        report = lr_sdcut_solve(build_problem(gen_grid(12, 12, 3, seed=2)),
+                                seed=1)
+        assert not report.warnings
+        assert len(shifts) > 3
+        for _, shift, top in shifts:
+            assert (shift is not None) == found
+            assert shift is None or shift[0] > top
+        if found:  # some start lay below lambda_max and doubled past it
+            assert any(start < top for start, _, top in shifts)
+        checked = 0
+        for op, _, _, factor in calls:
+            if not factor.truncated:
+                assert factor.frob_norm_sq() == pytest.approx(
+                    _dense_positive_frob_sq(op), rel=1e-9)
+                checked += 1
+        assert checked > 3
 
 
 def _one_kernel_problem(n, n_labels, seed, form, general):
@@ -972,10 +1085,11 @@ class TestBoundRejections:
 
 
 class TestAssembledOperator:
-    """C(u)'s blocks are assembled once per dual point, not per matvec."""
+    """C(u)'s blocks are assembled once per dual point, not per matvec or
+    shifted solve."""
 
     def test_blocks_are_assembled_per_evaluation(self, monkeypatch):
-        counts = {"assemble": 0, "c_matvec": 0}
+        counts = {"assemble": 0, "c_matvec": 0, "solve": 0}
 
         def counting(name):
             original = PottsSdp.__dict__[name]
@@ -987,9 +1101,23 @@ class TestAssembledOperator:
 
         counting("assemble")
         counting("c_matvec")
+        shifted_inverse = PottsSdp.shifted_inverse
+
+        def counting_solves(self, parts, sigma):
+            inverse = shifted_inverse(self, parts, sigma)
+            if inverse is None:
+                return None
+
+            def solve(b):
+                counts["solve"] += 1
+                return inverse[1](b)
+            return inverse[0], solve
+        monkeypatch.setattr(PottsSdp, "shifted_inverse", counting_solves)
         report = lr_sdcut_solve(build_problem(gen_grid(30, 30, 2, seed=5)),
                                 seed=1)
-        # one assembly per evaluation, which the operator, the inertia count
-        # and the pinching bound share, plus the start
+        # one assembly per evaluation, which the operator, the inertia
+        # counts, the shifted solves and the pinching bound share, plus the
+        # start
         assert counts["assemble"] <= 2 * report.extras["dual_evals"] + 1
-        assert counts["c_matvec"] >= 100
+        # C(u) is applied as a matvec, or inverted at a shift by a solve
+        assert counts["c_matvec"] + counts["solve"] >= 100
