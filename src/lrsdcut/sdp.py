@@ -9,13 +9,14 @@ dual eliminates the matrix variable:
 so one dual evaluation only needs the positive eigenpairs of C(u), which a
 matrix-free Lanczos solver obtains from structured O(N) matvecs.  Each
 lifting assembles C(u)'s blocks once per dual point, so a matvec is one
-low-rank kernel product plus a few small products; C(0) = -A.  For Potts
-with a factored kernel stack, the inertia count of C(u) - sigma I factors
-a small Schur complement that also solves with C(u) - sigma I at a
-matvec's cost, so a count proving sigma above the spectrum lets Lanczos
-run in shift-invert mode.  The same blocks give a cheap lower bound on
-||C(u)_+||_F^2 (the pinching inequality over C(u)'s diagonal blocks),
-which rejects an overshooting line-search trial before any Lanczos run.
+low-rank kernel product plus a few small products; C(0) = -A.  With a
+factored kernel stack, the inertia count of C(u) - sigma I factors a
+small Schur complement that also solves with C(u) - sigma I at about a
+matvec's cost (in either lifting), so a count proving sigma above the
+spectrum lets Lanczos run in shift-invert mode.  The same blocks give a
+cheap lower bound on ||C(u)_+||_F^2 (the pinching inequality over C(u)'s
+diagonal blocks), which rejects an overshooting line-search trial before
+any Lanczos run.
 The solver starts at a dual point where C(u) = -A + nu I has low
 positive rank (the eigenpairs of -A that give nu, exact from a dense
 problem of dimension at most 2L + R for Potts with a factored kernel
@@ -23,10 +24,11 @@ stack, give its positive part), ascends the dual with limited-memory
 BFGS, rounds the implicit primal matrix ``Y = gamma (C(u))_+`` to a
 feasible labeling at every iteration (for Potts the row argmax of Y's
 variable-by-label block, the relaxed X; for the general lifting the best
-of ``n_samples`` Gaussian projections), polishes it with parallel ICM
-sweeps, keeps the best, and stops early once the relative dual
-improvement falls below a threshold.  Any untruncated dual value is a
-certified lower bound on the optimal lifted energy.
+of ``n_samples`` Gaussian samples of N(0, Y), and the row argmax of
+diag(Y)), polishes it with parallel ICM sweeps, keeps the best, and
+stops early once the relative dual improvement falls below a threshold.
+Any untruncated dual value is a certified lower bound on the optimal
+lifted energy.
 
 Two liftings are supported: the compact (N+L)-dimensional one for Potts
 compatibility and the (N*L)-dimensional one for a general symmetric label
@@ -37,7 +39,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag, qr
+from scipy.linalg import qr
 from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
@@ -139,9 +141,10 @@ class SdpLifting:
     ``sum_i identity_i B_i = I`` with ``identity @ b = eta``.  Subclasses
     supply ``assemble(u)``, the structured blocks of C(u) built once per
     dual point, and, reading those blocks: ``c_matvec(parts, d)``, their
-    product with a vector; ``positive_count(parts, sigma)``, the number of
+    product with a vector; ``shifted_inverse(parts, sigma)``, the number of
     eigenvalues of C(u) above sigma from an inertia count that needs no
-    Lanczos run, or None where the count is unavailable or undecided; and
+    Lanczos run, with a solve with C(u) - sigma I from the same
+    factorization, or None where the count is unavailable or undecided; and
     ``pinched_norm_sq(parts)``, a lower bound on ||C(u)_+||_F^2.  They
     also supply the gradient from a positive-part factor.  C(0) = -A, so
     the products with A are those of ``operator(0)``.
@@ -164,7 +167,7 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
-        # K/2 = F F' for positive_count's inertia count, None without one
+        # K/2 = F F' for shifted_inverse's inertia count, None without one
         self._count_factor = _half_kernel_factor(problem)
 
     def _vector(self, d):
@@ -181,6 +184,12 @@ class SdpLifting:
     def parts_operator(self, parts):
         """C(u) as a matvec closure over :meth:`assemble`'s blocks."""
         return SymmetricOperator(self.n, lambda d: self.c_matvec(parts, d))
+
+    def positive_count(self, parts, sigma):
+        """Number of eigenvalues of C(u) above ``sigma``, the inertia count
+        of :meth:`shifted_inverse`, or None where that is None."""
+        inverse = self.shifted_inverse(parts, sigma)
+        return None if inverse is None else inverse[0]
 
     def dual_objective(self, u, psd):
         """Dual value at u given the positive part of C(u) for that exact u.
@@ -280,8 +289,10 @@ class PottsSdp(SdpLifting):
         var = np.maximum(diag + 0.5 * self.problem.kernel_diag(), 0.0)
         return float(head_eigs @ head_eigs + var @ var)
 
-    def positive_count(self, parts, sigma):
-        """Number of eigenvalues of C(u) above ``sigma``, in O(N (R+L)^2).
+    def shifted_inverse(self, parts, sigma):
+        """``(count, solve)``: the number of eigenvalues of C(u) above
+        ``sigma``, in O(N (R+L)^2), and ``solve(b) = (C(u) - sigma I)^-1 b``
+        from the same factorization, in two passes over W.
 
         In C(u) - sigma I the variable block is D + F F', with the diagonal
         D = Diag(diag) - sigma I and K/2 = F F' (F is N x R), and it couples
@@ -291,18 +302,11 @@ class PottsSdp(SdpLifting):
         Haynsworth additivity its inertia is also In(D) + In(S) with the
         (R+L) x (R+L) Schur complement
         ``S = blockdiag(-I_R, head - sigma I) - W' D^-1 W``, W = [F, E].
-        So the count is pos(D) + pos(S).  None when a kernel is not an
+        So the count is pos(D) + pos(S).  With b = [b1; b2] and
+        y = D^-1 b2, the solve is ``[z; x1] = S^-1 [-F'y; b1 - E'y]`` and
+        ``x2 = D^-1 (b2 - W [z; x1])``.  None when a kernel is not an
         unblocked low-rank one, or a pivot or Schur pivot is within
         roundoff of zero.
-        """
-        inverse = self.shifted_inverse(parts, sigma)
-        return None if inverse is None else inverse[0]
-
-    def shifted_inverse(self, parts, sigma):
-        """:meth:`positive_count`'s count and, from the same factorization
-        of S, ``solve(b) = (C(u) - sigma I)^-1 b`` in two passes over W:
-        with b = [b1; b2] and y = D^-1 b2, ``[z; x1] = S^-1 [-F'y; b1 - E'y]``
-        and ``x2 = D^-1 (b2 - W [z; x1])``.  None where the count is None.
         """
         head, coupling, diag, w = parts
         if w is None:
@@ -313,7 +317,10 @@ class PottsSdp(SdpLifting):
         if size.min() <= COUNT_REL_TOL * size.max():
             return None
         head = head - sigma * np.eye(L)
-        schur = block_diag(-np.eye(w.shape[1] - L), head) - w.T @ (w / pivots[:, None])
+        schur = -(w.T @ (w / pivots[:, None]))
+        rank = w.shape[1] - L
+        schur[np.arange(rank), np.arange(rank)] -= 1.0
+        schur[rank:, rank:] += head
         # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|,
         # where |f_i|^2 = K_ii / 2
         row_sq = 0.5 * self.problem.kernel_diag() + np.sum(coupling ** 2, axis=1)
@@ -417,19 +424,24 @@ class GeneralSdp(SdpLifting):
         eigs = np.maximum(np.linalg.eigvalsh(undecided), 0.0)
         return float(np.einsum("il,il->", eigs, eigs))
 
-    def positive_count(self, parts, sigma):
-        """Number of eigenvalues of C(u) above ``sigma``, in O(N R^2 L^2).
+    def shifted_inverse(self, parts, sigma):
+        """``(count, solve)``: the number of eigenvalues of C(u) above
+        ``sigma``, in O(N R^2 L^2), and ``solve(b) = (C(u) - sigma I)^-1 b``
+        from the same factorization, in O(N L R + N L^2 + R^2 L^2).
 
-        ``C(u) - sigma I = D + (F (x) I)(I (x) -U)(F (x) I)'`` with the N
+        ``C(u) - sigma I = D + G (I (x) -U) G'`` with G = F (x) I, the N
         per-variable blocks D_i = -Diag(h_i) - B_i(u) - sigma I (each
         L x L, :meth:`assemble`'s blocks ``parts`` shifted by sigma),
         U = mu - 11' and K/2 = F F' (F is N x R).  Bordering with
         -(I (x) -U)^-1 = I (x) U^-1 and Haynsworth additivity give
         ``pos(C(u) - sigma I) + R pos(U) = sum_i pos(D_i) + pos(S)`` with
         the RL x RL Schur complement
-        ``S = I (x) U^-1 - sum_i (f_i f_i') (x) D_i^-1``.  None when a
-        kernel is not an unblocked low-rank one, U is singular, or a block
-        or Schur pivot is within roundoff of zero.
+        ``S = I (x) U^-1 - sum_i (f_i f_i') (x) D_i^-1 = -((I (x) -U)^-1
+        + G' D^-1 G)``, so by Woodbury the solve is y = D^-1 b,
+        z = S^-1 G'y and x = y + D^-1 G z, where G'y is F'Y for the N x L
+        unfolding Y of y.  None when a kernel is not an unblocked low-rank
+        one, U is singular, or a block or Schur pivot is within roundoff
+        of zero.
         """
         factor = self._count_factor
         if factor is None:
@@ -447,8 +459,18 @@ class GeneralSdp(SdpLifting):
         # of variable i's contribution
         spread = (0.5 * self.problem.kernel_diag()) @ np.abs(inverse).sum(axis=1)
         noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
-        count = _positive_inertia(positive, dsytrf(schur, lower=1), noise)
-        return None if count is None else count - self._count_offset
+        ldu, ipiv, _ = factored = dsytrf(schur, lower=1)
+        count = _positive_inertia(positive, factored, noise)
+        if count is None:
+            return None
+        blocks_inv = inverse[:, self._count_pair_of]  # the N blocks D_i^-1
+
+        def solve(b):
+            y = np.einsum("ilm,im->il", blocks_inv, b.reshape(N, L))
+            z = dsytrs(ldu, ipiv, (factor.T @ y).reshape(-1), lower=1)[0]
+            y += np.einsum("ilm,im->il", blocks_inv, factor @ z.reshape(R, L))
+            return y.reshape(-1)
+        return count - self._count_offset, solve
 
 
 def make_sdp(problem, gamma):
@@ -510,11 +532,11 @@ def spectral_shift_init(sdp, r, seed=0):
 
 
 def _proven_shift(sdp, parts, sigma):
-    """``(sigma, solve)`` for shift-invert Lanczos on a Potts C(u), sigma
-    doubled (at most 4 times) until its inertia count proves it above C(u)'s
-    spectrum; None for the general lifting, at sigma 0 (rank 0), or when
-    that count stays positive or is undecided."""
-    if not isinstance(sdp, PottsSdp) or not sigma:
+    """``(sigma, solve)`` for shift-invert Lanczos on C(u), from either
+    lifting's :meth:`~SdpLifting.shifted_inverse`, sigma doubled (at most 4
+    times) until its inertia count proves it above C(u)'s spectrum; None at
+    sigma 0 (rank 0), or when that count stays positive or is undecided."""
+    if not sigma:
         return None
     for sigma in sigma * 2.0 ** np.arange(5):
         inverse = sdp.shifted_inverse(parts, sigma)
@@ -646,24 +668,31 @@ def round_solution(psd, sdp, seed, n_samples):
     ``Psi = vectors * sqrt(gamma * values)``.  For the Potts lifting the
     block ``Psi_var Psi_lab'`` of Y is the relaxed indicator X itself (all
     zeros at rank 0), and its row argmax is the start.  For the general
-    lifting each of ``n_samples`` samples projects Psi onto a Gaussian
-    direction and discretizes the N x L unfolding by row argmax; the
-    sample with the lowest lifted energy, all priced as one stack by
-    :func:`lifted_energy_general`, is the start.  Row argmax ties fall to
-    the smallest label.  Returns ``(labels, lifted_energy)``.
+    lifting each of ``n_samples`` samples draws g in R^n, projects it to
+    ``Y^(1/2) g = Psi vectors' g``, a sample of N(0, Y) (Goemans &
+    Williamson 1995), and discretizes the N x L unfolding by row argmax;
+    the sample with the lowest lifted energy, all priced as one stack by
+    :func:`lifted_energy_general`, is one start.  The other is the row
+    argmax of the N x L unfolding of diag(Y), the pseudo-marginals.  Both
+    are polished and the lower kept, the sample on a tie.  Y^(1/2) and
+    diag(Y) depend on Y alone, so the labels do not change with the signs
+    or rotations of the eigenvectors.  Row argmax ties fall to the
+    smallest label.  Returns ``(labels, lifted_energy)``.
     """
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
     psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
     if isinstance(sdp, PottsSdp):
         return icm_polish(sdp, np.argmax(psi[n_labels:] @ psi[:n_labels].T, axis=1))
-    if psd.rank == 0:
-        return icm_polish(sdp, np.zeros(n_vars, dtype=np.int64))
-    draws = np.random.default_rng(seed).standard_normal((n_samples, psd.rank))
-    labels = np.argmax((psi @ draws.T).reshape(n_vars, n_labels, n_samples), axis=1)
+    draws = np.random.default_rng(seed).standard_normal((sdp.n, n_samples))
+    proj = psi @ (psd.vectors.T @ draws)
+    labels = np.argmax(proj.reshape(n_vars, n_labels, n_samples), axis=1)
     # column s is sample s's one-hot vectorization
     stack = (labels[:, None, :] == np.arange(n_labels)[:, None]).reshape(-1, n_samples)
     values = lifted_energy_general(sdp.problem, stack)
-    return icm_polish(sdp, labels[:, np.argmin(values)].copy())
+    sample = icm_polish(sdp, labels[:, np.argmin(values)].copy())
+    marginals = np.einsum("ir,ir->i", psi, psi).reshape(n_vars, n_labels)
+    start = icm_polish(sdp, np.argmax(marginals, axis=1))
+    return start if start[1] < sample[1] else sample
 
 
 @dataclass
@@ -671,8 +700,9 @@ class SolveParams:
     """Solver parameters and the one home of their defaults, the reference
     configuration (gamma = 1000, at most 10 ascent iterations, initial
     rank 20; the Lanczos rank cap is 8 times the initial rank).
-    ``n_samples`` counts the general lifting's Gaussian rounding draws per
-    iteration; Potts rounding draws none and ignores it.
+    ``n_samples`` counts the general lifting's Gaussian rounding samples
+    per iteration, each a draw in R^n projected through Y^(1/2), polished
+    beside the diag(Y) start; Potts rounding draws none and ignores it.
 
     A gamma that is not positive, a ``k_max``, ``rank_init`` or
     ``n_samples`` below 1, or a negative seed raises ValueError.

@@ -248,20 +248,23 @@ def _refuse_matvec(d):
 
 
 class TestShiftInvert:
-    """Counted Potts requests run Lanczos on (C(u) - sigma I)^-1, with sigma
+    """Counted requests run Lanczos on (C(u) - sigma I)^-1, with sigma
     proven above C(u)'s spectrum by an inertia count whose factorization
-    also gives the solves."""
+    also gives the solves, in both liftings."""
 
     @staticmethod
     def _random_point(kind, seed, rng):
-        instance = (gen_grid(6, 5, 3, seed=seed) if kind == "grid"
-                    else gen_clusters(30, 4, seed=seed))
-        sdp = make_sdp(build_problem(instance), 1000.0)
+        if kind == "general":
+            problem = _general_l3(30, seed)
+        else:
+            problem = build_problem(gen_grid(6, 5, 3, seed=seed) if kind == "grid"
+                                    else gen_clusters(30, 4, seed=seed))
+        sdp = make_sdp(problem, 1000.0)
         u0, _ = spectral_shift_init(sdp, 4)
         parts = sdp.assemble(u0 + 0.5 * rng.standard_normal(sdp.q))
         return sdp, parts, np.linalg.eigvalsh(_dense_c(sdp, parts))
 
-    @pytest.mark.parametrize("kind", ["grid", "clusters"])
+    @pytest.mark.parametrize("kind", ["grid", "clusters", "general"])
     def test_solve_inverts_the_shifted_operator(self, rng, kind):
         for seed in range(4):
             sdp, parts, eigs = self._random_point(kind, seed, rng)
@@ -274,7 +277,7 @@ class TestShiftInvert:
                     assert np.linalg.norm(back - x) <= \
                         1e-10 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("kind", ["grid", "clusters"])
+    @pytest.mark.parametrize("kind", ["grid", "clusters", "general"])
     def test_count_is_zero_exactly_above_the_spectrum(self, rng, kind):
         for seed in range(4):
             sdp, parts, eigs = self._random_point(kind, seed, rng)
@@ -286,10 +289,14 @@ class TestShiftInvert:
                 assert count == sdp.positive_count(parts, sigma)
                 assert (count == 0) == (sigma >= eigs[-1])
 
-    @pytest.mark.parametrize("capped", [False, True],
-                             ids=["complete", "rank-capped"])
-    def test_positive_part_matches_the_dense_one(self, rng, capped):
-        sdp = make_sdp(build_problem(gen_grid(8, 8, 3, seed=2)), 1000.0)
+    @pytest.mark.parametrize("general, capped", [
+        (False, False), (False, True), (True, False), (True, True)],
+        ids=["complete", "rank-capped", "general-complete",
+             "general-rank-capped"])
+    def test_positive_part_matches_the_dense_one(self, rng, general, capped):
+        problem = (_general_l3(40, 2) if general
+                   else build_problem(gen_grid(8, 8, 3, seed=2)))
+        sdp = make_sdp(problem, 1000.0)
         u0, _ = spectral_shift_init(sdp, 6)
         parts = sdp.assemble(u0 - 0.05 * sdp.identity
                              + 1e-3 * rng.standard_normal(sdp.q))
@@ -314,10 +321,12 @@ class TestShiftInvert:
     # a start 0.1 times the usual doubles up to the spectrum; one 1e-3
     # times it stays below after 4 doublings and falls back to Lanczos on
     # C(u) itself
-    @pytest.mark.parametrize("scale, found", [(0.1, True), (1e-3, False)],
-                             ids=["doubles", "falls-back"])
-    def test_a_low_sigma_doubles_or_falls_back(self, monkeypatch, scale,
-                                               found):
+    @pytest.mark.parametrize("general, scale, found", [
+        (False, 0.1, True), (False, 1e-3, False),
+        (True, 0.1, True), (True, 1e-3, False)],
+        ids=["doubles", "falls-back", "general-doubles", "general-falls-back"])
+    def test_a_low_sigma_doubles_or_falls_back(self, monkeypatch, general,
+                                               scale, found):
         proven = sdp_module._proven_shift
         shifts = []  # (start, proven shift or None, dense lambda_max)
 
@@ -330,9 +339,12 @@ class TestShiftInvert:
 
         monkeypatch.setattr(sdp_module, "_proven_shift", low_start)
         calls = _record_psd_calls(monkeypatch)
-        report = lr_sdcut_solve(build_problem(gen_grid(12, 12, 3, seed=2)),
-                                seed=1)
-        assert not report.warnings
+        problem = (_general_l3(50, 2) if general
+                   else build_problem(gen_grid(12, 12, 3, seed=2)))
+        report = lr_sdcut_solve(problem, seed=1)
+        assert report.warnings == (
+            ["general label-compatibility path is experimental"] if general
+            else [])
         assert len(shifts) > 3
         for _, shift, top in shifts:
             assert (shift is not None) == found
@@ -699,20 +711,24 @@ class TestRoundSolution:
 
 
 def _rounding_one_sample_at_a_time(psd, sdp, seed, n_samples):
-    """The general lifting's rounding with each Gaussian sample drawn,
-    discretized and priced on its own: the reference for the batched one."""
-    if psd.rank == 0:
-        return sdp_module.icm_polish(sdp, np.zeros(sdp.n_vars, dtype=np.int64))
-    psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
-    rng = np.random.default_rng(seed)
+    """The general lifting's rounding with each Gaussian sample g in R^n
+    projected through the explicit Y^(1/2), discretized and priced on its
+    own, and the diag(Y) start read off the explicit Y: the reference for
+    the batched one."""
+    scale = np.sqrt(sdp.gamma * psd.values)
+    half = (psd.vectors * scale) @ psd.vectors.T
+    draws = np.random.default_rng(seed).standard_normal((sdp.n, n_samples))
     best_energy = np.inf
-    for _ in range(n_samples):
-        scores = psi @ rng.standard_normal(psd.rank)
+    for g in draws.T:
+        scores = half @ g
         labels = np.argmax(scores.reshape(sdp.n_vars, sdp.n_labels), axis=1)
         value = priced(sdp, labels)
         if value < best_energy:
             best_energy, best_labels = value, labels
-    return sdp_module.icm_polish(sdp, best_labels)
+    sample = sdp_module.icm_polish(sdp, best_labels)
+    marginals = np.diag(half @ half).reshape(sdp.n_vars, sdp.n_labels)
+    start = sdp_module.icm_polish(sdp, np.argmax(marginals, axis=1))
+    return start if start[1] < sample[1] else sample
 
 
 class TestBatchedGeneralRounding:
@@ -735,6 +751,38 @@ class TestBatchedGeneralRounding:
                         psd, sdp, seed, n_samples)
                     np.testing.assert_array_equal(labels, ref_labels)
                     assert value == ref_value
+
+
+class TestBasisIndependentRounding:
+    """General rounding reads Y alone, so factors of the same Y whose
+    eigenvectors differ in sign, or by a rotation within an exactly
+    degenerate eigenspace, round to the same labels."""
+
+    @pytest.mark.parametrize("change", ["negate", "rotate"])
+    @pytest.mark.parametrize("n_labels", [2, 3, 4])
+    def test_same_y_rounds_alike(self, rng, change, n_labels):
+        values = np.array([1.3, 1.3, 0.5, 0.2])  # a degenerate leading pair
+        if change == "negate":
+            transform = np.diag([-1.0, 1.0, -1.0, -1.0])
+        else:
+            angle = rng.uniform(0.3, 1.2)
+            transform = np.eye(4)
+            transform[:2, :2] = [[np.cos(angle), -np.sin(angle)],
+                                 [np.sin(angle), np.cos(angle)]]
+        for problem_seed in range(3):
+            sdp = make_sdp(random_general_problem(40, n_labels,
+                                                  seed=problem_seed,
+                                                  weight=2.0), gamma=10.0)
+            vectors = np.linalg.qr(rng.standard_normal((sdp.n, 4)))[0]
+            factor = PsdFactor(vectors, values)
+            changed = PsdFactor(vectors @ transform, values)
+            for seed in range(4):
+                labels, value = round_solution(factor, sdp, seed=seed,
+                                               n_samples=10)
+                labels_c, value_c = round_solution(changed, sdp, seed=seed,
+                                                   n_samples=10)
+                np.testing.assert_array_equal(labels, labels_c)
+                assert value == value_c
 
 
 class TestIcmPolish:
@@ -1084,40 +1132,56 @@ class TestBoundRejections:
         assert report.extras["dual_evals"] == lanczos_only.extras["dual_evals"]
 
 
+def _count_applications(monkeypatch, lifting, problem):
+    """Solve ``problem`` with ``lifting``'s assembly, matvecs and shifted
+    solves counted; returns the counts and the report."""
+    counts = {"assemble": 0, "c_matvec": 0, "solve": 0}
+
+    def counting(name):
+        original = lifting.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lifting, name, wrapper)
+
+    counting("assemble")
+    counting("c_matvec")
+    shifted_inverse = lifting.shifted_inverse
+
+    def counting_solves(self, parts, sigma):
+        inverse = shifted_inverse(self, parts, sigma)
+        if inverse is None:
+            return None
+
+        def solve(b):
+            counts["solve"] += 1
+            return inverse[1](b)
+        return inverse[0], solve
+    monkeypatch.setattr(lifting, "shifted_inverse", counting_solves)
+    return counts, lr_sdcut_solve(problem, seed=1)
+
+
 class TestAssembledOperator:
     """C(u)'s blocks are assembled once per dual point, not per matvec or
-    shifted solve."""
+    shifted solve, and both liftings make shifted solves."""
 
     def test_blocks_are_assembled_per_evaluation(self, monkeypatch):
-        counts = {"assemble": 0, "c_matvec": 0, "solve": 0}
-
-        def counting(name):
-            original = PottsSdp.__dict__[name]
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(PottsSdp, name, wrapper)
-
-        counting("assemble")
-        counting("c_matvec")
-        shifted_inverse = PottsSdp.shifted_inverse
-
-        def counting_solves(self, parts, sigma):
-            inverse = shifted_inverse(self, parts, sigma)
-            if inverse is None:
-                return None
-
-            def solve(b):
-                counts["solve"] += 1
-                return inverse[1](b)
-            return inverse[0], solve
-        monkeypatch.setattr(PottsSdp, "shifted_inverse", counting_solves)
-        report = lr_sdcut_solve(build_problem(gen_grid(30, 30, 2, seed=5)),
-                                seed=1)
+        counts, report = _count_applications(
+            monkeypatch, PottsSdp, build_problem(gen_grid(30, 30, 2, seed=5)))
         # one assembly per evaluation, which the operator, the inertia
         # counts, the shifted solves and the pinching bound share, plus the
         # start
         assert counts["assemble"] <= 2 * report.extras["dual_evals"] + 1
         # C(u) is applied as a matvec, or inverted at a shift by a solve
         assert counts["c_matvec"] + counts["solve"] >= 100
+
+    def test_general_solve_makes_shifted_solves(self, monkeypatch):
+        counts, report = _count_applications(monkeypatch, GeneralSdp,
+                                             _general_l3(300, 5))
+        assert counts["assemble"] <= 2 * report.extras["dual_evals"] + 1
+        # counted requests run on shifted solves, not on C(u) itself: the
+        # matvecs left are the start's Lanczos run on C(0) and the
+        # evaluations whose shift is not proven
+        assert counts["solve"] >= 100
+        assert counts["solve"] > counts["c_matvec"]
