@@ -1,13 +1,16 @@
 """Per-iteration cost versus problem size.
 
 Each solver iteration costs one partial eigendecomposition driven by
-O(N)-cost matvecs, plus rounding; nothing materializes an N x N matrix.
-This script times grid instances that sample the same synthetic scene at
-increasing resolution and prints the median per-iteration wall time.
-Growth is roughly proportional: each Lanczos request asks for only two
-pairs beyond the last positive rank, because surplus pairs sit in the
-slowly converging cluster of eigenvalues just below zero and would cost
-extra Lanczos steps at every size.  Run on one core for stable numbers.
+O(N)-cost matvecs or shifted solves, plus rounding; nothing materializes
+an N x N matrix.  This script times grid instances that sample the same
+synthetic scene at increasing resolution and prints the median
+per-iteration wall time.
+Growth is roughly proportional: an inertia count gives the exact number
+p of positive eigenvalues in O(N), so each Lanczos request asks for
+at most p pairs (the last positive rank plus two, grown to p when that
+falls short) and runs in shift-invert mode on O(N) solves with the
+shifted operator, never on surplus pairs from the slowly converging
+cluster just below zero.  Run on one core for stable numbers.
 """
 
 import numpy as np

@@ -6,8 +6,8 @@ through solves with a copy shifted past its spectrum.  ARPACK's implicitly
 restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the leading
 eigenpairs, in shift-invert mode when given the solves; this module wraps
 it, at one tolerance (``EIG_TOL``, also the positivity threshold) and one
-restart budget (``EIG_RESTARTS``), with seeded random vectors, a request
-sized by the caller's exact count of positive eigenvalues when it has one
+restart budget (``EIG_RESTARTS``), with seeded random vectors, a Krylov
+dimension sized per mode, a request sized by the caller's exact count of positive eigenvalues when it has one
 (the count then proves the factor complete, and a Lanczos result that
 contradicts it is a typed failure), adaptive subspace growth otherwise, an
 early stop once the partial norm (or a caller's lower bound on the whole
@@ -111,7 +111,12 @@ def leading_eigpairs(op, k, seed, shift=None):
     ``shift = (sigma, solve)``, with sigma above op's spectrum and
     ``solve(b) = (op - sigma I)^-1 b``, runs ARPACK in shift-invert mode on
     ``solve`` alone, whose largest-magnitude eigenvalues 1/(lambda - sigma)
-    are op's top k, spread apart (Ericsson & Ruhe 1980).
+    are op's top k, spread apart (Ericsson & Ruhe 1980), in a Krylov
+    dimension of only ``min(n, max(k + 10, 20))``: every restart builds all
+    ncv Lanczos steps (Lehoucq & Sorensen 1996), and only counted requests
+    run shift-invert, whose count turns a misconvergence into
+    :class:`EigenCountMismatch`.  Plain runs keep the floor of 30, which
+    guards the uncounted requests.
     The start is never warm: Lanczos from a combination of a nearby
     operator's eigenvectors can miss new positive directions.  Falls back
     to a dense eigendecomposition built from n matvecs when k >= n - 1
@@ -133,7 +138,7 @@ def leading_eigpairs(op, k, seed, shift=None):
     scipy_op = LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
     mode = {"which": "LA"} if shift is None else {"which": "LM", "sigma": shift[0],
         "OPinv": LinearOperator((n, n), matvec=shift[1], dtype=np.float64)}
-    ncv = min(n, max(2 * k + 10, 30))
+    ncv = min(n, max(2 * k + 10, 30) if shift is None else max(k + 10, 20))
     try:
         vals, vecs = eigsh(scipy_op, k=k, v0=v0, ncv=ncv, tol=EIG_TOL,
                            maxiter=EIG_RESTARTS, **mode,
@@ -172,8 +177,9 @@ def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
     in which case the factor is marked truncated; a request then needs
     only one or two pairs beyond the expected positive rank.  Either way
     the request starts at ``k0`` (default min(10, max_rank)), and the
-    Krylov floor of :func:`leading_eigpairs` keeps small requests from
-    stopping on Ritz values that are not the leading ones.
+    Krylov floor of :func:`leading_eigpairs` (30, or 20 in shift-invert
+    mode) keeps small requests from stopping on Ritz values that are not
+    the leading ones.
 
     Ritz values never exceed the eigenvalues of the same rank, so the sum
     of squares of returned positive values is a lower estimate of

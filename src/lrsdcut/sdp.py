@@ -233,7 +233,8 @@ class PottsSdp(SdpLifting):
         ``C(u) = [[head, coupling'], [coupling, Diag(diag) + K/2]]``:
         head = -Diag(u1) - ltri(u2)/2 (L x L), coupling = -(H + u3 1')/2
         (N x L), diag = -u4 for u = [u1; u2; u3; u4], and ``w = [F, coupling]``
-        (N x (R+L), K/2 = F F'; None without F), of which coupling is a view."""
+        (N x (R+L), K/2 = F F'; None without F), column-major so that its
+        columns are contiguous; coupling is a view of its last L columns."""
         L, N = self.n_labels, self.n_vars
         p = self.tril_rows.size
         u1, u2, u3, u4 = u[:L], u[L:L + p], u[L + p:L + p + N], u[L + p + N:]
@@ -243,7 +244,8 @@ class PottsSdp(SdpLifting):
         coupling = -0.5 * (self.problem.unary + u3[:, None])
         if self._count_factor is None:
             return head, coupling, -u4, None
-        w = np.hstack([self._count_factor, coupling])
+        w = np.empty((N, self._count_factor.shape[1] + L), order="F")
+        w[:, :-L], w[:, -L:] = self._count_factor, coupling
         return head, w[:, -L:], -u4, w
 
     def c_matvec(self, parts, d):
@@ -292,7 +294,8 @@ class PottsSdp(SdpLifting):
     def shifted_inverse(self, parts, sigma):
         """``(count, solve)``: the number of eigenvalues of C(u) above
         ``sigma``, in O(N (R+L)^2), and ``solve(b) = (C(u) - sigma I)^-1 b``
-        from the same factorization, in two passes over W.
+        from the same factorization, in two contiguous passes over the
+        column-major D^-1 W that the Schur complement is built from.
 
         In C(u) - sigma I the variable block is D + F F', with the diagonal
         D = Diag(diag) - sigma I and K/2 = F F' (F is N x R), and it couples
@@ -302,11 +305,11 @@ class PottsSdp(SdpLifting):
         Haynsworth additivity its inertia is also In(D) + In(S) with the
         (R+L) x (R+L) Schur complement
         ``S = blockdiag(-I_R, head - sigma I) - W' D^-1 W``, W = [F, E].
-        So the count is pos(D) + pos(S).  With b = [b1; b2] and
-        y = D^-1 b2, the solve is ``[z; x1] = S^-1 [-F'y; b1 - E'y]`` and
-        ``x2 = D^-1 (b2 - W [z; x1])``.  None when a kernel is not an
-        unblocked low-rank one, or a pivot or Schur pivot is within
-        roundoff of zero.
+        So the count is pos(D) + pos(S).  With b = [b1; b2], the solve is
+        ``[z; x1] = S^-1 ([0; b1] - (D^-1 W)' b2)`` and
+        ``x2 = D^-1 b2 - (D^-1 W) [z; x1]``, with D^-1 kept as reciprocals.
+        None when a kernel is not an unblocked low-rank one, or a pivot or
+        Schur pivot is within roundoff of zero.
         """
         head, coupling, diag, w = parts
         if w is None:
@@ -317,7 +320,8 @@ class PottsSdp(SdpLifting):
         if size.min() <= COUNT_REL_TOL * size.max():
             return None
         head = head - sigma * np.eye(L)
-        schur = -(w.T @ (w / pivots[:, None]))
+        w_scaled, inverse = w / pivots[:, None], 1.0 / pivots
+        schur = -(w.T @ w_scaled)
         rank = w.shape[1] - L
         schur[np.arange(rank), np.arange(rank)] -= 1.0
         schur[rank:, rank:] += head
@@ -329,10 +333,10 @@ class PottsSdp(SdpLifting):
         count = _positive_inertia(np.count_nonzero(pivots > 0.0), factored, noise)
 
         def solve(b):
-            rhs = -(b[L:] / pivots) @ w
+            rhs = -(b[L:] @ w_scaled)
             rhs[-L:] += b[:L]
             zx = dsytrs(ldu, ipiv, rhs, lower=1)[0]
-            return np.concatenate([zx[-L:], (b[L:] - w @ zx) / pivots])
+            return np.concatenate([zx[-L:], b[L:] * inverse - w_scaled @ zx])
         return None if count is None else (count, solve)
 
 
@@ -660,7 +664,7 @@ def icm_polish(sdp, labels):
             return best
 
 
-def round_solution(psd, sdp, seed, n_samples):
+def round_solution(psd, sdp, seed, n_samples, polished=None):
     """Round the implicit primal matrix to a feasible labeling, then
     polish it with :func:`icm_polish`.
 
@@ -678,20 +682,30 @@ def round_solution(psd, sdp, seed, n_samples):
     diag(Y) depend on Y alone, so the labels do not change with the signs
     or rotations of the eigenvectors.  Row argmax ties fall to the
     smallest label.  Returns ``(labels, lifted_energy)``.
+
+    ``polished`` maps start-label bytes to the results of the pure
+    :func:`icm_polish`; a start found there is not polished again.
     """
     n_vars, n_labels = sdp.n_vars, sdp.n_labels
     psi = psd.vectors * np.sqrt(sdp.gamma * psd.values)
+    polished = {} if polished is None else polished
+
+    def polish(start):
+        key = start.tobytes()
+        if key not in polished:
+            polished[key] = icm_polish(sdp, start)
+        return polished[key]
     if isinstance(sdp, PottsSdp):
-        return icm_polish(sdp, np.argmax(psi[n_labels:] @ psi[:n_labels].T, axis=1))
+        return polish(np.argmax(psi[n_labels:] @ psi[:n_labels].T, axis=1))
     draws = np.random.default_rng(seed).standard_normal((sdp.n, n_samples))
     proj = psi @ (psd.vectors.T @ draws)
     labels = np.argmax(proj.reshape(n_vars, n_labels, n_samples), axis=1)
     # column s is sample s's one-hot vectorization
     stack = (labels[:, None, :] == np.arange(n_labels)[:, None]).reshape(-1, n_samples)
     values = lifted_energy_general(sdp.problem, stack)
-    sample = icm_polish(sdp, labels[:, np.argmin(values)].copy())
+    sample = polish(labels[:, np.argmin(values)].copy())
     marginals = np.einsum("ir,ir->i", psi, psi).reshape(n_vars, n_labels)
-    start = icm_polish(sdp, np.argmax(marginals, axis=1))
+    start = polish(np.argmax(marginals, axis=1))
     return start if start[1] < sample[1] else sample
 
 
@@ -855,12 +869,14 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     trajectory = []
     best_labels = None
     best_lifted = np.inf
+    polished = {}  # round_solution's polished starts, shared across rounds
 
     def record(iteration, value, factor, started):
         nonlocal best_labels, best_lifted
         labels, lifted = round_solution(factor, sdp,
                                         seed=next_seed(round_seed_rng),
-                                        n_samples=params.n_samples)
+                                        n_samples=params.n_samples,
+                                        polished=polished)
         if lifted < best_lifted:
             best_lifted = lifted
             best_labels = labels

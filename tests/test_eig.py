@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from conftest import reconstruct
 from lrsdcut import eig as eig_module
-from lrsdcut.eig import (EigenConvergenceError, EigenCountMismatch, PsdFactor,
-                         SymmetricOperator, leading_eigpairs, leading_psd_part)
+from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
+                         PsdFactor, SymmetricOperator, leading_eigpairs,
+                         leading_psd_part)
 
 
 def operator_from(matrix):
@@ -209,6 +211,61 @@ class TestCountedRequests:
         np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
                                    atol=1e-10)
         assert "8 eigenvalues above" in str(info.value)
+
+
+class TestKrylovSizing:
+    """Plain runs keep the Krylov floor that guards uncounted requests;
+    shift-invert runs, which only counted requests make, run in a smaller
+    subspace, where the count still proves the factor complete."""
+
+    @staticmethod
+    def record_subspaces(monkeypatch):
+        subspaces = []
+
+        def recording(*args, **kwargs):
+            subspaces.append(("sigma" in kwargs, kwargs["k"], kwargs["ncv"]))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(eig_module, "eigsh", recording)
+        return subspaces
+
+    @pytest.mark.parametrize("n, k", [(200, 1), (200, 5), (200, 12),
+                                      (200, 40), (60, 30), (25, 20)])
+    def test_subspace_per_mode(self, monkeypatch, n, k):
+        diag = np.linspace(3.0, -3.0, n)
+        shift = 4.0, lambda b: b / (diag - 4.0)
+        subspaces = self.record_subspaces(monkeypatch)
+        plain = leading_eigpairs(operator_from(np.diag(diag)), k, seed=1)
+        inverted = leading_eigpairs(operator_from(np.diag(diag)), k, seed=1,
+                                    shift=shift)
+        assert subspaces == [(False, k, min(n, max(2 * k + 10, 30))),
+                             (True, k, min(n, max(k + 10, 20)))]
+        np.testing.assert_allclose(inverted[0], plain[0], atol=1e-10)
+        np.testing.assert_allclose(plain[0], diag[:k], atol=1e-10)
+
+    # diagonal plus low rank, n = 600: a diagonal dense in [-0.05, 0) and
+    # a rank-`count` term whose eigenvalues fall in three tight clusters,
+    # the lowest just above the diagonal's cluster at zero
+    @pytest.mark.parametrize("count", range(1, 26))
+    def test_counted_shift_invert_runs_find_the_whole_positive_part(
+            self, count):
+        rng = np.random.default_rng(100 + count)
+        n = 600
+        basis, _ = np.linalg.qr(rng.standard_normal((n, count)))
+        centers = rng.choice([0.04, 0.5, 1.0], count)
+        centers += 1e-9 * rng.standard_normal(count)
+        matrix = (np.diag(-rng.uniform(1e-4, 0.05, n))
+                  + (basis * centers) @ basis.T)
+        vals = np.linalg.eigvalsh(matrix)[::-1]
+        positive = vals[vals > EIG_TOL]
+        assert positive.size == count
+        sigma = 1.5 * vals[0]
+        inverse = np.linalg.inv(matrix - sigma * np.eye(n))
+        factor = leading_psd_part(operator_from(matrix), max_rank=n,
+                                  seed=count, count=count,
+                                  shift=(sigma, lambda b: inverse @ b))
+        assert not factor.truncated and factor.rank == count
+        np.testing.assert_allclose(factor.values, positive, rtol=1e-9)
 
 
 class TestPairsInHand:

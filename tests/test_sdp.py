@@ -360,6 +360,47 @@ class TestShiftInvert:
         assert checked > 3
 
 
+class TestPottsLayout:
+    """Potts assembles W = [F, E] column-major, with the coupling E a view
+    of it, and its shifted solves read the D^-1 W of the Schur build."""
+
+    @staticmethod
+    def _point(rng):
+        # N = 600 against R + L <= 19
+        problem = build_problem(gen_grid(25, 24, 3, seed=4, landmarks=20,
+                                         rank=8))
+        sdp = make_sdp(problem, 1000.0)
+        u0, _ = spectral_shift_init(sdp, 4)
+        return sdp, sdp.assemble(u0 + 0.5 * rng.standard_normal(sdp.q))
+
+    def test_w_is_column_major_and_holds_the_coupling(self, rng):
+        sdp, parts = self._point(rng)
+        _, coupling, _, w = parts
+        assert w.flags.f_contiguous
+        assert np.shares_memory(coupling, w)
+        np.testing.assert_array_equal(w[:, -sdp.n_labels:], coupling)
+        np.testing.assert_array_equal(w[:, :-sdp.n_labels], sdp._count_factor)
+        np.testing.assert_array_equal(
+            sdp.assemble(np.zeros(sdp.q))[1], -0.5 * sdp.problem.unary)
+
+    def test_solve_matches_a_dense_solve(self, rng):
+        sdp, parts = self._point(rng)
+        assert sdp.n_vars >= 30 * parts[3].shape[1]
+        dense = _dense_c(sdp, parts)
+        eigs = np.linalg.eigvalsh(dense)
+        # above the spectrum, and inside it between two eigenvalues
+        middle = np.argmax(np.diff(eigs[sdp.n // 2:])) + sdp.n // 2
+        for sigma in (1.5 * eigs[-1], 0.5 * (eigs[middle] + eigs[middle + 1])):
+            count, solve = sdp.shifted_inverse(parts, sigma)
+            assert count == np.count_nonzero(eigs > sigma)
+            shifted = dense - sigma * np.eye(sdp.n)
+            for b in rng.standard_normal((3, sdp.n)):
+                x = solve(b)
+                np.testing.assert_allclose(x, np.linalg.solve(shifted, b),
+                                           rtol=0.0,
+                                           atol=1e-9 * np.linalg.norm(x))
+
+
 def _one_kernel_problem(n, n_labels, seed, form, general):
     """Problem over one kernel: plain or block-diagonal low-rank, or
     centered discriminative; with a random compatibility when general."""
@@ -681,6 +722,47 @@ class TestRoundSolution:
         labels_a, _ = round_solution(factor, sdp, seed=77, n_samples=5)
         labels_b, _ = round_solution(scaled, sdp, seed=77, n_samples=5)
         np.testing.assert_array_equal(labels_a, labels_b)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_a_repeated_start_is_polished_once(self, monkeypatch, rng,
+                                               general):
+        problem = (_general_l3(40, 3) if general
+                   else random_potts_problem(40, 3, seed=15))
+        sdp = make_sdp(problem, gamma=100.0)
+        u0, _ = spectral_shift_init(sdp, 4)
+        factor = exact_factor(sdp, u0 + 0.1 * rng.standard_normal(sdp.q))
+        polished = {}
+        first = round_solution(factor, sdp, seed=5, n_samples=4,
+                               polished=polished)
+        products = []
+        kernel_matvec = CrfProblem.kernel_matvec
+
+        def counting(self, x):
+            products.append(np.shape(x))
+            return kernel_matvec(self, x)
+        monkeypatch.setattr(CrfProblem, "kernel_matvec", counting)
+        again = round_solution(factor, sdp, seed=5, n_samples=4,
+                               polished=polished)
+        # no polish sweep runs again; the general lifting still prices its
+        # samples in one block product of all of them
+        assert products == ([(sdp.n_vars, 4 * 3)] if general else [])
+        assert again[0] is first[0] and again[1] == first[1]
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_solves_are_unchanged_by_the_polish_memo(self, monkeypatch,
+                                                     general):
+        problem = (_general_l3(60, 4) if general
+                   else build_problem(gen_grid(10, 10, 3, seed=4)))
+        with_memo = lr_sdcut_solve(problem, seed=1)
+
+        def without_memo(psd, sdp, seed, n_samples, polished):
+            return round_solution(psd, sdp, seed, n_samples)
+        monkeypatch.setattr(sdp_module, "round_solution", without_memo)
+        plain = lr_sdcut_solve(problem, seed=1)
+        np.testing.assert_array_equal(with_memo.labels, plain.labels)
+        assert with_memo.best_energy == plain.best_energy
+        assert [r.to_dict() | {"ms": 0} for r in with_memo.trajectory] == \
+            [r.to_dict() | {"ms": 0} for r in plain.trajectory]
 
     def test_never_beats_brute_force_and_usually_matches(self):
         hits = 0
