@@ -6,11 +6,10 @@ an N x N matrix.  This script times grid instances that sample the same
 synthetic scene at increasing resolution and prints the median
 per-iteration wall time.
 Growth is roughly proportional: an inertia count gives the exact number
-p of positive eigenvalues in O(N), so each Lanczos request asks for
-at most p pairs (the last positive rank plus two, grown to p when that
-falls short) and runs in shift-invert mode on O(N) solves with the
-shifted operator, never on surplus pairs from the slowly converging
-cluster just below zero.  Run on one core for stable numbers.
+p of positive eigenvalues in O(N), so each iteration makes one Lanczos
+request for exactly p pairs, which runs in shift-invert mode on O(N)
+solves with the shifted operator, never on surplus pairs from the slowly
+converging cluster just below zero.  Run on one core for stable numbers.
 """
 
 import numpy as np

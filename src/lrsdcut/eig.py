@@ -7,13 +7,13 @@ restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the leading
 eigenpairs, in shift-invert mode when given the solves; this module wraps
 it, at one tolerance (``EIG_TOL``, also the positivity threshold) and one
 restart budget (``EIG_RESTARTS``), with seeded random vectors, a Krylov
-dimension sized per mode, a request sized by the caller's exact count of positive eigenvalues when it has one
-(the count then proves the factor complete, and a Lanczos result that
-contradicts it is a typed failure), adaptive subspace growth otherwise, an
-early stop once the partial norm (or a caller's lower bound on the whole
-norm, before any Lanczos run) passes a caller's limit, eigenpairs already
-in hand standing in for the first Lanczos run, and a dense fallback for
-operators too small for ARPACK.
+dimension sized per mode, and a dense fallback for operators too small
+for ARPACK.  A positive part takes at most one Lanczos request: exactly
+the caller's count of positive eigenvalues (which then proves the factor
+complete, and a Lanczos result that contradicts it is a typed failure),
+capped at the caller's rank cap, or the rank cap itself where no count
+is given.  Eigenpairs already in hand can stand in for that run, and a
+caller's lower bound on the norm that passes its limit skips it.
 """
 
 import inspect
@@ -156,52 +156,64 @@ def leading_eigpairs(op, k, seed, shift=None):
     return vals[order], vecs[:, order]
 
 
-def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
-                     frob_lower=0.0, count=None, pairs=None, shift=None):
+def _proven_part(vals, vecs, count, max_rank, n):
+    """The positive part that descending leading pairs give, capped at
+    ``max_rank``, and whether they prove it complete (see
+    :func:`leading_psd_part`)."""
+    thresh = EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)
+    keep = vals > thresh
+    if count is None:
+        # the dense fallback returns the whole spectrum
+        complete = vals[-1] <= thresh or vals.size >= n
+    elif vals[-1] <= EIG_TOL:
+        raise EigenCountMismatch(
+            f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz "
+            f"value {vals.size} of {vals.size} is {vals[-1]:.6g}; factor "
+            "marked truncated",
+            PsdFactor(vecs[:, keep], vals[keep], truncated=True))
+    else:
+        complete = vals.size == count
+    truncated = not complete or np.count_nonzero(keep) > max_rank
+    return PsdFactor(vecs[:, keep][:, :max_rank], vals[keep][:max_rank],
+                     truncated=bool(truncated)), complete
+
+
+def leading_psd_part(op, max_rank, seed=0, frob_limit=np.inf, frob_lower=0.0,
+                     count=None, pairs=None, shift=None):
     """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
-    up to ``max_rank`` of them, as a :class:`PsdFactor`.
+    up to ``max_rank`` of them, as a :class:`PsdFactor`, from at most one
+    Lanczos run.
 
     ``count``, when given, is the exact number p of eigenvalues above
-    ``EIG_TOL`` (from an inertia count of the operator).  It is the
-    completeness proof: p = 0 returns an empty factor without a Lanczos
-    call, and otherwise the request grows to exactly min(p, max_rank)
-    pairs; the factor is complete once p Ritz values above ``EIG_TOL``
-    are in hand and truncated when p exceeds the rank cap.  A returned
-    Ritz value at or below ``EIG_TOL`` among the first p contradicts the
-    count and raises :class:`EigenCountMismatch`, carrying the factor
-    marked truncated.
+    ``EIG_TOL`` (from an inertia count of the operator).  It sizes the
+    request and proves the factor complete: p = 0 returns an empty factor
+    without a Lanczos run, and otherwise the run asks for exactly
+    min(p, max_rank) pairs; the factor is complete when p Ritz values
+    above ``EIG_TOL`` are in hand and truncated when p exceeds the rank
+    cap.  A returned Ritz value at or below ``EIG_TOL`` among the first p
+    contradicts the count and raises :class:`EigenCountMismatch`,
+    carrying the factor marked truncated.  Without a count (the caller
+    has none, or its count was undecided) the run asks for ``max_rank``
+    pairs, and the factor is complete only when the last of them is at or
+    below the positivity threshold (or the run covered the whole
+    spectrum); otherwise it is marked truncated.
 
-    Without a count the request doubles until the smallest returned
-    eigenvalue drops below the positivity threshold (taken as proof that
-    the whole positive spectrum is in hand) or the rank cap is reached,
-    in which case the factor is marked truncated; a request then needs
-    only one or two pairs beyond the expected positive rank.  Either way
-    the request starts at ``k0`` (default min(10, max_rank)), and the
-    Krylov floor of :func:`leading_eigpairs` (30, or 20 in shift-invert
-    mode) keeps small requests from stopping on Ritz values that are not
-    the leading ones.
-
-    Ritz values never exceed the eigenvalues of the same rank, so the sum
-    of squares of returned positive values is a lower estimate of
-    ``||op_+||_F^2``.  Once it exceeds ``frob_limit`` the growth stops and
-    that partial factor is returned marked truncated: a caller that only
-    needs to know whether the norm passes a limit learns it without the
-    rest of the positive spectrum.  ``frob_lower`` is a caller's lower
-    bound on ``||op_+||_F^2`` (for instance from the operator's diagonal
-    blocks); when it already exceeds ``frob_limit`` the call returns at
-    once, without a Lanczos run or a matvec, a rank-0 factor marked
-    truncated whose :meth:`PsdFactor.frob_norm_sq` is that bound.
+    ``frob_lower`` is a caller's lower bound on ``||op_+||_F^2`` (for
+    instance from the operator's diagonal blocks); when it already
+    exceeds ``frob_limit`` the call returns at once, without a Lanczos
+    run or a matvec, a rank-0 factor marked truncated whose
+    :meth:`PsdFactor.frob_norm_sq` is that bound.
 
     ``pairs``, when given, are leading eigenpairs ``(values, vectors)`` of
     ``op`` already in hand (values descending), for instance the exact
     pairs of a shifted copy of the operator, from a Lanczos run or a small
-    dense problem in a low-rank range.  They stand in for the
-    first Lanczos result under the same proofs: without a count, a value
-    at or below the threshold proves the positive part complete; with a
-    count, p values above ``EIG_TOL`` do, and a value at or below
-    ``EIG_TOL`` among the first p raises :class:`EigenCountMismatch`.
-    Pairs that prove neither leave the call exactly as it would be
-    without them.  ``shift`` goes to every Lanczos run and changes no proof.
+    dense problem in a low-rank range.  They stand in for the Lanczos run
+    under the same proofs: without a count, a value at or below the
+    threshold proves the positive part complete; with a count, p values
+    above ``EIG_TOL`` do, and a value at or below ``EIG_TOL`` among the
+    first p raises :class:`EigenCountMismatch`.  Pairs that prove neither
+    leave the call exactly as it would be without them.  ``shift`` goes
+    to the Lanczos run and changes no proof.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -211,33 +223,11 @@ def leading_psd_part(op, max_rank, seed=0, k0=None, frob_limit=np.inf,
                          frob_lower=float(frob_lower))
     if count == 0:
         return PsdFactor(np.zeros((n, 0)), np.zeros(0))
-    cap = max_rank if count is None else min(count, max_rank)
-    k = min(k0 if k0 is not None else min(10, max_rank), cap)
-    while True:
-        if pairs is None:
-            vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
-        else:
-            vals, vecs = pairs[0][:count], pairs[1][:, :count]
-        thresh = EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)
-        keep = vals > thresh
-        if count is None:
-            # the dense fallback returns the whole spectrum
-            complete = vals[-1] <= thresh or vals.size >= n
-        elif vals[-1] <= EIG_TOL:
-            raise EigenCountMismatch(
-                f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz "
-                f"value {vals.size} of {vals.size} is {vals[-1]:.6g}; factor "
-                "marked truncated",
-                PsdFactor(vecs[:, keep], vals[keep], truncated=True))
-        else:
-            complete = vals.size == count
+    if pairs is not None:
+        factor, complete = _proven_part(pairs[0][:count], pairs[1][:, :count],
+                                        count, max_rank, n)
         if complete:
-            return PsdFactor(vecs[:, keep][:, :max_rank],
-                             vals[keep][:max_rank],
-                             truncated=bool(np.count_nonzero(keep) > max_rank))
-        if pairs is not None:
-            pairs = None  # they prove nothing: run Lanczos from k as usual
-            continue
-        if k >= cap or np.sum(vals ** 2) > frob_limit:
-            return PsdFactor(vecs, vals, truncated=True)
-        k = min(2 * k, cap)
+            return factor
+    k = max_rank if count is None else min(count, max_rank)
+    vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
+    return _proven_part(vals, vecs, count, max_rank, n)[0]

@@ -9,18 +9,19 @@ dual eliminates the matrix variable:
 so one dual evaluation only needs the positive eigenpairs of C(u), which a
 matrix-free Lanczos solver obtains from structured O(N) matvecs.  Each
 lifting assembles C(u)'s blocks once per dual point, so a matvec is one
-low-rank kernel product plus a few small products; C(0) = -A.  With a
-factored kernel stack, the inertia count of C(u) - sigma I factors a
-small Schur complement that also solves with C(u) - sigma I at about a
-matvec's cost (in either lifting), so a count proving sigma above the
-spectrum lets Lanczos run in shift-invert mode.  The same blocks give a
+low-rank kernel product plus a few small products; C(0) = -A.  Every
+kernel stack is K/2 = c I + G Diag(s) G' with a thin G and s = +-1, so
+the inertia count of C(u) - sigma I factors a small Schur complement,
+which also solves with C(u) - sigma I at about a matvec's cost (in
+either lifting): a count proving sigma above the spectrum lets Lanczos
+run in shift-invert mode.  The same blocks give a
 cheap lower bound on ||C(u)_+||_F^2 (the pinching inequality over C(u)'s
 diagonal blocks), which rejects an overshooting line-search trial before
 any Lanczos run.
 The solver starts at a dual point where C(u) = -A + nu I has low
 positive rank (the eigenpairs of -A that give nu, exact from a dense
-problem of dimension at most 2L + R for Potts with a factored kernel
-stack, give its positive part), ascends the dual with limited-memory
+problem of dimension at most 2L + R for Potts with low-rank kernels
+only, give its positive part), ascends the dual with limited-memory
 BFGS, rounds the implicit primal matrix ``Y = gamma (C(u))_+`` to a
 feasible labeling at every iteration (for Potts the row argmax of Y's
 variable-by-label block, the relaxed X; for the general lifting the best
@@ -46,7 +47,7 @@ from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
 from .eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
                   SymmetricOperator, leading_eigpairs, leading_psd_part)
-from .kernels import LowRankKernel
+from .kernels import CenteredDiscriminativeKernel
 
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
 # of the Schur complement's entries, leaves the inertia count undecided
@@ -62,14 +63,27 @@ MAX_HALVINGS = 30
 
 
 def _half_kernel_factor(problem):
-    """Stacked ``sqrt(w/2) phi`` of the kernel stack, so that K/2 = F F',
-    or None unless every kernel is an unblocked :class:`LowRankKernel`."""
-    if not problem.kernels or not all(type(k) is LowRankKernel
-                                      and k.blocks is None
-                                      for k in problem.kernels):
-        return None
-    return np.hstack([np.sqrt(0.5 * k.weight) * k.factor.phi
-                      for k in problem.kernels])
+    """``(c, G, s)`` with K/2 = c I + G Diag(s) G' for the kernel stack:
+    G is column-major (N x R) and s = +-1 per column.  A low-rank kernel
+    w phi phi' adds the columns sqrt(w/2) phi, padded with zeros outside
+    each block when block-diagonal; a centered kernel
+    w scale (Omega - phi phi'), Omega = I - 11'/N, adds c = w scale / 2
+    and the negative columns sqrt(c) [1/sqrt(N), phi] (no kernel: G is N x 0)."""
+    n, c, cols, signs = problem.n_vars, 0.0, [np.zeros((problem.n_vars, 0))], [[]]
+    for k in problem.kernels:
+        if isinstance(k, CenteredDiscriminativeKernel):
+            half, sign = 0.5 * k.weight * k.scale, -1.0
+            c += half
+            col = np.sqrt(half) * np.column_stack([np.full(n, n ** -0.5),
+                                                  k.factor.phi])
+        else:  # member[i, j] = 1 where variable i lies in block j
+            offsets, sign = [0, n] if k.blocks is None else k.blocks, 1.0
+            member = np.repeat(np.eye(len(offsets) - 1), np.diff(offsets), axis=0)
+            col = (member[:, :, None] * np.sqrt(0.5 * k.weight)
+                   * k.factor.phi[:, None, :]).reshape(n, -1)
+        cols.append(col)
+        signs.append(np.full(col.shape[1], sign))
+    return c, np.asfortranarray(np.hstack(cols)), np.concatenate(signs)
 
 
 def _positive_inertia(pivots_positive, factored, noise):
@@ -144,7 +158,8 @@ class SdpLifting:
     product with a vector; ``shifted_inverse(parts, sigma)``, the number of
     eigenvalues of C(u) above sigma from an inertia count that needs no
     Lanczos run, with a solve with C(u) - sigma I from the same
-    factorization, or None where the count is unavailable or undecided; and
+    factorization (every kernel stack is counted, :func:`_half_kernel_factor`),
+    or None where a pivot leaves the count undecided; and
     ``pinched_norm_sq(parts)``, a lower bound on ||C(u)_+||_F^2.  They
     also supply the gradient from a positive-part factor.  C(0) = -A, so
     the products with A are those of ``operator(0)``.
@@ -167,8 +182,10 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
-        # K/2 = F F' for shifted_inverse's inertia count, None without one
-        self._count_factor = _half_kernel_factor(problem)
+        # K/2 = c I + G Diag(s) G' for shifted_inverse's inertia count
+        self._count_shift, self._count_factor, self._count_signs = \
+            _half_kernel_factor(problem)
+        self._count_row_sq = np.sum(self._count_factor ** 2, axis=1)
 
     def _vector(self, d):
         d = np.asarray(d, dtype=np.float64)
@@ -232,8 +249,8 @@ class PottsSdp(SdpLifting):
         """C(u)'s blocks ``(head, coupling, diag, w)``, with
         ``C(u) = [[head, coupling'], [coupling, Diag(diag) + K/2]]``:
         head = -Diag(u1) - ltri(u2)/2 (L x L), coupling = -(H + u3 1')/2
-        (N x L), diag = -u4 for u = [u1; u2; u3; u4], and ``w = [F, coupling]``
-        (N x (R+L), K/2 = F F'; None without F), column-major so that its
+        (N x L), diag = -u4 for u = [u1; u2; u3; u4], and ``w = [G, coupling]``
+        (N x (R+L), K/2 = c I + G Diag(s) G'), column-major so that its
         columns are contiguous; coupling is a view of its last L columns."""
         L, N = self.n_labels, self.n_vars
         p = self.tril_rows.size
@@ -242,8 +259,6 @@ class PottsSdp(SdpLifting):
         ltri[self.tril_rows, self.tril_cols] = u2
         head = -np.diag(u1) - 0.5 * (ltri + ltri.T)
         coupling = -0.5 * (self.problem.unary + u3[:, None])
-        if self._count_factor is None:
-            return head, coupling, -u4, None
         w = np.empty((N, self._count_factor.shape[1] + L), order="F")
         w[:, :-L], w[:, -L:] = self._count_factor, coupling
         return head, w[:, -L:], -u4, w
@@ -297,25 +312,23 @@ class PottsSdp(SdpLifting):
         from the same factorization, in two contiguous passes over the
         column-major D^-1 W that the Schur complement is built from.
 
-        In C(u) - sigma I the variable block is D + F F', with the diagonal
-        D = Diag(diag) - sigma I and K/2 = F F' (F is N x R), and it couples
-        to the L label rows through E = coupling, where ``(head, coupling,
-        diag, W) = parts`` are :meth:`assemble`'s blocks.  Bordering F with
-        -I_R gives a matrix of inertia In(-I_R) + In(C(u) - sigma I); by
-        Haynsworth additivity its inertia is also In(D) + In(S) with the
+        In C(u) - sigma I the variable block is D + G Diag(s) G', with the
+        diagonal D = Diag(diag) + (c - sigma) I and K/2 = c I + G Diag(s) G'
+        (G is N x R, s = +-1), and it couples to the L label rows through
+        E = coupling, where ``(head, coupling, diag, W) = parts`` are
+        :meth:`assemble`'s blocks.  Bordering G with -Diag(s) gives a
+        matrix of inertia In(-Diag(s)) + In(C(u) - sigma I); by Haynsworth
+        additivity its inertia is also In(D) + In(S) with the
         (R+L) x (R+L) Schur complement
-        ``S = blockdiag(-I_R, head - sigma I) - W' D^-1 W``, W = [F, E].
-        So the count is pos(D) + pos(S).  With b = [b1; b2], the solve is
-        ``[z; x1] = S^-1 ([0; b1] - (D^-1 W)' b2)`` and
+        ``S = blockdiag(-Diag(s), head - sigma I) - W' D^-1 W``, W = [G, E].
+        So the count is pos(D) + pos(S) - #(s < 0).  With b = [b1; b2], the
+        solve is ``[z; x1] = S^-1 ([0; b1] - (D^-1 W)' b2)`` and
         ``x2 = D^-1 b2 - (D^-1 W) [z; x1]``, with D^-1 kept as reciprocals.
-        None when a kernel is not an unblocked low-rank one, or a pivot or
-        Schur pivot is within roundoff of zero.
+        None when a pivot or Schur pivot is within roundoff of zero.
         """
         head, coupling, diag, w = parts
-        if w is None:
-            return None
         L = self.n_labels
-        pivots = diag - sigma
+        pivots = diag + (self._count_shift - sigma)
         size = np.abs(pivots)
         if size.min() <= COUNT_REL_TOL * size.max():
             return None
@@ -323,14 +336,15 @@ class PottsSdp(SdpLifting):
         w_scaled, inverse = w / pivots[:, None], 1.0 / pivots
         schur = -(w.T @ w_scaled)
         rank = w.shape[1] - L
-        schur[np.arange(rank), np.arange(rank)] -= 1.0
+        schur[np.arange(rank), np.arange(rank)] -= self._count_signs
         schur[rank:, rank:] += head
-        # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|,
-        # where |f_i|^2 = K_ii / 2
-        row_sq = 0.5 * self.problem.kernel_diag() + np.sum(coupling ** 2, axis=1)
+        # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|
+        row_sq = self._count_row_sq + np.sum(coupling ** 2, axis=1)
         noise = COUNT_REL_TOL * (row_sq @ (1.0 / size) + np.abs(head).max() + 1.0)
         ldu, ipiv, _ = factored = dsytrf(schur, lower=1)
-        count = _positive_inertia(np.count_nonzero(pivots > 0.0), factored, noise)
+        count = _positive_inertia(np.count_nonzero(pivots > 0.0)
+                                  - np.count_nonzero(self._count_signs < 0.0),
+                                  factored, noise)
 
         def solve(b):
             rhs = -(b[L:] @ w_scaled)
@@ -371,19 +385,19 @@ class GeneralSdp(SdpLifting):
         self.block_weights = np.where(np.arange(self.q) < n_vars, 1.0, 0.5)
         u_mat = problem.mu - 1.0
         self._half_u = 0.5 * u_mat
-        u_eigs = np.linalg.eigvalsh(u_mat)
-        if np.abs(u_eigs).min() <= COUNT_REL_TOL * np.abs(u_eigs).max():
-            self._count_factor = None  # the bordering needs U^-1
-        if self._count_factor is not None:
-            rank = self._count_factor.shape[1]
-            self._count_u_inv = np.linalg.inv(u_mat)
-            self._count_head = np.kron(np.eye(rank), self._count_u_inv)
-            self._count_offset = rank * int(np.count_nonzero(u_eigs > 0.0))
-            # the upper-triangle label pair of every entry (l, m)
-            rows, cols = np.triu_indices(n_labels)
-            pair_of = np.zeros((n_labels, n_labels), dtype=np.intp)
-            pair_of[rows, cols] = np.arange(rows.size)
-            self._count_pair_of = np.maximum(pair_of, pair_of.T)
+        # the count borders over U's nonzero eigenpairs (Lambda, V), so a
+        # singular U needs no inverse; c I (x) U moves into the blocks
+        u_eigs, u_vecs = np.linalg.eigh(u_mat)
+        nonzero = np.abs(u_eigs) > COUNT_REL_TOL * np.abs(u_eigs).max()
+        border = np.kron(self._count_signs, 1.0 / u_eigs[nonzero])
+        self._count_u_vecs, self._count_head = u_vecs[:, nonzero], np.diag(border)
+        self._count_offset = int(np.count_nonzero(border > 0.0))
+        self._count_block_shift = self._count_shift * u_mat
+        # the upper-triangle label pair of every entry (l, m)
+        rows, cols = np.triu_indices(n_labels)
+        pair_of = np.zeros((n_labels, n_labels), dtype=np.intp)
+        pair_of[rows, cols] = np.arange(rows.size)
+        self._count_pair_of = np.maximum(pair_of, pair_of.T)
 
     def assemble(self, u):
         """C(u)'s N per-variable L x L blocks ``-Diag(h_i) - B_i(u)``, where
@@ -433,48 +447,51 @@ class GeneralSdp(SdpLifting):
         ``sigma``, in O(N R^2 L^2), and ``solve(b) = (C(u) - sigma I)^-1 b``
         from the same factorization, in O(N L R + N L^2 + R^2 L^2).
 
-        ``C(u) - sigma I = D + G (I (x) -U) G'`` with G = F (x) I, the N
-        per-variable blocks D_i = -Diag(h_i) - B_i(u) - sigma I (each
-        L x L, :meth:`assemble`'s blocks ``parts`` shifted by sigma),
-        U = mu - 11' and K/2 = F F' (F is N x R).  Bordering with
-        -(I (x) -U)^-1 = I (x) U^-1 and Haynsworth additivity give
-        ``pos(C(u) - sigma I) + R pos(U) = sum_i pos(D_i) + pos(S)`` with
-        the RL x RL Schur complement
-        ``S = I (x) U^-1 - sum_i (f_i f_i') (x) D_i^-1 = -((I (x) -U)^-1
-        + G' D^-1 G)``, so by Woodbury the solve is y = D^-1 b,
-        z = S^-1 G'y and x = y + D^-1 G z, where G'y is F'Y for the N x L
-        unfolding Y of y.  None when a kernel is not an unblocked low-rank
-        one, U is singular, or a block or Schur pivot is within roundoff
-        of zero.
+        With K/2 = c I + G Diag(s) G' (G is N x R, s = +-1), U = mu - 11'
+        and U's m nonzero eigenpairs (Lambda, V),
+        ``C(u) - sigma I = D + (G (x) V)(-Diag(s) (x) Lambda)(G (x) V)'``,
+        with the N per-variable blocks D_i = -Diag(h_i) - B_i(u) - c U -
+        sigma I (each L x L, :meth:`assemble`'s blocks ``parts`` shifted).
+        Bordering with Diag(s) (x) Lambda^-1 and Haynsworth additivity give
+        ``pos(C(u) - sigma I) + pos(Diag(s) (x) Lambda^-1) = sum_i pos(D_i)
+        + pos(S)`` with the Rm x Rm Schur complement
+        ``S = Diag(s) (x) Lambda^-1 - sum_i (g_i g_i') (x) V' D_i^-1 V``, so
+        by Woodbury the solve is y = D^-1 b, z = S^-1 (G (x) V)'y and
+        x = y + D^-1 (G (x) V) z, where (G (x) V)'y is G'Y V for the N x L
+        unfolding Y of y.  None when a block or Schur pivot is within
+        roundoff of zero.
         """
-        factor = self._count_factor
-        if factor is None:
-            return None
-        (N, R), L = factor.shape, self.n_labels
-        pivots = _block_pivots(parts - sigma * np.eye(L))
+        g, vecs = self._count_factor, self._count_u_vecs
+        (N, R), (L, m) = g.shape, vecs.shape
+        pivots = _block_pivots(parts - self._count_block_shift
+                               - sigma * np.eye(L))
         if pivots is None:
             return None
         positive, inverse = pivots
-        # sum_i (f_i f_i') (x) D_i^-1 from one product over the label pairs
-        lifted = (inverse[:, :, None] * factor[:, None, :]).reshape(N, -1)
-        gram = (factor.T @ lifted).reshape(R, -1, R)[:, self._count_pair_of, :]
-        schur = self._count_head - gram.transpose(0, 1, 3, 2).reshape(R * L, R * L)
-        # |f_i|^2 = K_ii / 2 times the size of D_i^-1 scales the roundoff
-        # of variable i's contribution
-        spread = (0.5 * self.problem.kernel_diag()) @ np.abs(inverse).sum(axis=1)
-        noise = COUNT_REL_TOL * (spread + np.abs(self._count_u_inv).max())
+        # sum_i (g_i g_i') (x) D_i^-1 from one product over the label pairs,
+        # then rotated to V' D_i^-1 V on its label axes
+        lifted = (inverse[:, :, None] * g[:, None, :]).reshape(N, -1)
+        gram = (g.T @ lifted).reshape(R, inverse.shape[1], R)[:, self._count_pair_of]
+        gram = np.tensordot(vecs, np.tensordot(gram, vecs, axes=(2, 0)),
+                            axes=(0, 1)).transpose(1, 0, 2, 3)
+        schur = self._count_head - gram.reshape(R * m, R * m)
+        # |g_i|^2 times the size of D_i^-1 scales the roundoff of variable
+        # i's contribution
+        spread = self._count_row_sq @ np.abs(inverse).sum(axis=1)
+        noise = COUNT_REL_TOL * (spread + np.abs(self._count_head).max(initial=0.0))
         ldu, ipiv, _ = factored = dsytrf(schur, lower=1)
-        count = _positive_inertia(positive, factored, noise)
-        if count is None:
-            return None
+        count = _positive_inertia(positive - self._count_offset, factored, noise)
         blocks_inv = inverse[:, self._count_pair_of]  # the N blocks D_i^-1
 
         def solve(b):
             y = np.einsum("ilm,im->il", blocks_inv, b.reshape(N, L))
-            z = dsytrs(ldu, ipiv, (factor.T @ y).reshape(-1), lower=1)[0]
-            y += np.einsum("ilm,im->il", blocks_inv, factor @ z.reshape(R, L))
+            z = ((g.T @ y) @ vecs).reshape(-1)
+            if z.size:  # an empty kernel stack leaves D alone
+                z = dsytrs(ldu, ipiv, z, lower=1)[0]
+                y += np.einsum("ilm,im->il", blocks_inv,
+                               g @ (z.reshape(R, m) @ vecs.T))
             return y.reshape(-1)
-        return count - self._count_offset, solve
+        return None if count is None else (count, solve)
 
 
 def make_sdp(problem, gamma):
@@ -484,10 +501,11 @@ def make_sdp(problem, gamma):
 
 def _low_rank_start_pairs(sdp, r):
     """C(0)'s r leading eigenpairs, descending, from a small dense problem,
-    or None unless ``sdp`` is a Potts lifting with a factored kernel stack
+    or None unless ``sdp`` is a Potts lifting whose kernels are all low-rank
+    ones (blocked or not; K/2 = F F', F = :func:`_half_kernel_factor`'s G)
     and C(0) has at least r positive eigenvalues.
 
-    C(0) = [[0, E'], [E, F F']] with E = -H/2 and K/2 = F F' has rank at
+    C(0) = [[0, E'], [E, F F']] with E = -H/2 has rank at
     most 2L + R.  With the thin QR W = [E, F] = Q [R_E, R_F] it is
     B S B' for the orthonormal B = blockdiag(I_L, Q) and the small
     ``S = [[0, R_E'], [R_E, R_F R_F']]``, so each eigenpair (lambda, v) of
@@ -495,7 +513,7 @@ def _low_rank_start_pairs(sdp, r):
     C(0)'s spectrum is zeros (Halko, Martinsson & Tropp 2011).  R_w is
     never inverted, so a rank-deficient W stays exact.
     """
-    if not isinstance(sdp, PottsSdp) or sdp._count_factor is None:
+    if not isinstance(sdp, PottsSdp) or np.any(sdp._count_signs < 0.0):
         return None
     L = sdp.n_labels
     q, r_w = qr(np.hstack([-0.5 * sdp.problem.unary, sdp._count_factor]),
@@ -519,7 +537,7 @@ def spectral_shift_init(sdp, r, seed=0):
     strictly below nu; choosing nu as the r-th smallest eigenvalue of A,
     from C(0) = -A's r leading eigenpairs, caps the initial positive rank
     at r (exactly r - 1 for a simple spectrum).  For a Potts lifting with
-    a factored kernel stack those pairs are exact, from a dense problem of
+    low-rank kernels only those pairs are exact, from a dense problem of
     dimension at most 2L + R, whenever C(0) has r positive eigenvalues;
     otherwise a Lanczos run on C(0) started from ``seed`` finds them
     (``seed`` feeds only that run).  The same pairs give C(u0)'s r leading
@@ -819,27 +837,20 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     u0, start_pairs = spectral_shift_init(
         sdp, rank_init, seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
-    # warm state across dual evaluations: consecutive C(u) are close, so the
-    # previous positive part sizes the next request.  Two pairs beyond the
-    # last rank suffice, since one returned eigenvalue at or below the
-    # threshold proves the positive part complete; surplus pairs sit in the
-    # dense cluster just below zero, where Lanczos converges slowly.  "floor"
-    # is the value of the current iterate: a line-search trial needs a value
-    # above it to be accepted, so once a partial positive part already puts
-    # the trial's dual below it, the Lanczos growth stops (the factor comes
-    # back truncated and the trial is rejected, as it would be in full).
-    # A trial whose pinching bound on ||C(u)_+||_F^2 already passes the
-    # limit is rejected before any Lanczos run or inertia count.  The first
-    # evaluation, at u0, reads C(u0)'s eigenpairs from the start's pairs
-    # instead of running Lanczos.  "sigma" seeds a counted request's shift
-    warm = {"k0": min(rank_init + 2, rank_cap), "floor": -np.inf,
-            "pairs": start_pairs, "sigma": 0.0}
+    # state across dual evaluations.  "floor" is the value of the current
+    # iterate: a line-search trial needs a value above it to be accepted, so
+    # a trial whose pinching bound on ||C(u)_+||_F^2 already puts its dual
+    # below it is rejected before any Lanczos run or inertia count.  The
+    # first evaluation, at u0, reads C(u0)'s eigenpairs from the start's
+    # pairs instead of running Lanczos (its count is undecided: C(u0) has an
+    # eigenvalue at 0).  "sigma" seeds a counted request's shift
+    warm = {"floor": -np.inf, "pairs": start_pairs, "sigma": 0.0}
     bound_rejections = 0
 
     def obj_grad(u):
         nonlocal bound_rejections
         parts = sdp.assemble(u)
-        # d(u) < floor once the partial ||C(u)_+||_F^2 exceeds this
+        # d(u) < floor once ||C(u)_+||_F^2 exceeds this
         frob_limit = (2.0 / sdp.gamma) * (-u @ sdp.b - warm["floor"]
                                           - sdp.eta ** 2 / (2.0 * sdp.gamma))
         frob_lower = (sdp.pinched_norm_sq(parts) if np.isfinite(frob_limit)
@@ -852,8 +863,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             # keep their seeds whether or not the bound rejects this one
             factor = leading_psd_part(
                 sdp.parts_operator(parts), rank_cap,
-                seed=next_seed(eig_seed_rng), k0=warm["k0"],
-                frob_limit=frob_limit, frob_lower=frob_lower, count=count,
+                seed=next_seed(eig_seed_rng), frob_limit=frob_limit,
+                frob_lower=frob_lower, count=count,
                 pairs=warm.pop("pairs", None),
                 shift=_proven_shift(sdp, parts, warm["sigma"]) if count else None)
         except EigenConvergenceError as exc:
@@ -862,8 +873,6 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         except EigenCountMismatch as exc:
             warnings.append(f"eigen count mismatch: {exc}")
             factor = exc.factor
-        if factor.rank:
-            warm["k0"] = int(np.clip(factor.rank + 2, 2, rank_cap))
         return sdp.dual_objective(u, factor), sdp.dual_gradient(u, factor), factor
 
     trajectory = []

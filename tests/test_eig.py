@@ -83,25 +83,14 @@ class TestLeadingPsdPart:
         assert factor.truncated
         assert factor.rank == 6
 
-    def test_frob_limit_stops_growth_with_partial_factor(self):
+    def test_limit_without_a_lower_bound_stops_nothing(self):
         # 20 positive eigenvalues 20, 19, ..., 1 with ||A_+||_F^2 = 2870
         op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
                                                    -np.arange(1.0, 21.0)])))
-        full = leading_psd_part(op, max_rank=40, k0=4, seed=6)
+        full = leading_psd_part(op, max_rank=40, seed=6)
         assert full.rank == 20 and not full.truncated
-        # the first request of 4 pairs already passes the limit (1374 > 1000)
-        stopped = leading_psd_part(op, max_rank=40, k0=4, seed=6,
-                                   frob_limit=1000.0)
-        assert stopped.truncated
-        np.testing.assert_allclose(stopped.values, [20.0, 19.0, 18.0, 17.0],
-                                   atol=1e-10)
-        # 1374 < 1500, so the request doubles once (2220 > 1500)
-        doubled = leading_psd_part(op, max_rank=40, k0=4, seed=6,
-                                   frob_limit=1500.0)
-        assert doubled.truncated and doubled.rank == 8
-        for limit in (2870.5, np.inf):
-            same = leading_psd_part(op, max_rank=40, k0=4, seed=6,
-                                    frob_limit=limit)
+        for limit in (1000.0, 2870.5):
+            same = leading_psd_part(op, max_rank=40, seed=6, frob_limit=limit)
             assert not same.truncated
             assert np.array_equal(same.values, full.values)
             assert np.array_equal(same.vectors, full.vectors)
@@ -119,9 +108,8 @@ class TestLeadingPsdPart:
     def test_lower_bound_within_limit_leaves_lanczos_unchanged(self):
         op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
                                                    -np.arange(1.0, 21.0)])))
-        plain = leading_psd_part(op, max_rank=40, k0=4, seed=6,
-                                 frob_limit=1500.0)
-        bounded = leading_psd_part(op, max_rank=40, k0=4, seed=6,
+        plain = leading_psd_part(op, max_rank=40, seed=6, frob_limit=1500.0)
+        bounded = leading_psd_part(op, max_rank=40, seed=6,
                                    frob_limit=1500.0, frob_lower=1500.0)
         assert np.array_equal(bounded.values, plain.values)
         assert bounded.frob_norm_sq() == plain.frob_norm_sq()
@@ -149,8 +137,8 @@ class TestLeadingPsdPart:
 
 
 class TestCountedRequests:
-    """An exact count of the eigenvalues above ``tol`` sizes the Lanczos
-    request and proves the positive part complete."""
+    """An exact count of the eigenvalues above ``tol`` sizes the one
+    Lanczos request and proves the positive part complete."""
 
     @staticmethod
     def record_requests(monkeypatch):
@@ -175,12 +163,11 @@ class TestCountedRequests:
         assert factor.rank == 0 and not factor.truncated
         assert factor.vectors.shape == (50, 0)
 
-    @pytest.mark.parametrize("k0, expected", [(20, [6]), (2, [2, 4, 6])])
-    def test_request_grows_to_exactly_the_count(self, monkeypatch, k0, expected):
+    def test_request_is_exactly_the_count(self, monkeypatch):
         requests = self.record_requests(monkeypatch)
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=40, k0=k0, seed=3, count=6)
-        assert requests == expected
+                                  max_rank=40, seed=3, count=6)
+        assert requests == [6]
         assert not factor.truncated
         np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
                                    atol=1e-10)
@@ -188,24 +175,26 @@ class TestCountedRequests:
     def test_count_above_rank_cap_is_truncated(self, monkeypatch):
         requests = self.record_requests(monkeypatch)
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=4, k0=2, seed=3, count=6)
-        assert requests == [2, 4]
+                                  max_rank=4, seed=3, count=6)
+        assert requests == [4]
         assert factor.truncated and factor.rank == 4
 
-    def test_frob_limit_still_stops_a_counted_request(self, monkeypatch):
+    @pytest.mark.parametrize("max_rank, truncated", [(4, True), (10, False)])
+    def test_uncounted_request_is_the_rank_cap(self, monkeypatch, max_rank,
+                                               truncated):
         requests = self.record_requests(monkeypatch)
-        # 6^2 + 5^2 = 61 passes the limit before the count of 6 is reached
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=40, k0=2, seed=3, count=6,
-                                  frob_limit=50.0)
-        assert requests == [2]
-        assert factor.truncated and factor.rank == 2
+                                  max_rank=max_rank, seed=3)
+        assert requests == [max_rank]
+        assert factor.truncated == truncated
+        np.testing.assert_allclose(factor.values, self.DIAG[:min(max_rank, 6)],
+                                   atol=1e-10)
 
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
         # the stub claims 8 eigenvalues above tol where only 6 exist
         with pytest.raises(EigenCountMismatch) as info:
             leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
-                             k0=20, seed=3, count=8)
+                             seed=3, count=8)
         factor = info.value.factor
         assert factor.truncated
         np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
@@ -293,9 +282,9 @@ class TestPairsInHand:
     @pytest.mark.parametrize("count", [None, 6])
     def test_pairs_that_prove_nothing_leave_the_call_unchanged(self, count):
         op = operator_from(np.diag(self.DIAG))
-        plain = leading_psd_part(op, max_rank=40, k0=2, seed=3, count=count)
+        plain = leading_psd_part(op, max_rank=40, seed=3, count=count)
         # all four values lie above the threshold
-        given = leading_psd_part(op, max_rank=40, k0=2, seed=3, count=count,
+        given = leading_psd_part(op, max_rank=40, seed=3, count=count,
                                  pairs=self.leading(4))
         assert np.array_equal(given.values, plain.values)
         assert np.array_equal(given.vectors, plain.vectors)

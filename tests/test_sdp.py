@@ -19,9 +19,8 @@ from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
 from lrsdcut.oracle import (brute_force_map, dense_sdp_pieces,
                             general_constraint_matrices,
                             potts_constraint_matrices)
-from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, SolveParams,
-                         lr_sdcut_solve, make_sdp, round_solution,
-                         spectral_shift_init)
+from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, lr_sdcut_solve,
+                         make_sdp, round_solution, spectral_shift_init)
 
 
 def priced(sdp, labels):
@@ -159,6 +158,30 @@ class TestDualGradient:
             np.testing.assert_allclose(grad, pieces["grad"], atol=1e-8)
 
 
+# every kernel case that the count's K/2 = c I + G Diag(s) G' covers, in
+# both liftings, and the general lifting's singular U = mu - 11'
+KERNEL_CASES = ([(form, general) for general in (False, True)
+                 for form in ("plain", "blocked", "centered", "mixed", "empty")]
+                + [("singular-L2", True), ("singular-L3", True)])
+KERNEL_CASE_IDS = [("general-" if general else "potts-") + form
+                   for form, general in KERNEL_CASES]
+
+
+def _kernel_case(form, general, n, seed):
+    """A problem over one plain, blocked or centered kernel, the mixed
+    stack of all three, or no kernel at all; or a general one over a plain
+    kernel whose U is singular (L = 2 with mu_12 = 0; L = 3 with mu = 0)."""
+    if form == "mixed":
+        return mixed_kernel_problem(n, 3, seed, general=general)
+    n_labels = int(form[-1]) if form.startswith("singular") else 3
+    problem = _one_kernel_problem(n, n_labels, seed, form, general)
+    if form.startswith("singular"):
+        return CrfProblem(problem.unary, problem.kernels,
+                          mu=np.zeros((n_labels, n_labels)))
+    return CrfProblem(problem.unary, [], mu=problem.mu) if form == "empty" \
+        else problem
+
+
 def _inertia_count(sdp, u, sigma):
     return sdp.positive_count(sdp.assemble(u), sigma)
 
@@ -230,11 +253,16 @@ class TestPositiveCount:
             assert sdp_module._positive_inertia(3, factored, 1e-12) == \
                 3 + np.count_nonzero(np.linalg.eigvalsh(mat) > 0.0)
 
-    @pytest.mark.parametrize("general", [False, True])
-    def test_other_kernels_are_not_counted(self, rng, general):
-        sdp = make_sdp(mixed_kernel_problem(9, 3, seed=4, general=general),
-                       1000.0)
-        assert _inertia_count(sdp, rng.standard_normal(sdp.q), 0.0) is None
+    @pytest.mark.parametrize("form, general", KERNEL_CASES, ids=KERNEL_CASE_IDS)
+    def test_every_kernel_case_is_counted(self, rng, form, general):
+        for seed in range(3):
+            sdp = make_sdp(_kernel_case(form, general, 9, seed), 1000.0)
+            u0, _ = spectral_shift_init(sdp, 4)
+            for scale in (0.3, 3.0):
+                u = u0 + scale * rng.standard_normal(sdp.q)
+                for sigma in (1e-8, 0.5, -0.5):
+                    assert _inertia_count(sdp, u, sigma) == \
+                        _dense_count(sdp, u, sigma)
 
 
 def _dense_c(sdp, parts):
@@ -289,6 +317,27 @@ class TestShiftInvert:
                 assert count == sdp.positive_count(parts, sigma)
                 assert (count == 0) == (sigma >= eigs[-1])
 
+    @pytest.mark.parametrize("form, general", KERNEL_CASES, ids=KERNEL_CASE_IDS)
+    def test_every_kernel_case_solves_like_numpy(self, rng, form, general):
+        for seed in range(3):
+            sdp = make_sdp(_kernel_case(form, general, 12, seed), 1000.0)
+            u0, _ = spectral_shift_init(sdp, 4)
+            parts = sdp.assemble(u0 + 0.5 * rng.standard_normal(sdp.q))
+            dense = _dense_c(sdp, parts)
+            eigs = np.linalg.eigvalsh(dense)
+            # above the spectrum, and inside its widest gap
+            gap = np.argmax(np.diff(eigs))
+            for sigma in (eigs[-1] + max(abs(eigs[-1]), 1.0),
+                          0.5 * (eigs[gap] + eigs[gap + 1])):
+                count, solve = sdp.shifted_inverse(parts, sigma)
+                assert count == np.count_nonzero(eigs > sigma)
+                shifted = dense - sigma * np.eye(sdp.n)
+                for b in rng.standard_normal((2, sdp.n)):
+                    x = solve(b)
+                    np.testing.assert_allclose(x, np.linalg.solve(shifted, b),
+                                               rtol=0.0,
+                                               atol=1e-9 * np.linalg.norm(x))
+
     @pytest.mark.parametrize("general, capped", [
         (False, False), (False, True), (True, False), (True, True)],
         ids=["complete", "rank-capped", "general-complete",
@@ -307,10 +356,9 @@ class TestShiftInvert:
         sigma = 1.5 * vals[0]
         shift = sigma, sdp.shifted_inverse(parts, sigma)[1]
         rank = count - 2 if capped else count
-        # the run needs the solves alone, never C(u) itself; k0 = 2 makes
-        # the request grow
+        # the run needs the solves alone, never C(u) itself
         factor = leading_psd_part(SymmetricOperator(sdp.n, _refuse_matvec),
-                                  rank, seed=3, k0=2, count=count,
+                                  rank, seed=3, count=count,
                                   shift=shift)
         assert factor.truncated == capped
         np.testing.assert_allclose(factor.values, vals[:rank], rtol=1e-10)
@@ -402,8 +450,9 @@ class TestPottsLayout:
 
 
 def _one_kernel_problem(n, n_labels, seed, form, general):
-    """Problem over one kernel: plain or block-diagonal low-rank, or
-    centered discriminative; with a random compatibility when general."""
+    """Problem over one kernel: block-diagonal low-rank, centered
+    discriminative, or else plain low-rank; with a random compatibility
+    when general."""
     rng = np.random.default_rng(seed)
     factor = LowRankFactor(rng.standard_normal((n, 3)) / np.sqrt(3))
     if form == "centered":
@@ -417,6 +466,11 @@ def _one_kernel_problem(n, n_labels, seed, form, general):
         mu = 0.5 * (mu + mu.T)
         np.fill_diagonal(mu, 0.0)
     return CrfProblem(rng.standard_normal((n, n_labels)), [kernel], mu=mu)
+
+
+def _blocked_potts(n, n_labels, seed):
+    """Potts problem over one block-diagonal low-rank kernel."""
+    return _one_kernel_problem(n, n_labels, seed, "blocked", general=False)
 
 
 def _pinched(sdp, u):
@@ -533,7 +587,8 @@ class TestSpectralShift:
     @pytest.mark.parametrize("make", [
         random_potts_problem, _two_kernel_potts,
         lambda n, n_labels, seed: random_potts_problem(n, n_labels, seed,
-                                                       kernel_rank=5)])
+                                                       kernel_rank=5),
+        _blocked_potts])
     @pytest.mark.parametrize("n_vars, n_labels", [(10, 3), (30, 2), (40, 4)])
     def test_factored_potts_start_needs_no_lanczos(self, monkeypatch, make,
                                                     n_vars, n_labels):
@@ -555,7 +610,7 @@ class TestSpectralShift:
 
         monkeypatch.setattr(sdp_module, "leading_eigpairs", lanczos)
         for seed in range(3):
-            # r past C(0)'s positive count, and kernels with no factor
+            # r past C(0)'s positive count, and a stack with a centered kernel
             potts = make_sdp(random_potts_problem(12, 3, seed=seed), gamma=100.0)
             mixed = make_sdp(mixed_kernel_problem(12, 3, seed=seed), gamma=100.0)
             for sdp, r in ((potts, _start_positive_count(potts) + 1), (mixed, 4)):
@@ -1012,6 +1067,20 @@ class TestLrSdcutSolve:
             assert report.lower_bound <= optimum + 1e-9
             assert optimum <= report.best_energy + 1e-9
 
+    # counted kernels other than plain ones, a singular U, and no kernel
+    @pytest.mark.parametrize("form, general, n_vars", [
+        ("mixed", False, 8), ("mixed", True, 7), ("singular-L2", True, 8),
+        ("singular-L3", True, 7), ("empty", False, 8), ("empty", True, 7)])
+    def test_sandwich_on_every_kernel_case(self, form, general, n_vars):
+        for seed in range(4):
+            problem = _kernel_case(form, general, n_vars, 300 + seed)
+            _, optimum = brute_force_map(problem)
+            report = lr_sdcut_solve(problem, seed=seed)
+            assert not [w for w in report.warnings
+                        if "stall" in w or "mismatch" in w]
+            assert report.lower_bound <= optimum + 1e-9
+            assert optimum <= report.best_energy + 1e-9
+
     def test_deterministic_given_seed(self):
         problem = random_potts_problem(12, 2, seed=19)
         first = lr_sdcut_solve(problem, seed=11)
@@ -1022,16 +1091,14 @@ class TestLrSdcutSolve:
             [r.dual for r in second.trajectory]
 
 
-def _record_psd_calls(monkeypatch, **forced):
-    """Wrap the solver's positive-part call, overriding its keyword
-    arguments with ``forced``; returns the list it fills with
-    ``(op, max_rank, k0, factor)`` per dual evaluation."""
+def _record_psd_calls(monkeypatch):
+    """Wrap the solver's positive-part call; returns the list it fills with
+    ``(op, max_rank, count, factor)`` per dual evaluation."""
     calls = []
 
     def recording(op, max_rank, **kwargs):
-        kwargs.update(forced)
         factor = leading_psd_part(op, max_rank, **kwargs)
-        calls.append((op, max_rank, kwargs["k0"], factor))
+        calls.append((op, max_rank, kwargs["count"], factor))
         return factor
 
     monkeypatch.setattr(sdp_module, "leading_psd_part", recording)
@@ -1055,16 +1122,35 @@ def _dense_positive_frob_sq(op):
 
 
 class TestLanczosRequests:
-    def test_warm_request_is_last_rank_plus_two(self, monkeypatch):
-        problem = build_problem(gen_grid(30, 30, 2, seed=5))
+    @pytest.mark.parametrize("general", [False, True])
+    def test_every_kernel_form_is_counted_and_run_once(self, monkeypatch,
+                                                        general):
+        # blocked, plain and centered kernels in one stack
+        problem = mixed_kernel_problem(60, 3, seed=5, general=general)
         calls = _record_psd_calls(monkeypatch)
-        lr_sdcut_solve(problem, seed=1)
-        rank_init = SolveParams().rank_init
-        cap = calls[0][1]
-        assert calls[0][2] == min(rank_init + 2, cap)
-        assert len(calls) > 2
-        for previous, (_, _, k0, _) in zip(calls, calls[1:]):
-            assert k0 == int(np.clip(previous[3].rank + 2, 2, cap))
+        runs = []
+        lanczos = eig_module.leading_eigpairs
+
+        def counting(op, k, **kwargs):
+            runs.append(len(calls))
+            return lanczos(op, k, **kwargs)
+
+        monkeypatch.setattr(eig_module, "leading_eigpairs", counting)
+        report = lr_sdcut_solve(problem, seed=1)
+        assert len(calls) == report.extras["dual_evals"] > 2 and runs
+        # the start reads its pairs; every later call is counted and makes
+        # at most one Lanczos run, or is a trial that the pinching bound
+        # rejects with neither a count nor a run
+        assert runs.count(0) == 0
+        for index, (op, _, count, factor) in enumerate(calls[1:], start=1):
+            if count is None:
+                assert factor.truncated and factor.rank == 0
+                assert runs.count(index) == 0
+                continue
+            assert runs.count(index) <= 1
+            if not factor.truncated:
+                assert factor.frob_norm_sq() == pytest.approx(
+                    _dense_positive_frob_sq(op), rel=1e-9)
 
     # instances on which requests of a few pairs in a Krylov space of
     # 2k + 10 vectors returned Ritz values below the leading ones
@@ -1131,9 +1217,7 @@ class TestCountedRequests:
             if count == 0:
                 assert requests == [] and factor.rank == 0
                 continue
-            assert max(requests) <= min(count, cap)
-            if not factor.truncated:
-                assert requests[-1] == count
+            assert requests == [min(count, cap)]
 
     def test_solves_repeat_bit_for_bit(self):
         # a counted request of two pairs on this instance reaches an
@@ -1163,37 +1247,6 @@ class TestCountedRequests:
         assert len(mismatches) == report.extras["dual_evals"]
         assert all(rec.truncated for rec in report.trajectory)
         assert report.lower_bound is None
-
-
-class TestEarlyStop:
-    """Line-search trials whose partial positive part already puts the dual
-    below the current iterate stop their Lanczos growth."""
-
-    def test_stopped_trials_change_no_accepted_iterate(self, monkeypatch):
-        problem = _general_l3(150, 1)
-        # without the pinching bound, so that the trials stop in Lanczos
-        monkeypatch.setattr(GeneralSdp, "pinched_norm_sq",
-                            lambda self, parts: 0.0)
-        full_calls = _record_psd_calls(monkeypatch, frob_limit=np.inf)
-        full = lr_sdcut_solve(problem, seed=1)
-        calls = _record_psd_calls(monkeypatch)
-        report = lr_sdcut_solve(problem, seed=1)
-        stopped = [(op, factor) for op, cap, _, factor in calls
-                   if factor.truncated and factor.rank < cap]
-        assert stopped
-        # a partial factor's norm is a lower estimate of the full one
-        for op, factor in stopped:
-            dense = _dense_positive_frob_sq(op)
-            assert factor.frob_norm_sq() <= dense * (1.0 + 1e-9)
-        assert not any(rec.truncated for rec in report.trajectory)
-        assert report.extras["dual_evals"] == full.extras["dual_evals"]
-        assert len(calls) == len(full_calls)
-        assert [rec.rank for rec in report.trajectory] == \
-            [rec.rank for rec in full.trajectory]
-        np.testing.assert_allclose([rec.dual for rec in report.trajectory],
-                                   [rec.dual for rec in full.trajectory],
-                                   rtol=1e-9)
-        assert report.lower_bound == pytest.approx(full.lower_bound, rel=1e-9)
 
 
 class TestBoundRejections:
