@@ -10,7 +10,8 @@ so one dual evaluation only needs the positive eigenpairs of C(u), which a
 matrix-free Lanczos solver obtains from structured O(N) matvecs.  Each
 lifting assembles C(u)'s blocks once per dual point, so a matvec is one
 low-rank kernel product plus a few small products; C(0) = -A.  Every
-kernel stack is K/2 = c I + G Diag(s) G' with a thin G and s = +-1, so
+kernel stack is K/2 = c I + G Diag(s) G' with a thin G and s = +-1
+(block-diagonal kernels' columns held once for all blocks), so
 the inertia count of C(u) - sigma I factors a small Schur complement,
 which also solves with C(u) - sigma I at about a matvec's cost (in
 either lifting): a count proving sigma above the spectrum lets Lanczos
@@ -20,8 +21,8 @@ diagonal blocks), which rejects an overshooting line-search trial before
 any Lanczos run.
 The solver starts at a dual point where C(u) = -A + nu I has low
 positive rank (the eigenpairs of -A that give nu, exact from a dense
-problem of dimension at most 2L + R for Potts with low-rank kernels
-only, give its positive part), ascends the dual with limited-memory
+problem of dimension at most 2L + R for Potts with unblocked low-rank
+kernels only, give its positive part), ascends the dual with limited-memory
 BFGS, rounds the implicit primal matrix ``Y = gamma (C(u))_+`` to a
 feasible labeling at every iteration (for Potts the row argmax of Y's
 variable-by-label block, the relaxed X; for the general lifting the best
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.linalg.lapack import dsytrf, dsytrs
+from scipy.linalg.lapack import dsytrf, dsytri, dsytrs
 
 from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
@@ -63,27 +64,38 @@ MAX_HALVINGS = 30
 
 
 def _half_kernel_factor(problem):
-    """``(c, G, s)`` with K/2 = c I + G Diag(s) G' for the kernel stack:
-    G is column-major (N x R) and s = +-1 per column.  A low-rank kernel
-    w phi phi' adds the columns sqrt(w/2) phi, padded with zeros outside
-    each block when block-diagonal; a centered kernel
+    """``(c, G, s, spans, k)`` with K/2 = c I + G Diag(s) G' for the
+    kernel stack: G is column-major, s = +-1 per column, and G's first k
+    columns stand for one copy per block j, kept on its rows
+    ``spans[j] = (lo, hi)`` and zero elsewhere (no spans and k = 0 without
+    a blocked kernel).  A low-rank kernel w phi phi' adds the columns
+    sqrt(w/2) phi, among the first k when block-diagonal over the first
+    blocked kernel's blocks (padded when over others); a centered kernel
     w scale (Omega - phi phi'), Omega = I - 11'/N, adds c = w scale / 2
-    and the negative columns sqrt(c) [1/sqrt(N), phi] (no kernel: G is N x 0)."""
-    n, c, cols, signs = problem.n_vars, 0.0, [np.zeros((problem.n_vars, 0))], [[]]
+    and the negative columns sqrt(c) [1/sqrt(N), phi]."""
+    n, c, cols, signs, blocked = problem.n_vars, 0.0, [], [], []
+    offsets = next((k.blocks for k in problem.kernels
+                    if getattr(k, "blocks", None) is not None), None)
     for k in problem.kernels:
         if isinstance(k, CenteredDiscriminativeKernel):
             half, sign = 0.5 * k.weight * k.scale, -1.0
             c += half
             col = np.sqrt(half) * np.column_stack([np.full(n, n ** -0.5),
                                                   k.factor.phi])
+        elif k.blocks is not None and np.array_equal(k.blocks, offsets):
+            blocked.append(np.sqrt(0.5 * k.weight) * k.factor.phi)
+            continue
         else:  # member[i, j] = 1 where variable i lies in block j
-            offsets, sign = [0, n] if k.blocks is None else k.blocks, 1.0
-            member = np.repeat(np.eye(len(offsets) - 1), np.diff(offsets), axis=0)
+            edges, sign = [0, n] if k.blocks is None else k.blocks, 1.0
+            member = np.repeat(np.eye(len(edges) - 1), np.diff(edges), axis=0)
             col = (member[:, :, None] * np.sqrt(0.5 * k.weight)
                    * k.factor.phi[:, None, :]).reshape(n, -1)
         cols.append(col)
         signs.append(np.full(col.shape[1], sign))
-    return c, np.asfortranarray(np.hstack(cols)), np.concatenate(signs)
+    width = sum(col.shape[1] for col in blocked)
+    return (c, np.asfortranarray(np.hstack([np.zeros((n, 0))] + blocked + cols)),
+            np.concatenate([np.ones(width)] + signs),
+            [] if offsets is None else list(zip(offsets[:-1], offsets[1:])), width)
 
 
 def _positive_inertia(pivots_positive, factored, noise):
@@ -111,6 +123,43 @@ def _positive_inertia(pivots_positive, factored, noise):
     if np.any(np.abs(eigs) <= noise):
         return None
     return int(pivots_positive + np.count_nonzero(eigs > 0.0))
+
+
+def _blocked_inertia(border, tops, gram, block_noise, rest_noise, positive):
+    """``(count, solve)`` for a count's Schur complement S = border - M
+    whose first k columns repeat per block j: ``tops[j]`` holds block j's
+    k x (k+p) rows of M and ``gram`` M's last p x p part, so S = [[A, C],
+    [C', T]] with A_j = border_kk - tops[j]_k, C_j = -tops[j]_p and
+    T = border_pp - gram.  Haynsworth additivity gives In(S) = sum_j In(A_j)
+    + In(T - sum_j C_j' A_j^-1 C_j): count = positive + pos(S), and
+    ``solve(r_b, r)`` is S^-1 [r_b; r] as ``(z_b, z)`` (r_b, z_b: b x k).
+    None when a pivot of A_j lies within ``block_noise[j]`` of zero, or one
+    of the last within ``rest_noise`` plus the correction's roundoff."""
+    k = tops.shape[1]
+    rest = border[k:, k:] - gram
+    if k:
+        blocks, cross = border[:k, :k] - tops[:, :, :k], -tops[:, :, k:]
+        inverse = np.zeros(blocks.shape)
+        for j, block in enumerate(blocks):
+            ldu, ipiv, _ = factored = dsytrf(block, lower=1)
+            positive = _positive_inertia(positive, factored, block_noise[j])
+            if positive is None:
+                return None
+            inverse[j] = np.tril(dsytri(ldu, ipiv, lower=1)[0])
+        inverse += np.tril(inverse, -1).transpose(0, 2, 1)
+        reduced = inverse @ cross  # the A_j^-1 C_j
+        correction = np.einsum("jkp,jkq->pq", cross, reduced)
+        rest -= correction
+        rest_noise += COUNT_REL_TOL * np.abs(correction).max(initial=0.0)
+    ldu, ipiv, _ = factored = dsytrf(rest, lower=1)
+    count = _positive_inertia(positive, factored, rest_noise)
+
+    def solve(r_b, r):
+        if k:  # the block-diagonal columns are eliminated first
+            r = r - np.einsum("jkp,jk->p", reduced, r_b)
+        z = dsytrs(ldu, ipiv, r, lower=1)[0] if r.size else r
+        return (np.einsum("jkl,jl->jk", inverse, r_b) - reduced @ z if k else r_b), z
+    return None if count is None else (count, solve)
 
 
 def _block_pivots(blocks):
@@ -182,9 +231,10 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
-        # K/2 = c I + G Diag(s) G' for shifted_inverse's inertia count
-        self._count_shift, self._count_factor, self._count_signs = \
-            _half_kernel_factor(problem)
+        # K/2 = c I + G Diag(s) G' for shifted_inverse's inertia count, with
+        # G's first k columns block-diagonal over the spans
+        (self._count_shift, self._count_factor, self._count_signs,
+         self._count_spans, self._blocked_width) = _half_kernel_factor(problem)
         self._count_row_sq = np.sum(self._count_factor ** 2, axis=1)
 
     def _vector(self, d):
@@ -324,34 +374,48 @@ class PottsSdp(SdpLifting):
         So the count is pos(D) + pos(S) - #(s < 0).  With b = [b1; b2], the
         solve is ``[z; x1] = S^-1 ([0; b1] - (D^-1 W)' b2)`` and
         ``x2 = D^-1 b2 - (D^-1 W) [z; x1]``, with D^-1 kept as reciprocals.
+        G's first k columns stand for one padded copy per block (a
+        block-diagonal kernel's), which S couples only within their block,
+        so :func:`_blocked_inertia` eliminates them block by block and
+        every product with them runs over one block's rows.
         None when a pivot or Schur pivot is within roundoff of zero.
         """
         head, coupling, diag, w = parts
-        L = self.n_labels
+        L, spans, k = self.n_labels, self._count_spans, self._blocked_width
         pivots = diag + (self._count_shift - sigma)
         size = np.abs(pivots)
         if size.min() <= COUNT_REL_TOL * size.max():
             return None
         head = head - sigma * np.eye(L)
         w_scaled, inverse = w / pivots[:, None], 1.0 / pivots
-        schur = -(w.T @ w_scaled)
-        rank = w.shape[1] - L
-        schur[np.arange(rank), np.arange(rank)] -= self._count_signs
-        schur[rank:, rank:] += head
         # entries of W' D^-1 W carry roundoff relative to sum_i |w_i|^2 / |d_i|
         row_sq = self._count_row_sq + np.sum(coupling ** 2, axis=1)
-        noise = COUNT_REL_TOL * (row_sq @ (1.0 / size) + np.abs(head).max() + 1.0)
-        ldu, ipiv, _ = factored = dsytrf(schur, lower=1)
-        count = _positive_inertia(np.count_nonzero(pivots > 0.0)
-                                  - np.count_nonzero(self._count_signs < 0.0),
-                                  factored, noise)
+        border = np.diag(np.append(-self._count_signs, np.zeros(L)))
+        border[-L:, -L:] = head
+        inertia = _blocked_inertia(
+            border,
+            np.reshape([w_scaled[lo:hi, :k].T @ w[lo:hi] for lo, hi in spans],
+                       (len(spans), k, w.shape[1])), w[:, k:].T @ w_scaled[:, k:],
+            [COUNT_REL_TOL * (row_sq[lo:hi] @ (1.0 / size[lo:hi]) + 1.0)
+             for lo, hi in spans],
+            COUNT_REL_TOL * (row_sq @ (1.0 / size) + np.abs(head).max() + 1.0),
+            np.count_nonzero(pivots > 0.0) - np.count_nonzero(self._count_signs < 0.0))
+        if inertia is None:
+            return None
+
+        w_blocked, w_rest = w_scaled[:, :k], w_scaled[:, k:]
 
         def solve(b):
-            rhs = -(b[L:] @ w_scaled)
+            b2 = b[L:]
+            rhs = -(b2 @ w_rest)
             rhs[-L:] += b[:L]
-            zx = dsytrs(ldu, ipiv, rhs, lower=1)[0]
-            return np.concatenate([zx[-L:], b[L:] * inverse - w_scaled @ zx])
-        return None if count is None else (count, solve)
+            z_b, zx = inertia[1]([-(b2[lo:hi] @ w_blocked[lo:hi]) for lo, hi in spans],
+                                 rhs)
+            x2 = b2 * inverse - w_rest @ zx
+            for (lo, hi), z_j in zip(spans, z_b):
+                x2[lo:hi] -= w_blocked[lo:hi] @ z_j
+            return np.concatenate([zx[-L:], x2])
+        return inertia[0], solve
 
 
 class GeneralSdp(SdpLifting):
@@ -391,7 +455,10 @@ class GeneralSdp(SdpLifting):
         nonzero = np.abs(u_eigs) > COUNT_REL_TOL * np.abs(u_eigs).max()
         border = np.kron(self._count_signs, 1.0 / u_eigs[nonzero])
         self._count_u_vecs, self._count_head = u_vecs[:, nonzero], np.diag(border)
-        self._count_offset = int(np.count_nonzero(border > 0.0))
+        # each block-diagonal column stands for one padded column per span
+        k = self._blocked_width * np.count_nonzero(nonzero)
+        self._count_offset = int(np.count_nonzero(border[k:] > 0.0) + len(
+            self._count_spans) * np.count_nonzero(border[:k] > 0.0))
         self._count_block_shift = self._count_shift * u_mat
         # the upper-triangle label pair of every entry (l, m)
         rows, cols = np.triu_indices(n_labels)
@@ -458,40 +525,57 @@ class GeneralSdp(SdpLifting):
         ``S = Diag(s) (x) Lambda^-1 - sum_i (g_i g_i') (x) V' D_i^-1 V``, so
         by Woodbury the solve is y = D^-1 b, z = S^-1 (G (x) V)'y and
         x = y + D^-1 (G (x) V) z, where (G (x) V)'y is G'Y V for the N x L
-        unfolding Y of y.  None when a block or Schur pivot is within
-        roundoff of zero.
+        unfolding Y of y.  G's first k columns, each standing for one
+        padded copy per block, are eliminated block by block as in
+        :meth:`PottsSdp.shifted_inverse`.  None when a block or Schur pivot
+        is within roundoff of zero.
         """
-        g, vecs = self._count_factor, self._count_u_vecs
-        (N, R), (L, m) = g.shape, vecs.shape
+        g, vecs, spans = self._count_factor, self._count_u_vecs, self._count_spans
+        (N, R), (L, m), k = g.shape, vecs.shape, self._blocked_width
         pivots = _block_pivots(parts - self._count_block_shift
                                - sigma * np.eye(L))
         if pivots is None:
             return None
         positive, inverse = pivots
-        # sum_i (g_i g_i') (x) D_i^-1 from one product over the label pairs,
-        # then rotated to V' D_i^-1 V on its label axes
-        lifted = (inverse[:, :, None] * g[:, None, :]).reshape(N, -1)
-        gram = (g.T @ lifted).reshape(R, inverse.shape[1], R)[:, self._count_pair_of]
-        gram = np.tensordot(vecs, np.tensordot(gram, vecs, axes=(2, 0)),
-                            axes=(0, 1)).transpose(1, 0, 2, 3)
-        schur = self._count_head - gram.reshape(R * m, R * m)
+
+        def gram(left, right, inverse):
+            # sum_i (l_i r_i') (x) D_i^-1 from one product over the label
+            # pairs, then rotated to V' D_i^-1 V on its label axes
+            lifted = (inverse[:, :, None] * right[:, None, :]).reshape(len(right), -1)
+            pair = (left.T @ lifted).reshape(left.shape[1], inverse.shape[1],
+                                            right.shape[1])[:, self._count_pair_of]
+            pair = np.tensordot(vecs, np.tensordot(pair, vecs, axes=(2, 0)),
+                                axes=(0, 1)).transpose(1, 0, 2, 3)
+            return pair.reshape(left.shape[1] * m, right.shape[1] * m)
         # |g_i|^2 times the size of D_i^-1 scales the roundoff of variable
         # i's contribution
-        spread = self._count_row_sq @ np.abs(inverse).sum(axis=1)
-        noise = COUNT_REL_TOL * (spread + np.abs(self._count_head).max(initial=0.0))
-        ldu, ipiv, _ = factored = dsytrf(schur, lower=1)
-        count = _positive_inertia(positive - self._count_offset, factored, noise)
+        spread = np.abs(inverse).sum(axis=1)
+        scale = np.abs(self._count_head).max(initial=0.0)
+        inertia = _blocked_inertia(
+            self._count_head,
+            np.reshape([gram(g[lo:hi, :k], g[lo:hi], inverse[lo:hi])
+                        for lo, hi in spans], (len(spans), k * m, R * m)),
+            gram(g[:, k:], g[:, k:], inverse),
+            [COUNT_REL_TOL * (self._count_row_sq[lo:hi] @ spread[lo:hi] + scale)
+             for lo, hi in spans],
+            COUNT_REL_TOL * (self._count_row_sq @ spread + scale),
+            positive - self._count_offset)
+        if inertia is None:
+            return None
         blocks_inv = inverse[:, self._count_pair_of]  # the N blocks D_i^-1
+        g_blocked, g_rest = g[:, :k], g[:, k:]
 
         def solve(b):
             y = np.einsum("ilm,im->il", blocks_inv, b.reshape(N, L))
-            z = ((g.T @ y) @ vecs).reshape(-1)
-            if z.size:  # an empty kernel stack leaves D alone
-                z = dsytrs(ldu, ipiv, z, lower=1)[0]
-                y += np.einsum("ilm,im->il", blocks_inv,
-                               g @ (z.reshape(R, m) @ vecs.T))
+            z_b, z = inertia[1]([((g_blocked[lo:hi].T @ y[lo:hi]) @ vecs).reshape(-1)
+                                 for lo, hi in spans],
+                                ((g_rest.T @ y) @ vecs).reshape(-1))
+            back = g_rest @ (z.reshape(R - k, m) @ vecs.T)
+            for (lo, hi), z_j in zip(spans, z_b):
+                back[lo:hi] += g_blocked[lo:hi] @ (z_j.reshape(k, m) @ vecs.T)
+            y += np.einsum("ilm,im->il", blocks_inv, back)
             return y.reshape(-1)
-        return None if count is None else (count, solve)
+        return inertia[0], solve
 
 
 def make_sdp(problem, gamma):
@@ -501,9 +585,9 @@ def make_sdp(problem, gamma):
 
 def _low_rank_start_pairs(sdp, r):
     """C(0)'s r leading eigenpairs, descending, from a small dense problem,
-    or None unless ``sdp`` is a Potts lifting whose kernels are all low-rank
-    ones (blocked or not; K/2 = F F', F = :func:`_half_kernel_factor`'s G)
-    and C(0) has at least r positive eigenvalues.
+    or None unless ``sdp`` is a Potts lifting whose kernel stack is
+    K/2 = F F' with F = :func:`_half_kernel_factor`'s G (unblocked low-rank
+    kernels only) and C(0) has at least r positive eigenvalues.
 
     C(0) = [[0, E'], [E, F F']] with E = -H/2 has rank at
     most 2L + R.  With the thin QR W = [E, F] = Q [R_E, R_F] it is
@@ -513,7 +597,8 @@ def _low_rank_start_pairs(sdp, r):
     C(0)'s spectrum is zeros (Halko, Martinsson & Tropp 2011).  R_w is
     never inverted, so a rank-deficient W stays exact.
     """
-    if not isinstance(sdp, PottsSdp) or np.any(sdp._count_signs < 0.0):
+    if (not isinstance(sdp, PottsSdp) or np.any(sdp._count_signs < 0.0)
+            or sdp._blocked_width):
         return None
     L = sdp.n_labels
     q, r_w = qr(np.hstack([-0.5 * sdp.problem.unary, sdp._count_factor]),
@@ -537,7 +622,7 @@ def spectral_shift_init(sdp, r, seed=0):
     strictly below nu; choosing nu as the r-th smallest eigenvalue of A,
     from C(0) = -A's r leading eigenpairs, caps the initial positive rank
     at r (exactly r - 1 for a simple spectrum).  For a Potts lifting with
-    low-rank kernels only those pairs are exact, from a dense problem of
+    unblocked low-rank kernels only those pairs are exact, from a dense problem of
     dimension at most 2L + R, whenever C(0) has r positive eigenvalues;
     otherwise a Lanczos run on C(0) started from ``seed`` finds them
     (``seed`` feeds only that run).  The same pairs give C(u0)'s r leading

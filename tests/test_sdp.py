@@ -161,18 +161,41 @@ class TestDualGradient:
 # every kernel case that the count's K/2 = c I + G Diag(s) G' covers, in
 # both liftings, and the general lifting's singular U = mu - 11'
 KERNEL_CASES = ([(form, general) for general in (False, True)
-                 for form in ("plain", "blocked", "centered", "mixed", "empty")]
+                 for form in ("plain", "blocked", "centered", "mixed", "empty",
+                              "image-blocks")]
                 + [("singular-L2", True), ("singular-L3", True)])
 KERNEL_CASE_IDS = [("general-" if general else "potts-") + form
                    for form, general in KERNEL_CASES]
 
 
+def _image_block_problem(n, n_labels, seed, general=False):
+    """A co-segmentation-like stack over four image blocks: two low-rank
+    kernels block-diagonal over them, one over two other blocks, and a
+    plain low-rank and a centered kernel (those of the mixed stack).  A
+    general mu (L >= 3) only has mu_12 = mu_21 = 1, so U = mu - 11' has a
+    positive eigenvalue (sqrt(2) - 1 for L = 3) beside negative ones."""
+    base = mixed_kernel_problem(n, n_labels, seed, general=general)
+    mu = None if base.mu is None else np.zeros((n_labels, n_labels))
+    if general:
+        mu[1, 2] = mu[2, 1] = 1.0
+    rng = np.random.default_rng(seed + 100)
+    images = [0, n // 4, n // 2, 3 * n // 4, n]
+    f = [LowRankFactor(rng.standard_normal((n, 2)) / np.sqrt(2)) for _ in range(3)]
+    kernels = [LowRankKernel(f[0], 0.9, blocks=images),
+               LowRankKernel(f[1], 0.6, blocks=images),
+               LowRankKernel(f[2], 0.5, blocks=[0, n // 3, n])]
+    return CrfProblem(base.unary, kernels + base.kernels[1:], mu=mu)
+
+
 def _kernel_case(form, general, n, seed):
     """A problem over one plain, blocked or centered kernel, the mixed
-    stack of all three, or no kernel at all; or a general one over a plain
-    kernel whose U is singular (L = 2 with mu_12 = 0; L = 3 with mu = 0)."""
+    stack of all three, the image-block stack, or no kernel at all; or a
+    general one over a plain kernel whose U is singular (L = 2 with
+    mu_12 = 0; L = 3 with mu = 0)."""
     if form == "mixed":
         return mixed_kernel_problem(n, 3, seed, general=general)
+    if form == "image-blocks":
+        return _image_block_problem(n, 3, seed, general=general)
     n_labels = int(form[-1]) if form.startswith("singular") else 3
     problem = _one_kernel_problem(n, n_labels, seed, form, general)
     if form.startswith("singular"):
@@ -263,6 +286,18 @@ class TestPositiveCount:
                 for sigma in (1e-8, 0.5, -0.5):
                     assert _inertia_count(sdp, u, sigma) == \
                         _dense_count(sdp, u, sigma)
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_blocked_kernels_stay_compact(self, general):
+        # the two kernels over the four image blocks count 2 + 2 columns
+        # once, not once per block; the kernel over two other blocks is
+        # padded (2 x 2), the plain one adds 2 and the centered one 1 + 2
+        sdp = make_sdp(_image_block_problem(40, 3, 0, general), 1000.0)
+        assert sdp._blocked_width == 4
+        assert sdp._count_spans == [(0, 10), (10, 20), (20, 30), (30, 40)]
+        assert sdp._count_factor.shape == (40, 4 + 4 + 2 + 3)
+        np.testing.assert_array_equal(sdp._count_signs,
+                                      [1.0] * 10 + [-1.0] * 3)
 
 
 def _dense_c(sdp, parts):
@@ -468,11 +503,6 @@ def _one_kernel_problem(n, n_labels, seed, form, general):
     return CrfProblem(rng.standard_normal((n, n_labels)), [kernel], mu=mu)
 
 
-def _blocked_potts(n, n_labels, seed):
-    """Potts problem over one block-diagonal low-rank kernel."""
-    return _one_kernel_problem(n, n_labels, seed, "blocked", general=False)
-
-
 def _pinched(sdp, u):
     return sdp.pinched_norm_sq(sdp.assemble(u))
 
@@ -587,8 +617,7 @@ class TestSpectralShift:
     @pytest.mark.parametrize("make", [
         random_potts_problem, _two_kernel_potts,
         lambda n, n_labels, seed: random_potts_problem(n, n_labels, seed,
-                                                       kernel_rank=5),
-        _blocked_potts])
+                                                       kernel_rank=5)])
     @pytest.mark.parametrize("n_vars, n_labels", [(10, 3), (30, 2), (40, 4)])
     def test_factored_potts_start_needs_no_lanczos(self, monkeypatch, make,
                                                     n_vars, n_labels):
@@ -610,10 +639,14 @@ class TestSpectralShift:
 
         monkeypatch.setattr(sdp_module, "leading_eigpairs", lanczos)
         for seed in range(3):
-            # r past C(0)'s positive count, and a stack with a centered kernel
+            # r past C(0)'s positive count, a stack with a centered kernel,
+            # and a block-diagonal kernel, whose padded F would be b R wide
             potts = make_sdp(random_potts_problem(12, 3, seed=seed), gamma=100.0)
             mixed = make_sdp(mixed_kernel_problem(12, 3, seed=seed), gamma=100.0)
-            for sdp, r in ((potts, _start_positive_count(potts) + 1), (mixed, 4)):
+            blocked = make_sdp(_one_kernel_problem(12, 3, seed, "blocked", False),
+                               gamma=100.0)
+            for sdp, r in ((potts, _start_positive_count(potts) + 1), (mixed, 4),
+                           (blocked, 4)):
                 _assert_start_is_exact(sdp, r, seed)
                 assert calls == [r]
                 calls.clear()
@@ -1069,7 +1102,8 @@ class TestLrSdcutSolve:
 
     # counted kernels other than plain ones, a singular U, and no kernel
     @pytest.mark.parametrize("form, general, n_vars", [
-        ("mixed", False, 8), ("mixed", True, 7), ("singular-L2", True, 8),
+        ("mixed", False, 8), ("mixed", True, 7), ("image-blocks", False, 8),
+        ("image-blocks", True, 7), ("singular-L2", True, 8),
         ("singular-L3", True, 7), ("empty", False, 8), ("empty", True, 7)])
     def test_sandwich_on_every_kernel_case(self, form, general, n_vars):
         for seed in range(4):
