@@ -7,63 +7,26 @@ factors and a matrix-free partial eigensolver.  A mean-field baseline
 shares the same fast kernel layer, and a brute-force/dense oracle module
 provides independent reference computations for desk-scale verification.
 
-Submodules are imported lazily so that the command-line front end can set
-thread limits before any numerical library is loaded.
+BLAS threads are capped, as for any numpy program, by setting
+``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` before the package loads.
 """
 
-_SUBMODULE_OF = {
-    "LowRankFactor": "kernels",
-    "GaussianKernel": "kernels",
-    "LowRankKernel": "kernels",
-    "CenteredDiscriminativeKernel": "kernels",
-    "select_landmarks": "kernels",
-    "nystrom_factor": "kernels",
-    "hadamard_matvec": "kernels",
-    "centered_discriminative_factor": "kernels",
-    "save_factor": "kernels",
-    "load_factor": "kernels",
-    "CrfProblem": "crf",
-    "to_indicator": "crf",
-    "energy": "crf",
-    "lifted_energy": "crf",
-    "lifted_energy_general": "crf",
-    "energy_offset": "crf",
-    "load_instance": "crf",
-    "build_problem": "crf",
-    "InstanceFormatError": "crf",
-    "SymmetricOperator": "eig",
-    "PsdFactor": "eig",
-    "EigenConvergenceError": "eig",
-    "EigenCountMismatch": "eig",
-    "leading_psd_part": "eig",
-    "PottsSdp": "sdp",
-    "GeneralSdp": "sdp",
-    "make_sdp": "sdp",
-    "spectral_shift_init": "sdp",
-    "LbfgsAscent": "sdp",
-    "round_solution": "sdp",
-    "lr_sdcut_solve": "sdp",
-    "SolveParams": "sdp",
-    "SolveReport": "sdp",
-    "mf_init": "meanfield",
-    "mf_update": "meanfield",
-    "mf_free_energy": "meanfield",
-    "mf_solve": "meanfield",
-}
+from .kernels import (CenteredDiscriminativeKernel, GaussianKernel,
+                      LowRankFactor, LowRankKernel, centered_discriminative_factor,
+                      hadamard_matvec, load_factor, nystrom_factor, save_factor,
+                      select_landmarks)
+from .crf import (CrfProblem, InstanceFormatError, build_problem, energy,
+                  energy_offset, lifted_energy, lifted_energy_general,
+                  load_instance, to_indicator)
+from .eig import (EigenConvergenceError, EigenCountMismatch, PsdFactor,
+                  SymmetricOperator, leading_psd_part)
+from .sdp import (GeneralSdp, LbfgsAscent, PottsSdp, SolveParams, SolveReport,
+                  lr_sdcut_solve, make_sdp, round_solution, spectral_shift_init)
+from .meanfield import mf_free_energy, mf_init, mf_solve, mf_update
+from . import cli, crf, eig, generate, kernels, meanfield, oracle, sdp
 
 __version__ = "0.1.0"
-__all__ = sorted(_SUBMODULE_OF) + [
-    "kernels", "crf", "eig", "sdp", "meanfield", "oracle", "generate",
-]
-
-
-def __getattr__(name):
-    import importlib
-
-    if name in _SUBMODULE_OF:
-        module = importlib.import_module("." + _SUBMODULE_OF[name], __name__)
-        return getattr(module, name)
-    if name in ("kernels", "crf", "eig", "sdp", "meanfield", "oracle",
-                "generate", "cli"):
-        return importlib.import_module("." + name, __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+_SUBMODULES = ["kernels", "crf", "eig", "sdp", "meanfield", "oracle", "generate"]
+# the names imported above, then the submodules (``cli`` is not exported)
+__all__ = sorted(name for name in dir() if not name.startswith("_")
+                 and name not in _SUBMODULES + ["cli"]) + _SUBMODULES

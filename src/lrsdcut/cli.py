@@ -2,8 +2,8 @@
 
 Subcommands: ``gen``, ``solve``, ``bench``, ``compare``.  Exit codes:
 0 success (warnings allowed), 2 malformed instance or usage error,
-3 solver error.  The environment variable ``LRSDCUT_THREADS`` caps
-internal (BLAS) parallelism; 0 or unset leaves the libraries' defaults.
+3 solver error.  BLAS parallelism follows the standard variables
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``), set before launch.
 
 Every emitted report embeds the sha256 of the instance file and the full
 parameter set, so results are replayable from the report alone.
@@ -17,6 +17,9 @@ import os
 import statistics
 import sys
 import time
+
+from . import generate, kernels, meanfield, oracle, sdp
+from .crf import InstanceFormatError, load_instance
 
 EXIT_OK = 0
 EXIT_INPUT = 2  # malformed instance or usage error
@@ -42,24 +45,6 @@ MF_RESTARTS = 5  # mean-field restarts of solve and compare
 
 class UsageError(Exception):
     """A flag value the solver rejects."""
-
-
-def _apply_thread_cap():
-    # Must run before numpy/scipy load their BLAS backends.
-    raw = os.environ.get("LRSDCUT_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer LRSDCUT_THREADS={raw!r}",
-              file=sys.stderr)
-        return
-    if cap <= 0:  # 0 = auto
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
 
 
 def _build_parser():
@@ -127,22 +112,18 @@ def _build_parser():
 def _solve_params(args):
     """SolveParams from the solver flags given, or UsageError; a
     ``--restarts`` below 1 is a UsageError too."""
-    from .sdp import SolveParams
-
     if getattr(args, "restarts", 1) < 1:
         raise UsageError(f"restarts must be >= 1, got {args.restarts}")
     try:
-        return SolveParams(**{field: getattr(args, flag)
-                              for flag, field in _PARAM_FIELDS.items()
-                              if getattr(args, flag, None) is not None})
+        return sdp.SolveParams(**{field: getattr(args, flag)
+                                  for flag, field in _PARAM_FIELDS.items()
+                                  if getattr(args, flag, None) is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _run_method(method, problem, params, restarts):
     """Runs one method and returns its :class:`SolveReport` as a dict."""
-    from . import meanfield, oracle, sdp
-
     started = time.perf_counter()
     if method == "lrsdcut":
         report = sdp.lr_sdcut_solve(problem, params)
@@ -176,8 +157,6 @@ def _write_csv(rows, path):
 
 
 def cmd_gen(args):
-    from . import generate, kernels
-
     given = {key: getattr(args, key) for flags in _GEN_FLAGS.values()
              for key in flags if getattr(args, key) is not None}
     unread = sorted(args.flags[k] for k in given if k not in _GEN_FLAGS[args.kind])
@@ -204,8 +183,6 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    from .crf import load_instance
-
     params = _solve_params(args)
     problem, _, digest = load_instance(args.instance)
     report = _run_method(args.method, problem, params, args.restarts)
@@ -228,14 +205,11 @@ def cmd_solve(args):
 
 
 def cmd_bench(args):
-    from .crf import load_instance
-    from .sdp import lr_sdcut_solve
-
     params = _solve_params(args)
     rows = []
     for path in args.instances:
         problem, _, digest = load_instance(path)
-        report = lr_sdcut_solve(problem, params)
+        report = sdp.lr_sdcut_solve(problem, params)
         times = [rec.ms for rec in report.trajectory]
         rows.append({
             "instance": path,
@@ -254,8 +228,6 @@ def cmd_bench(args):
 
 
 def cmd_compare(args):
-    from .crf import load_instance
-
     params = _solve_params(args)
     rows = []
     for path in args.instances:
@@ -292,10 +264,7 @@ def cmd_compare(args):
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
-    from .crf import InstanceFormatError
-
     try:
         if args.command == "gen":
             return cmd_gen(args)

@@ -13,7 +13,7 @@ the caller's count of positive eigenvalues (which then proves the factor
 complete, and a Lanczos result that contradicts it is a typed failure),
 capped at the caller's rank cap, or the rank cap itself where no count
 is given.  Eigenpairs already in hand can stand in for that run, and a
-caller's lower bound on the norm that passes its limit skips it.
+call that the caller has already rejected skips it.
 """
 
 import inspect
@@ -55,24 +55,20 @@ class PsdFactor:
     ``vectors @ diag(values) @ vectors.T``.  ``truncated`` marks factors
     whose positive spectrum may extend past the rank cap or an early stop,
     in which case dual values derived from them are not certified lower
-    bounds.  ``frob_lower`` is a proven lower bound on the norm of the
-    whole positive part, which :meth:`frob_norm_sq` never reports less
-    than (it matters for factors stopped before any Lanczos run).
-    Downstream code must depend only on the projector and the eigenvalue
-    multiset, never on individual eigenvectors (clusters may rotate).
+    bounds.  Downstream code must depend only on the projector and the
+    eigenvalue multiset, never on single eigenvectors (clusters may rotate).
     """
 
     vectors: np.ndarray
     values: np.ndarray
     truncated: bool = False
-    frob_lower: float = 0.0
 
     @property
     def rank(self):
         return self.values.size
 
     def frob_norm_sq(self):
-        return max(float(np.sum(self.values ** 2)), self.frob_lower)
+        return float(np.sum(self.values ** 2))
 
 
 class EigenConvergenceError(RuntimeError):
@@ -178,8 +174,8 @@ def _proven_part(vals, vecs, count, max_rank, n):
                      truncated=bool(truncated)), complete
 
 
-def leading_psd_part(op, max_rank, seed=0, frob_limit=np.inf, frob_lower=0.0,
-                     count=None, pairs=None, shift=None):
+def leading_psd_part(op, max_rank, seed=0, rejected=False, count=None,
+                     pairs=None, shift=None):
     """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
     up to ``max_rank`` of them, as a :class:`PsdFactor`, from at most one
     Lanczos run.
@@ -198,11 +194,9 @@ def leading_psd_part(op, max_rank, seed=0, frob_limit=np.inf, frob_lower=0.0,
     below the positivity threshold (or the run covered the whole
     spectrum); otherwise it is marked truncated.
 
-    ``frob_lower`` is a caller's lower bound on ``||op_+||_F^2`` (for
-    instance from the operator's diagonal blocks); when it already
-    exceeds ``frob_limit`` the call returns at once, without a Lanczos
-    run or a matvec, a rank-0 factor marked truncated whose
-    :meth:`PsdFactor.frob_norm_sq` is that bound.
+    ``rejected`` marks an operator the caller has already rejected (by a
+    lower bound on ``||op_+||_F^2``, say): the call returns a rank-0 factor
+    marked truncated at once, without a Lanczos run or a matvec.
 
     ``pairs``, when given, are leading eigenpairs ``(values, vectors)`` of
     ``op`` already in hand (values descending), for instance the exact
@@ -218,11 +212,8 @@ def leading_psd_part(op, max_rank, seed=0, frob_limit=np.inf, frob_lower=0.0,
     n = op.n
     if not 1 <= max_rank <= n:
         raise ValueError(f"need 1 <= max_rank <= {n}, got {max_rank}")
-    if frob_lower > frob_limit:
-        return PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=True,
-                         frob_lower=float(frob_lower))
-    if count == 0:
-        return PsdFactor(np.zeros((n, 0)), np.zeros(0))
+    if rejected or count == 0:
+        return PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=rejected)
     if pairs is not None:
         factor, complete = _proven_part(pairs[0][:count], pairs[1][:, :count],
                                         count, max_rank, n)

@@ -17,8 +17,8 @@ which also solves with C(u) - sigma I at about a matvec's cost (in
 either lifting): a count proving sigma above the spectrum lets Lanczos
 run in shift-invert mode.  The same blocks give a
 cheap lower bound on ||C(u)_+||_F^2 (the pinching inequality over C(u)'s
-diagonal blocks), which rejects an overshooting line-search trial before
-any Lanczos run.
+diagonal blocks), which values an overshooting line-search trial at -inf,
+below any iterate, before any inertia count or Lanczos run.
 The solver starts at a dual point where C(u) = -A + nu I has low
 positive rank (the eigenpairs of -A that give nu, exact from a dense
 problem of dimension at most 2L + R for Potts with unblocked low-rank
@@ -231,6 +231,7 @@ class SdpLifting:
         self.b = b
         self.q = b.size
         self.identity = identity
+        self.tril_rows, self.tril_cols = np.tril_indices(self.n_labels, -1)
         # K/2 = c I + G Diag(s) G' for shifted_inverse's inertia count, with
         # G's first k columns block-diagonal over the spans
         (self._count_shift, self._count_factor, self._count_signs,
@@ -251,12 +252,6 @@ class SdpLifting:
     def parts_operator(self, parts):
         """C(u) as a matvec closure over :meth:`assemble`'s blocks."""
         return SymmetricOperator(self.n, lambda d: self.c_matvec(parts, d))
-
-    def positive_count(self, parts, sigma):
-        """Number of eigenvalues of C(u) above ``sigma``, the inertia count
-        of :meth:`shifted_inverse`, or None where that is None."""
-        inverse = self.shifted_inverse(parts, sigma)
-        return None if inverse is None else inverse[0]
 
     def dual_objective(self, u, psd):
         """Dual value at u given the positive part of C(u) for that exact u.
@@ -286,8 +281,7 @@ class PottsSdp(SdpLifting):
         if not problem.is_potts:
             raise ValueError("PottsSdp requires a Potts problem")
         n_vars, n_labels = problem.n_vars, problem.n_labels
-        self.tril_rows, self.tril_cols = np.tril_indices(n_labels, -1)
-        n_pairs = self.tril_rows.size
+        n_pairs = n_labels * (n_labels - 1) // 2
         b = np.concatenate([np.ones(n_labels), np.zeros(n_pairs),
                             np.ones(n_vars), np.ones(n_vars)])
         identity = np.concatenate([np.ones(n_labels), np.zeros(n_pairs),
@@ -433,8 +427,7 @@ class GeneralSdp(SdpLifting):
         if problem.is_potts:
             raise ValueError("GeneralSdp requires an explicit compatibility matrix")
         n_vars, n_labels = problem.n_vars, problem.n_labels
-        self.tril_rows, self.tril_cols = np.tril_indices(n_labels, -1)
-        self.n_pairs = self.tril_rows.size
+        self.n_pairs = n_labels * (n_labels - 1) // 2
         b = np.concatenate([np.ones(n_vars), np.zeros(n_vars * self.n_pairs)])
         super().__init__(problem, gamma, n=n_vars * n_labels, eta=n_vars,
                          b=b, identity=b)
@@ -638,18 +631,20 @@ def spectral_shift_init(sdp, r, seed=0):
     return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
 
 
-def _proven_shift(sdp, parts, sigma):
-    """``(sigma, solve)`` for shift-invert Lanczos on C(u), from either
-    lifting's :meth:`~SdpLifting.shifted_inverse`, sigma doubled (at most 4
-    times) until its inertia count proves it above C(u)'s spectrum; None at
-    sigma 0 (rank 0), or when that count stays positive or is undecided."""
-    if not sigma:
-        return None
-    for sigma in sigma * 2.0 ** np.arange(5):
-        inverse = sdp.shifted_inverse(parts, sigma)
-        if inverse is None or inverse[0] == 0:
-            return inverse and (sigma, inverse[1])
-    return None
+def _counted_request(sdp, parts, sigma):
+    """``(count, shift)`` for a dual evaluation's Lanczos request, from
+    :meth:`~SdpLifting.shifted_inverse`: the number of C(u)'s eigenvalues
+    above ``EIG_TOL`` (None where undecided), and ``(sigma, solve)`` for
+    shift-invert Lanczos once a count of 0 at sigma, doubled at most 4
+    times, proves it above the spectrum (else None, as at sigma 0)."""
+    inverse = sdp.shifted_inverse(parts, EIG_TOL)
+    count = inverse and inverse[0]
+    if count and sigma:
+        for sigma in sigma * 2.0 ** np.arange(5):
+            inverse = sdp.shifted_inverse(parts, sigma)
+            if inverse is None or inverse[0] == 0:
+                return count, inverse and (sigma, inverse[1])
+    return count, None
 
 
 @dataclass
@@ -922,13 +917,11 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     u0, start_pairs = spectral_shift_init(
         sdp, rank_init, seed=next_seed(np.random.default_rng(shift_ss)))
     rank_cap = min(sdp.n, 8 * rank_init)
-    # state across dual evaluations.  "floor" is the value of the current
-    # iterate: a line-search trial needs a value above it to be accepted, so
-    # a trial whose pinching bound on ||C(u)_+||_F^2 already puts its dual
-    # below it is rejected before any Lanczos run or inertia count.  The
-    # first evaluation, at u0, reads C(u0)'s eigenpairs from the start's
-    # pairs instead of running Lanczos (its count is undecided: C(u0) has an
-    # eigenvalue at 0).  "sigma" seeds a counted request's shift
+    # state across dual evaluations.  "floor" is the current iterate's value:
+    # a trial whose pinching bound on ||C(u)_+||_F^2 puts its dual below it
+    # cannot be accepted and is valued -inf, with no Lanczos run or count.
+    # The start's "pairs" stand in for C(u0)'s Lanczos run (its count is
+    # undecided: C(u0) has an eigenvalue at 0); "sigma" seeds the shift
     warm = {"floor": -np.inf, "pairs": start_pairs, "sigma": 0.0}
     bound_rejections = 0
 
@@ -938,27 +931,26 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         # d(u) < floor once ||C(u)_+||_F^2 exceeds this
         frob_limit = (2.0 / sdp.gamma) * (-u @ sdp.b - warm["floor"]
                                           - sdp.eta ** 2 / (2.0 * sdp.gamma))
-        frob_lower = (sdp.pinched_norm_sq(parts) if np.isfinite(frob_limit)
-                      else 0.0)
-        rejected = bool(frob_lower > frob_limit)
+        rejected = bool(np.isfinite(frob_limit)
+                        and sdp.pinched_norm_sq(parts) > frob_limit)
         bound_rejections += rejected
-        count = None if rejected else sdp.positive_count(parts, EIG_TOL)
+        count, shift = ((None, None) if rejected
+                        else _counted_request(sdp, parts, warm["sigma"]))
         try:
             # the seed is drawn for every evaluation, so later Lanczos runs
             # keep their seeds whether or not the bound rejects this one
             factor = leading_psd_part(
                 sdp.parts_operator(parts), rank_cap,
-                seed=next_seed(eig_seed_rng), frob_limit=frob_limit,
-                frob_lower=frob_lower, count=count,
-                pairs=warm.pop("pairs", None),
-                shift=_proven_shift(sdp, parts, warm["sigma"]) if count else None)
+                seed=next_seed(eig_seed_rng), rejected=rejected, count=count,
+                pairs=warm.pop("pairs", None), shift=shift)
         except EigenConvergenceError as exc:
             warnings.append(f"eigensolver stall: {exc}")
             factor = exc.factor
         except EigenCountMismatch as exc:
             warnings.append(f"eigen count mismatch: {exc}")
             factor = exc.factor
-        return sdp.dual_objective(u, factor), sdp.dual_gradient(u, factor), factor
+        value = -np.inf if rejected else sdp.dual_objective(u, factor)
+        return value, sdp.dual_gradient(u, factor), factor
 
     trajectory = []
     best_labels = None

@@ -259,7 +259,8 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert main(["bench", "--kmax", "3", "--out", str(out),
                      str(inst)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["ratio"] == ""
 
@@ -273,7 +274,8 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert main(["bench", "--kmax", "3", "--out", str(out), str(small),
                      str(large)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[1]["ratio"]) > 0
 
@@ -317,25 +319,8 @@ class TestCompare:
                      *paths]) == 0
         stdout = capsys.readouterr().out
         assert "median lrsdcut=" in stdout
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert all(float(r["lrsdcut_energy"]) <= float(r["meanfield_energy"])
                    + 1e-6 for r in rows)
-
-
-class TestThreadCap:
-    def test_env_var_sets_blas_limits(self, instance_env=None):
-        code, stdout, _ = subprocess_run_with_env()
-        assert code == 0
-        assert stdout.strip() == "1"
-
-
-def subprocess_run_with_env():
-    import os
-    env = dict(os.environ, LRSDCUT_THREADS="1")
-    env.pop("OMP_NUM_THREADS", None)
-    probe = ("from lrsdcut.cli import _apply_thread_cap; _apply_thread_cap();"
-             "import os; print(os.environ['OMP_NUM_THREADS'])")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr

@@ -83,36 +83,24 @@ class TestLeadingPsdPart:
         assert factor.truncated
         assert factor.rank == 6
 
-    def test_limit_without_a_lower_bound_stops_nothing(self):
-        # 20 positive eigenvalues 20, 19, ..., 1 with ||A_+||_F^2 = 2870
-        op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
-                                                   -np.arange(1.0, 21.0)])))
-        full = leading_psd_part(op, max_rank=40, seed=6)
-        assert full.rank == 20 and not full.truncated
-        for limit in (1000.0, 2870.5):
-            same = leading_psd_part(op, max_rank=40, seed=6, frob_limit=limit)
-            assert not same.truncated
-            assert np.array_equal(same.values, full.values)
-            assert np.array_equal(same.vectors, full.vectors)
-
-    def test_lower_bound_above_limit_needs_no_lanczos_run(self):
+    def test_rejected_call_needs_no_lanczos_run(self):
         def refuse(d):
             raise AssertionError("no matvec expected")
 
         factor = leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
-                                  frob_limit=100.0, frob_lower=120.0, count=3)
+                                  rejected=True, count=3)
         assert factor.rank == 0 and factor.truncated
         assert factor.vectors.shape == (50, 0)
-        assert factor.frob_norm_sq() == 120.0
+        assert factor.frob_norm_sq() == 0.0
 
-    def test_lower_bound_within_limit_leaves_lanczos_unchanged(self):
+    def test_unrejected_call_leaves_lanczos_unchanged(self):
         op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
                                                    -np.arange(1.0, 21.0)])))
-        plain = leading_psd_part(op, max_rank=40, seed=6, frob_limit=1500.0)
-        bounded = leading_psd_part(op, max_rank=40, seed=6,
-                                   frob_limit=1500.0, frob_lower=1500.0)
-        assert np.array_equal(bounded.values, plain.values)
-        assert bounded.frob_norm_sq() == plain.frob_norm_sq()
+        plain = leading_psd_part(op, max_rank=40, seed=6)
+        kept = leading_psd_part(op, max_rank=40, seed=6, rejected=False)
+        assert kept.rank == 20 and not kept.truncated
+        assert np.array_equal(kept.values, plain.values)
+        assert np.array_equal(kept.vectors, plain.vectors)
 
     def test_nonconvergence_carries_best_effort_factor(self, rng,
                                                        monkeypatch):

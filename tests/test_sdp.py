@@ -1,5 +1,9 @@
 """Dual solver: structured operators, gradients, dual start, ascent, rounding."""
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dsytrf
@@ -206,7 +210,22 @@ def _kernel_case(form, general, n, seed):
 
 
 def _inertia_count(sdp, u, sigma):
-    return sdp.positive_count(sdp.assemble(u), sigma)
+    inverse = sdp.shifted_inverse(sdp.assemble(u), sigma)
+    return inverse and inverse[0]
+
+
+def _indefinite_u(problem):
+    """``problem`` (L = 3) with mu_12 = mu_21 = 1 and every other entry 0, so
+    that U = mu - 11' has eigenvalues -2.41, -1 and 0.41: the general count
+    then borders over positive as well as negative entries of
+    Diag(s) (x) Lambda^-1, which a uniform mu in [0, 1] gives at few seeds."""
+    mu = np.zeros((3, 3))
+    mu[0, 1] = mu[1, 0] = 1.0
+    return CrfProblem(problem.unary, problem.kernels, mu=mu)
+
+
+def _indefinite_u_problem(n, n_labels, seed):
+    return _indefinite_u(random_general_problem(n, n_labels, seed=seed))
 
 
 def _dense_count(sdp, u, sigma):
@@ -229,7 +248,8 @@ class TestPositiveCount:
     @pytest.mark.parametrize("make, n_labels", [
         (random_potts_problem, 2), (random_potts_problem, 4),
         (_two_kernel_potts, 3), (random_general_problem, 2),
-        (random_general_problem, 3), (random_general_problem, 5)])
+        (random_general_problem, 3), (random_general_problem, 5),
+        (_indefinite_u_problem, 3)])
     def test_matches_dense_spectrum(self, rng, make, n_labels):
         for seed in range(6):
             sdp = make_sdp(make(10, n_labels, seed=seed), gamma=100.0)
@@ -317,8 +337,10 @@ class TestShiftInvert:
 
     @staticmethod
     def _random_point(kind, seed, rng):
-        if kind == "general":
+        if kind.startswith("general"):
             problem = _general_l3(30, seed)
+            if kind == "general-indefinite-u":
+                problem = _indefinite_u(problem)
         else:
             problem = build_problem(gen_grid(6, 5, 3, seed=seed) if kind == "grid"
                                     else gen_clusters(30, 4, seed=seed))
@@ -327,7 +349,8 @@ class TestShiftInvert:
         parts = sdp.assemble(u0 + 0.5 * rng.standard_normal(sdp.q))
         return sdp, parts, np.linalg.eigvalsh(_dense_c(sdp, parts))
 
-    @pytest.mark.parametrize("kind", ["grid", "clusters", "general"])
+    @pytest.mark.parametrize("kind", ["grid", "clusters", "general",
+                                      "general-indefinite-u"])
     def test_solve_inverts_the_shifted_operator(self, rng, kind):
         for seed in range(4):
             sdp, parts, eigs = self._random_point(kind, seed, rng)
@@ -340,7 +363,8 @@ class TestShiftInvert:
                     assert np.linalg.norm(back - x) <= \
                         1e-10 * np.linalg.norm(x)
 
-    @pytest.mark.parametrize("kind", ["grid", "clusters", "general"])
+    @pytest.mark.parametrize("kind", ["grid", "clusters", "general",
+                                      "general-indefinite-u"])
     def test_count_is_zero_exactly_above_the_spectrum(self, rng, kind):
         for seed in range(4):
             sdp, parts, eigs = self._random_point(kind, seed, rng)
@@ -349,7 +373,6 @@ class TestShiftInvert:
                 sigma = eigs[-1] + step * scale
                 count, _ = sdp.shifted_inverse(parts, sigma)
                 assert count == np.count_nonzero(eigs > sigma)
-                assert count == sdp.positive_count(parts, sigma)
                 assert (count == 0) == (sigma >= eigs[-1])
 
     @pytest.mark.parametrize("form, general", KERNEL_CASES, ids=KERNEL_CASE_IDS)
@@ -386,7 +409,7 @@ class TestShiftInvert:
                              + 1e-3 * rng.standard_normal(sdp.q))
         vals, vecs = np.linalg.eigh(_dense_c(sdp, parts))
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        count = sdp.positive_count(parts, EIG_TOL)
+        count = sdp.shifted_inverse(parts, EIG_TOL)[0]
         assert count == np.count_nonzero(vals > EIG_TOL) >= 4
         sigma = 1.5 * vals[0]
         shift = sigma, sdp.shifted_inverse(parts, sigma)[1]
@@ -410,17 +433,17 @@ class TestShiftInvert:
         ids=["doubles", "falls-back", "general-doubles", "general-falls-back"])
     def test_a_low_sigma_doubles_or_falls_back(self, monkeypatch, general,
                                                scale, found):
-        proven = sdp_module._proven_shift
+        counted = sdp_module._counted_request
         shifts = []  # (start, proven shift or None, dense lambda_max)
 
         def low_start(sdp, parts, sigma):
-            shift = proven(sdp, parts, scale * sigma)
-            if sigma:
+            count, shift = counted(sdp, parts, scale * sigma)
+            if count and sigma:
                 shifts.append((scale * sigma, shift,
                                np.linalg.eigvalsh(_dense_c(sdp, parts))[-1]))
-            return shift
+            return count, shift
 
-        monkeypatch.setattr(sdp_module, "_proven_shift", low_start)
+        monkeypatch.setattr(sdp_module, "_counted_request", low_start)
         calls = _record_psd_calls(monkeypatch)
         problem = (_general_l3(50, 2) if general
                    else build_problem(gen_grid(12, 12, 3, seed=2)))
@@ -441,6 +464,49 @@ class TestShiftInvert:
                     _dense_positive_frob_sq(op), rel=1e-9)
                 checked += 1
         assert checked > 3
+
+
+class _ScriptedLifting:
+    """A lifting whose shifted_inverse counts a fixed spectrum, undecided at
+    an eigenvalue (or everywhere without one), and records each sigma."""
+
+    def __init__(self, eigs):
+        self.eigs, self.sigmas = eigs, []
+
+    def shifted_inverse(self, parts, sigma):
+        self.sigmas.append(sigma)
+        if self.eigs is None or sigma in self.eigs:
+            return None
+        return np.count_nonzero(np.greater(self.eigs, sigma)), f"solve at {sigma}"
+
+
+class TestCountedRequestHelper:
+    """``_counted_request``'s (count, shift) for one dual evaluation, from
+    inertia counts made in order: at EIG_TOL, then at sigma doubled."""
+
+    @staticmethod
+    def _request(eigs, sigma):
+        lifting = _ScriptedLifting(eigs)
+        return sdp_module._counted_request(lifting, None, sigma), lifting.sigmas
+
+    def test_an_undecided_count_gives_neither(self):
+        assert self._request(None, 2.0) == ((None, None), [EIG_TOL])
+
+    def test_a_zero_sigma_gives_the_count_alone(self):
+        assert self._request([3.0, 1.0, -1.0], 0.0) == ((2, None), [EIG_TOL])
+
+    def test_a_zero_count_gives_no_shift(self):
+        assert self._request([-1.0, -2.0], 2.0) == ((0, None), [EIG_TOL])
+
+    def test_a_sigma_below_the_spectrum_doubles(self):
+        assert self._request([5.0, 1.0, -1.0], 0.75) == (
+            (2, (6.0, "solve at 6.0")), [EIG_TOL, 0.75, 1.5, 3.0, 6.0])
+
+    @pytest.mark.parametrize("eigs, sigmas", [
+        ([100.0, -1.0], [1.0, 2.0, 4.0, 8.0, 16.0]), ([4.0, -1.0], [1.0, 2.0, 4.0])],
+        ids=["stays-below", "undecided"])
+    def test_a_sigma_never_proven_gives_no_shift(self, eigs, sigmas):
+        assert self._request(eigs, 1.0) == ((1, None), [EIG_TOL] + sigmas)
 
 
 class TestPottsLayout:
@@ -1155,6 +1221,33 @@ def _dense_positive_frob_sq(op):
     return np.sum(vals[vals > 0.0] ** 2)
 
 
+class TestNoReferenceCycle:
+    """A solve's lifting, and with it every C(u) block and factor, is freed
+    by reference counting when the solve returns; a cycle (obj_grad's
+    closure reading the optimizer that holds it, say) keeps it until the
+    cyclic collector runs, which raised the bench's peak memory by over half."""
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_the_lifting_dies_with_the_solve(self, monkeypatch, general):
+        liftings = []
+        make = sdp_module.make_sdp
+
+        def tracked(problem, gamma):
+            lifting = make(problem, gamma)
+            liftings.append(weakref.ref(lifting))
+            return lifting
+
+        monkeypatch.setattr(sdp_module, "make_sdp", tracked)
+        problem = (_general_l3(30, 1) if general
+                   else random_potts_problem(40, 3, seed=2))
+        gc.disable()
+        try:
+            lr_sdcut_solve(problem, seed=1)
+            assert len(liftings) == 1 and liftings[0]() is None
+        finally:
+            gc.enable()
+
+
 class TestLanczosRequests:
     @pytest.mark.parametrize("general", [False, True])
     def test_every_kernel_form_is_counted_and_run_once(self, monkeypatch,
@@ -1267,13 +1360,16 @@ class TestCountedRequests:
 
     def test_count_mismatch_is_a_typed_warning(self, monkeypatch):
         problem = random_potts_problem(30, 2, seed=23)
-        exact = PottsSdp.positive_count
+        exact = PottsSdp.shifted_inverse
 
         def overcount(self, parts, sigma):
-            count = exact(self, parts, sigma)
-            return None if count is None else count + 1
+            # one eigenvalue too many above EIG_TOL; the shifts' counts stay
+            inverse = exact(self, parts, sigma)
+            if inverse is None or sigma != EIG_TOL:
+                return inverse
+            return inverse[0] + 1, inverse[1]
 
-        monkeypatch.setattr(PottsSdp, "positive_count", overcount)
+        monkeypatch.setattr(PottsSdp, "shifted_inverse", overcount)
         report = lr_sdcut_solve(problem, seed=1)
         mismatches = [w for w in report.warnings
                       if w.startswith("eigen count mismatch:")]
@@ -1299,6 +1395,27 @@ class TestBoundRejections:
         assert report.lower_bound == lanczos_only.lower_bound
         np.testing.assert_array_equal(report.labels, lanczos_only.labels)
         assert report.extras["dual_evals"] == lanczos_only.extras["dual_evals"]
+
+    def test_rejected_trials_are_valued_minus_inf_and_never_recorded(
+            self, monkeypatch):
+        values = []
+
+        class Recording(LbfgsAscent):
+            def __init__(self, obj_grad, u0):
+                def recorded(u):
+                    values.append(obj_grad(u))
+                    return values[-1]
+                super().__init__(recorded, u0)
+
+        monkeypatch.setattr(sdp_module, "LbfgsAscent", Recording)
+        report = lr_sdcut_solve(_general_l3(150, 1), seed=1)
+        rejections = report.extras["bound_rejections"]
+        assert type(rejections) is int and rejections >= 1
+        rejected = [factor for value, _, factor in values if value == -np.inf]
+        assert len(rejected) == rejections
+        assert all(f.rank == 0 and f.truncated for f in rejected)
+        assert all(np.isfinite(rec.dual) for rec in report.trajectory)
+        json.dumps(report.to_dict(), allow_nan=False)
 
 
 def _count_applications(monkeypatch, lifting, problem):
