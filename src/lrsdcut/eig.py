@@ -13,12 +13,13 @@ the caller's count of positive eigenvalues (which then proves the factor
 complete, and a Lanczos result that contradicts it is a typed failure),
 capped at the caller's rank cap, or the rank cap itself where no count
 is given.  Eigenpairs already in hand can stand in for that run, and a
-call that the caller has already rejected skips it.
+call that the caller has already rejected skips it.  The operator is a
+``LinearOperator``; a failed proof raises an :class:`EigenFailure`, whose
+``code`` is the stable prefix of the warning a solve records for it.
 """
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -35,14 +36,14 @@ EIG_TOL = 1e-8
 EIG_RESTARTS = 50
 
 
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """A symmetric linear map given by its dimension and matvec closure."""
+class SymmetricOperator(LinearOperator):
+    """A symmetric n x n linear map given by its matvec closure ``apply``."""
 
-    n: int
-    apply: Callable
+    def __init__(self, n, apply):
+        super().__init__(np.float64, (n, n))
+        self.n, self.apply = n, apply
 
-    def matvec(self, d):
+    def _matvec(self, d):
         return self.apply(np.asarray(d, dtype=np.float64).ravel())
 
 
@@ -71,21 +72,26 @@ class PsdFactor:
         return float(np.sum(self.values ** 2))
 
 
-class EigenConvergenceError(RuntimeError):
-    """Eigensolver failed to converge; carries the best-effort factor."""
+class EigenFailure(RuntimeError):
+    """A positive part not proven complete; carries the best-effort
+    factor, marked truncated, and a class-level warning prefix ``code``."""
 
     def __init__(self, message, factor):
         super().__init__(message)
         self.factor = factor
 
 
-class EigenCountMismatch(RuntimeError):
+class EigenConvergenceError(EigenFailure):
+    """Eigensolver failed to converge."""
+
+    code = "eigensolver stall"
+
+
+class EigenCountMismatch(EigenFailure):
     """Lanczos returned fewer eigenvalues above the threshold than an
-    inertia count proved; carries the factor, marked truncated."""
+    inertia count proved."""
 
-    def __init__(self, message, factor):
-        super().__init__(message)
-        self.factor = factor
+    code = "eigen count mismatch"
 
 
 def _dense_spectrum(op):
@@ -131,12 +137,11 @@ def leading_eigpairs(op, k, seed, shift=None):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    scipy_op = LinearOperator((n, n), matvec=op.matvec, dtype=np.float64)
     mode = {"which": "LA"} if shift is None else {"which": "LM", "sigma": shift[0],
         "OPinv": LinearOperator((n, n), matvec=shift[1], dtype=np.float64)}
     ncv = min(n, max(2 * k + 10, 30) if shift is None else max(k + 10, 20))
     try:
-        vals, vecs = eigsh(scipy_op, k=k, v0=v0, ncv=ncv, tol=EIG_TOL,
+        vals, vecs = eigsh(op, k=k, v0=v0, ncv=ncv, tol=EIG_TOL,
                            maxiter=EIG_RESTARTS, **mode,
                            **({"rng": rng} if _SEEDED_RESTARTS else {}))
     except ArpackNoConvergence as exc:

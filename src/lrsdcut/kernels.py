@@ -52,9 +52,6 @@ class LowRankFactor:
     def rank(self):
         return self.phi.shape[1]
 
-    def __repr__(self):
-        return f"LowRankFactor(n={self.n}, rank={self.rank})"
-
 
 def save_factor(path, factor):
     """Write a factor cache file: header {magic 'LRKF', u32 N, u32 R}, then

@@ -15,7 +15,7 @@ of the parallel ICM sweeps that polish the SDP solver's roundings.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import softmax, xlogy
 
 from .crf import energy, messages
 
@@ -25,17 +25,11 @@ MF_MAX_ITERS = 100
 MF_TOL = 1e-6
 
 
-def _softmax_rows(scores):
-    scores = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def mf_init(problem, seed=None, mode="unary"):
     """Initial marginals: softmax of the negated unaries ('unary') or
     Dirichlet(1) rows drawn from ``seed``, which may not be None ('random')."""
     if mode == "unary":
-        return _softmax_rows(-problem.unary)
+        return softmax(-problem.unary, axis=1)
     if mode == "random":
         if seed is None:
             raise ValueError("random init needs a seed")
@@ -47,7 +41,7 @@ def mf_init(problem, seed=None, mode="unary"):
 def mf_update(problem, marginals):
     """One mean-field update: every row recomputed at once from the current
     marginals (no monotonicity guarantee)."""
-    return _softmax_rows(-(problem.unary + messages(problem, marginals)))
+    return softmax(-(problem.unary + messages(problem, marginals)), axis=1)
 
 
 def mf_free_energy(problem, marginals):

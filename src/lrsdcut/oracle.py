@@ -10,6 +10,7 @@ objective everything refers to).
 import itertools
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .kernels import CenteredDiscriminativeKernel, LowRankKernel
 
@@ -20,21 +21,13 @@ class BruteForceSizeError(ValueError):
     """The label space is too large to enumerate."""
 
 
-def _block_mask(blocks, n):
-    mask = np.zeros((n, n))
-    offsets = np.asarray(blocks, dtype=np.int64)
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        mask[a:b, a:b] = 1.0
-    return mask
-
-
 def dense_kernel(kernel):
     """Materialize the weighted PSD matrix a kernel object represents."""
     if isinstance(kernel, LowRankKernel):
         phi = kernel.factor.phi
         mat = phi @ phi.T
         if kernel.blocks is not None:
-            mat = mat * _block_mask(kernel.blocks, kernel.n)
+            mat = mat * block_diag(*(np.ones((m, m)) for m in np.diff(kernel.blocks)))
         return kernel.weight * mat
     if isinstance(kernel, CenteredDiscriminativeKernel):
         n = kernel.n
@@ -46,10 +39,7 @@ def dense_kernel(kernel):
 
 def dense_problem_kernel(problem):
     """Sum of the densified weighted kernels of a problem."""
-    total = np.zeros((problem.n_vars, problem.n_vars))
-    for kernel in problem.kernels:
-        total += dense_kernel(kernel)
-    return total
+    return sum(map(dense_kernel, problem.kernels), np.zeros((problem.n_vars,) * 2))
 
 
 def direct_energy(problem, labels, kernel_matrix=None):
@@ -150,18 +140,14 @@ def dense_sdp_pieces(sdp, u):
         raise ValueError(f"dense oracle limited to n <= 200, got {n}")
     problem = sdp.problem
     kernel_matrix = dense_problem_kernel(problem)
-
-    from .sdp import PottsSdp  # type check only; no fast-path code is used
-
-    if isinstance(sdp, PottsSdp):
-        n_vars, n_labels = problem.n_vars, problem.n_labels
+    n_vars, n_labels = problem.n_vars, problem.n_labels
+    if problem.is_potts:
         a_mat = np.zeros((n, n))
         a_mat[n_labels:, :n_labels] = 0.5 * problem.unary
         a_mat[:n_labels, n_labels:] = 0.5 * problem.unary.T
         a_mat[n_labels:, n_labels:] = -0.5 * kernel_matrix
         constraints = potts_constraint_matrices(n_vars, n_labels)
     else:
-        n_vars, n_labels = problem.n_vars, problem.n_labels
         u_mat = problem.mu - 1.0
         a_mat = np.diag(problem.unary.reshape(-1)) + 0.5 * np.kron(kernel_matrix,
                                                                    u_mat)

@@ -46,8 +46,8 @@ from scipy.linalg.lapack import dsytrf, dsytri, dsytrs
 
 from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
-from .eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
-                  SymmetricOperator, leading_eigpairs, leading_psd_part)
+from .eig import (EIG_TOL, EigenFailure, SymmetricOperator, leading_eigpairs,
+                  leading_psd_part)
 from .kernels import CenteredDiscriminativeKernel
 
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
@@ -111,15 +111,11 @@ def _positive_inertia(pivots_positive, factored, noise):
     if info != 0:
         return None
     d = np.diag(ldu)
-    # a 2 x 2 block spans two negative ipiv entries; runs of them hold
-    # whole blocks, so blocks start at even offsets within a run
-    neg = ipiv < 0
-    at = np.arange(d.size)
-    offset = at - np.maximum.accumulate(np.where(neg, -1, at)) - 1
-    first = np.flatnonzero(neg & (offset % 2 == 0))
+    # LAPACK marks a 2 x 2 block by two consecutive negative ipiv entries
+    first = np.flatnonzero(ipiv < 0)[::2]
     a, b, c = d[first], ldu[first + 1, first], d[first + 1]
     half, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-    eigs = np.concatenate([d[~neg], half - radius, half + radius])
+    eigs = np.concatenate([d[ipiv > 0], half - radius, half + radius])
     if np.any(np.abs(eigs) <= noise):
         return None
     return int(pivots_positive + np.count_nonzero(eigs > 0.0))
@@ -943,11 +939,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                 sdp.parts_operator(parts), rank_cap,
                 seed=next_seed(eig_seed_rng), rejected=rejected, count=count,
                 pairs=warm.pop("pairs", None), shift=shift)
-        except EigenConvergenceError as exc:
-            warnings.append(f"eigensolver stall: {exc}")
-            factor = exc.factor
-        except EigenCountMismatch as exc:
-            warnings.append(f"eigen count mismatch: {exc}")
+        except EigenFailure as exc:
+            warnings.append(f"{exc.code}: {exc}")
             factor = exc.factor
         value = -np.inf if rejected else sdp.dual_objective(u, factor)
         return value, sdp.dual_gradient(u, factor), factor

@@ -11,11 +11,11 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from lrsdcut.crf import CrfProblem
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
                              LowRankKernel)
-from lrsdcut.meanfield import _softmax_rows
 
 
 def random_potts_problem(n, n_labels, seed, kernel_rank=3, weight=1.0):
@@ -90,9 +90,8 @@ def mf_site_update(problem, marginals, site):
     basis[site] = 1.0
     k_col = problem.kernel_matvec(basis)
     incoming = marginals.T @ k_col - k_col[site] * marginals[site]
-    row = _softmax_rows((-(problem.unary[site] + problem.mu_matrix() @ incoming))[None, :])
     out = marginals.copy()
-    out[site] = row[0]
+    out[site] = softmax(-(problem.unary[site] + problem.mu_matrix() @ incoming))
     return out
 
 

@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from conftest import (constraint_values, mixed_kernel_problem,
                       reconstruct)
 from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
                          lifted_energy, to_indicator)
-from lrsdcut.eig import (EIG_TOL, PsdFactor, SymmetricOperator,
-                         leading_eigpairs, leading_psd_part)
+from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, PsdFactor,
+                         SymmetricOperator, leading_eigpairs, leading_psd_part)
 from lrsdcut import eig as eig_module
 from lrsdcut import sdp as sdp_module
 from lrsdcut.generate import gen_clusters, gen_grid
@@ -288,10 +289,20 @@ class TestPositiveCount:
 
     def test_schur_inertia_reads_two_by_two_pivots(self, rng):
         # a zero diagonal makes Bunch-Kaufman choose 2 x 2 pivot blocks
+        mats = []
         for n in (2, 5, 12, 31):
             mat = rng.standard_normal((n, n))
             mat += mat.T
             np.fill_diagonal(mat, 0.0)
+            mats.append(mat)
+        # four swap blocks, slightly coupled: a run of four 2 x 2 pivots,
+        # whose ipiv is eight consecutive negative entries
+        noise = rng.standard_normal((8, 8))
+        noise += noise.T
+        np.fill_diagonal(noise, 0.0)
+        mats.append(np.kron(np.eye(4), [[0.0, 1.0], [1.0, 0.0]]) + 1e-3 * noise)
+        assert np.all(dsytrf(mats[-1], lower=1)[1] < 0)
+        for mat in mats:
             factored = dsytrf(mat, lower=1)
             assert sdp_module._positive_inertia(3, factored, 1e-12) == \
                 3 + np.count_nonzero(np.linalg.eigvalsh(mat) > 0.0)
@@ -1377,6 +1388,29 @@ class TestCountedRequests:
         assert len(mismatches) == report.extras["dual_evals"]
         assert all(rec.truncated for rec in report.trajectory)
         assert report.lower_bound is None
+
+    def test_eigensolver_stall_is_a_typed_warning(self, monkeypatch):
+        problem = random_potts_problem(30, 2, seed=23)
+        exact = sdp_module.leading_psd_part
+        calls = []
+
+        def stall_once(*args, **kwargs):
+            # the second evaluation's Lanczos run stalls after its pairs
+            factor = exact(*args, **kwargs)
+            calls.append(factor)
+            if len(calls) == 2:
+                raise EigenConvergenceError(
+                    "eigensolver converged to only 0 of 1 requested pairs",
+                    replace(factor, truncated=True))
+            return factor
+
+        monkeypatch.setattr(sdp_module, "leading_psd_part", stall_once)
+        report = lr_sdcut_solve(problem, seed=1)
+        stalls = [w for w in report.warnings if w.startswith("eigensolver stall:")]
+        assert stalls == ["eigensolver stall: eigensolver converged to only 0 "
+                          "of 1 requested pairs"]
+        assert len(calls) == report.extras["dual_evals"] > 2
+        assert report.lower_bound is not None
 
 
 class TestBoundRejections:
