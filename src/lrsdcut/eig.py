@@ -9,11 +9,13 @@ it, at one tolerance (``EIG_TOL``, also the positivity threshold) and one
 restart budget (``EIG_RESTARTS``), with seeded random vectors, a Krylov
 dimension sized per mode, and a dense fallback for operators too small
 for ARPACK.  A positive part takes at most one Lanczos request: exactly
-the caller's count of positive eigenvalues (which then proves the factor
-complete, and a Lanczos result that contradicts it is a typed failure),
-capped at the caller's rank cap, or the rank cap itself where no count
-is given.  Eigenpairs already in hand can stand in for that run, and a
-call that the caller has already rejected skips it.  The operator is a
+the caller's count of positive eigenvalues, an inertia count (Parlett's
+spectrum slicing), capped at the caller's rank cap, or the rank cap
+itself where no count is given.  The count is the one proof that a
+factor is complete (a Lanczos result that contradicts it is a typed
+failure); without it only the dense fallback's whole spectrum is.
+Eigenpairs already in hand can stand in for that run, and a call that
+the caller has already rejected skips it.  The operator is a
 ``LinearOperator``; a failed proof raises an :class:`EigenFailure`, whose
 ``code`` is the stable prefix of the warning a solve records for it.
 """
@@ -107,9 +109,9 @@ def leading_eigpairs(op, k, seed, shift=None):
     Uses ARPACK (tolerance ``EIG_TOL``, at most ``EIG_RESTARTS`` restarts)
     with a seeded pseudo-random start vector and Krylov dimension
     ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for small k:
-    a subspace of only 2k + 10 vectors can converge to k Ritz
-    values that are not the top of the spectrum, so a positive part built
-    from them silently misses eigenvalues and its dual value is no bound.
+    a subspace of only 2k + 10 vectors can converge to k Ritz values
+    that are not the top of the spectrum, so a positive part built from
+    them misses eigenvalues (a typed failure where counted).
     ``shift = (sigma, solve)``, with sigma above op's spectrum and
     ``solve(b) = (op - sigma I)^-1 b``, runs ARPACK in shift-invert mode on
     ``solve`` alone, whose largest-magnitude eigenvalues 1/(lambda - sigma)
@@ -161,11 +163,9 @@ def _proven_part(vals, vecs, count, max_rank, n):
     """The positive part that descending leading pairs give, capped at
     ``max_rank``, and whether they prove it complete (see
     :func:`leading_psd_part`)."""
-    thresh = EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)
-    keep = vals > thresh
-    if count is None:
-        # the dense fallback returns the whole spectrum
-        complete = vals[-1] <= thresh or vals.size >= n
+    keep = vals > EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)
+    if count is None:  # only the whole spectrum proves itself complete
+        complete = vals.size >= n
     elif vals[-1] <= EIG_TOL:
         raise EigenCountMismatch(
             f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz "
@@ -193,11 +193,10 @@ def leading_psd_part(op, max_rank, seed=0, rejected=False, count=None,
     above ``EIG_TOL`` are in hand and truncated when p exceeds the rank
     cap.  A returned Ritz value at or below ``EIG_TOL`` among the first p
     contradicts the count and raises :class:`EigenCountMismatch`,
-    carrying the factor marked truncated.  Without a count (the caller
-    has none, or its count was undecided) the run asks for ``max_rank``
-    pairs, and the factor is complete only when the last of them is at or
-    below the positivity threshold (or the run covered the whole
-    spectrum); otherwise it is marked truncated.
+    carrying the factor marked truncated.  The count is the one proof:
+    without it (none given, or undecided) the run asks for ``max_rank``
+    pairs, marked truncated however small the last Ritz value, unless the
+    dense fallback (``max_rank >= n - 1``) gives the whole spectrum.
 
     ``rejected`` marks an operator the caller has already rejected (by a
     lower bound on ``||op_+||_F^2``, say): the call returns a rank-0 factor
@@ -207,12 +206,12 @@ def leading_psd_part(op, max_rank, seed=0, rejected=False, count=None,
     ``op`` already in hand (values descending), for instance the exact
     pairs of a shifted copy of the operator, from a Lanczos run or a small
     dense problem in a low-rank range.  They stand in for the Lanczos run
-    under the same proofs: without a count, a value at or below the
-    threshold proves the positive part complete; with a count, p values
-    above ``EIG_TOL`` do, and a value at or below ``EIG_TOL`` among the
-    first p raises :class:`EigenCountMismatch`.  Pairs that prove neither
-    leave the call exactly as it would be without them.  ``shift`` goes
-    to the Lanczos run and changes no proof.
+    under the same proof: with a count, p values above ``EIG_TOL`` prove
+    the positive part complete, and a value at or below ``EIG_TOL`` among
+    the first p raises :class:`EigenCountMismatch`; without one, only
+    pairs that are the whole spectrum do.  Pairs that prove nothing leave
+    the call exactly as it would be without them.  ``shift`` goes to the
+    Lanczos run and changes no proof.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -224,6 +223,7 @@ def leading_psd_part(op, max_rank, seed=0, rejected=False, count=None,
                                         count, max_rank, n)
         if complete:
             return factor
-    k = max_rank if count is None else min(count, max_rank)
+    # uncounted, the dense fallback's request is the whole spectrum
+    k = min(count, max_rank) if count else (n if max_rank >= n - 1 else max_rank)
     vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
     return _proven_part(vals, vecs, count, max_rank, n)[0]

@@ -22,15 +22,15 @@ below any iterate, before any inertia count or Lanczos run.
 The solver starts at a dual point where C(u) = -A + nu I has low
 positive rank (the eigenpairs of -A that give nu, exact from a dense
 problem of dimension at most 2L + R for Potts with unblocked low-rank
-kernels only, give its positive part), ascends the dual with limited-memory
-BFGS, rounds the implicit primal matrix ``Y = gamma (C(u))_+`` to a
-feasible labeling at every iteration (for Potts the row argmax of Y's
-variable-by-label block, the relaxed X; for the general lifting the best
-of ``n_samples`` Gaussian samples of N(0, Y), and the row argmax of
-diag(Y)), polishes it with parallel ICM sweeps, keeps the best, and
-stops early once the relative dual improvement falls below a threshold.
-Any untruncated dual value is a certified lower bound on the optimal
-lifted energy.
+kernels only, give its positive part, which an inertia count just below
+zero proves complete), ascends the dual with limited-memory BFGS, rounds
+the implicit primal matrix ``Y = gamma (C(u))_+`` to a feasible labeling
+at every iteration (for Potts the row argmax of Y's variable-by-label
+block, the relaxed X; for the general lifting the best of ``n_samples``
+Gaussian samples of N(0, Y), and the row argmax of diag(Y)), polishes it
+with parallel ICM sweeps, keeps the best, and stops early once the
+relative dual improvement falls below a threshold.  Any untruncated dual
+value is a certified lower bound on the optimal lifted energy.
 
 Two liftings are supported: the compact (N+L)-dimensional one for Potts
 compatibility and the (N*L)-dimensional one for a general symmetric label
@@ -616,9 +616,9 @@ def spectral_shift_init(sdp, r, seed=0):
     otherwise a Lanczos run on C(0) started from ``seed`` finds them
     (``seed`` feeds only that run).  The same pairs give C(u0)'s r leading
     eigenpairs, ``pairs = (values - values[r - 1], vectors)``, whose last
-    value is exactly 0, so they can stand in for a Lanczos run on C(u0)
-    (``leading_psd_part(..., pairs=pairs)``).  The start is an ordinary
-    dual point, so its dual value is a valid bound like any other.
+    value is exactly 0; an inertia count just below 0 proves them complete
+    (:func:`_counted_request`), so they stand in for a Lanczos run on C(u0).
+    The start's dual value is then a valid bound like any other.
     """
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
@@ -627,12 +627,20 @@ def spectral_shift_init(sdp, r, seed=0):
     return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
 
 
-def _counted_request(sdp, parts, sigma):
+def _counted_request(sdp, parts, sigma, pairs=None):
     """``(count, shift)`` for a dual evaluation's Lanczos request, from
     :meth:`~SdpLifting.shifted_inverse`: the number of C(u)'s eigenvalues
     above ``EIG_TOL`` (None where undecided), and ``(sigma, solve)`` for
     shift-invert Lanczos once a count of 0 at sigma, doubled at most 4
-    times, proves it above the spectrum (else None, as at sigma 0)."""
+    times, proves it above the spectrum (else None, as at sigma 0).  The
+    start's ``pairs`` (last value 0, undecided at ``EIG_TOL``) are counted
+    at tau = -1e-6 max(|v_1|, 1) first: len(pairs) there proves every
+    eigenvalue above tau in hand, so the count is that of the pair values;
+    any other count (C(0) singular, say) falls back to ``EIG_TOL``'s."""
+    if pairs is not None:
+        inverse = sdp.shifted_inverse(parts, -1e-6 * max(abs(pairs[0][0]), 1.0))
+        if inverse and inverse[0] == pairs[0].size:
+            return int(np.count_nonzero(pairs[0] > EIG_TOL)), None
     inverse = sdp.shifted_inverse(parts, EIG_TOL)
     count = inverse and inverse[0]
     if count and sigma:
@@ -826,14 +834,10 @@ class SolveParams:
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.rank_init < 1:
-            raise ValueError(f"rank_init must be >= 1, got {self.rank_init}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("k_max", 1), ("rank_init", 1), ("n_samples", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -916,8 +920,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     # state across dual evaluations.  "floor" is the current iterate's value:
     # a trial whose pinching bound on ||C(u)_+||_F^2 puts its dual below it
     # cannot be accepted and is valued -inf, with no Lanczos run or count.
-    # The start's "pairs" stand in for C(u0)'s Lanczos run (its count is
-    # undecided: C(u0) has an eigenvalue at 0); "sigma" seeds the shift
+    # the start's "pairs" stand in for its Lanczos run; "sigma" seeds the shift
     warm = {"floor": -np.inf, "pairs": start_pairs, "sigma": 0.0}
     bound_rejections = 0
 
@@ -930,15 +933,16 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         rejected = bool(np.isfinite(frob_limit)
                         and sdp.pinched_norm_sq(parts) > frob_limit)
         bound_rejections += rejected
+        pairs = warm.pop("pairs", None)
         count, shift = ((None, None) if rejected
-                        else _counted_request(sdp, parts, warm["sigma"]))
+                        else _counted_request(sdp, parts, warm["sigma"], pairs))
         try:
             # the seed is drawn for every evaluation, so later Lanczos runs
             # keep their seeds whether or not the bound rejects this one
             factor = leading_psd_part(
                 sdp.parts_operator(parts), rank_cap,
                 seed=next_seed(eig_seed_rng), rejected=rejected, count=count,
-                pairs=warm.pop("pairs", None), shift=shift)
+                pairs=pairs, shift=shift)
         except EigenFailure as exc:
             warnings.append(f"{exc.code}: {exc}")
             factor = exc.factor

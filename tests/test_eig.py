@@ -167,16 +167,30 @@ class TestCountedRequests:
         assert requests == [4]
         assert factor.truncated and factor.rank == 4
 
-    @pytest.mark.parametrize("max_rank, truncated", [(4, True), (10, False)])
+    # without a count nothing proves a partial run complete: neither a cap
+    # below the 6 positive eigenvalues nor one above them, whose last Ritz
+    # value lies below the threshold (Lanczos may have missed a larger one)
+    @pytest.mark.parametrize("max_rank, capped", [(4, True), (10, False)])
     def test_uncounted_request_is_the_rank_cap(self, monkeypatch, max_rank,
-                                               truncated):
+                                               capped):
         requests = self.record_requests(monkeypatch)
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
                                   max_rank=max_rank, seed=3)
         assert requests == [max_rank]
-        assert factor.truncated == truncated
+        assert factor.truncated
+        assert factor.rank == (max_rank if capped else 6)
         np.testing.assert_allclose(factor.values, self.DIAG[:min(max_rank, 6)],
                                    atol=1e-10)
+
+    # the dense fallback (a cap of n - 1 or n) gives the whole spectrum
+    @pytest.mark.parametrize("max_rank", [59, 60])
+    def test_uncounted_dense_fallback_is_complete(self, monkeypatch, max_rank):
+        requests = self.record_requests(monkeypatch)
+        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
+                                  max_rank=max_rank, seed=3)
+        assert requests == [60]
+        assert not factor.truncated
+        np.testing.assert_allclose(factor.values, self.DIAG[:6], atol=1e-12)
 
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
         # the stub claims 8 eigenvalues above tol where only 6 exist
@@ -256,13 +270,16 @@ class TestPairsInHand:
         """The k leading eigenpairs of Diag(DIAG), exactly."""
         return cls.DIAG[:k].copy(), np.eye(cls.DIAG.size)[:, :k]
 
+    # counted, pairs past the positive part are complete; uncounted, only
+    # the whole spectrum is
     @pytest.mark.parametrize("count", [None, 6])
     def test_complete_pairs_need_no_matvec(self, count):
         def refuse(d):
             raise AssertionError("no matvec expected")
 
         factor = leading_psd_part(SymmetricOperator(60, refuse), max_rank=40,
-                                  count=count, pairs=self.leading(8))
+                                  count=count,
+                                  pairs=self.leading(60 if count is None else 8))
         assert not factor.truncated
         np.testing.assert_array_equal(factor.values, self.DIAG[:6])
         np.testing.assert_array_equal(factor.vectors, np.eye(60)[:, :6])
@@ -277,6 +294,16 @@ class TestPairsInHand:
         assert np.array_equal(given.values, plain.values)
         assert np.array_equal(given.vectors, plain.vectors)
         assert given.truncated == plain.truncated
+
+    def test_uncounted_pairs_past_the_positive_part_prove_nothing(self):
+        # the last of 8 pairs is at or below the threshold, yet without a
+        # count the pairs could have missed a leading eigenpair
+        op = operator_from(np.diag(self.DIAG))
+        plain = leading_psd_part(op, max_rank=40, seed=3)
+        given = leading_psd_part(op, max_rank=40, seed=3, pairs=self.leading(8))
+        assert given.truncated and plain.truncated
+        assert np.array_equal(given.values, plain.values)
+        assert np.array_equal(given.vectors, plain.vectors)
 
     def test_count_above_the_positive_pairs_is_a_typed_failure(self):
         with pytest.raises(EigenCountMismatch) as info:

@@ -447,8 +447,8 @@ class TestShiftInvert:
         counted = sdp_module._counted_request
         shifts = []  # (start, proven shift or None, dense lambda_max)
 
-        def low_start(sdp, parts, sigma):
-            count, shift = counted(sdp, parts, scale * sigma)
+        def low_start(sdp, parts, sigma, pairs=None):
+            count, shift = counted(sdp, parts, scale * sigma, pairs)
             if count and sigma:
                 shifts.append((scale * sigma, shift,
                                np.linalg.eigvalsh(_dense_c(sdp, parts))[-1]))
@@ -493,7 +493,8 @@ class _ScriptedLifting:
 
 class TestCountedRequestHelper:
     """``_counted_request``'s (count, shift) for one dual evaluation, from
-    inertia counts made in order: at EIG_TOL, then at sigma doubled."""
+    inertia counts made in order: the start's pairs at tau just below zero,
+    then at EIG_TOL, then at sigma doubled."""
 
     @staticmethod
     def _request(eigs, sigma):
@@ -518,6 +519,20 @@ class TestCountedRequestHelper:
         ids=["stays-below", "undecided"])
     def test_a_sigma_never_proven_gives_no_shift(self, eigs, sigmas):
         assert self._request(eigs, 1.0) == ((1, None), [EIG_TOL] + sigmas)
+
+    # the start's pairs [3, 1, 0] are counted at tau = -1e-6 * 3 first; a
+    # count other than their 3 there falls back to the count at EIG_TOL
+    @pytest.mark.parametrize("eigs, counted, fallback", [
+        ([3.0, 1.0, 0.0, -1.0], (2, None), False),
+        ([5.0, 3.0, 1.0, 0.0, -1.0], (3, None), True),
+        ([3.0, 1.0, 0.0, 0.0, 0.0, -1.0], (2, None), True),
+        (None, (None, None), True)],
+        ids=["certified", "missing-a-pair", "null-space", "undecided"])
+    def test_start_pairs_are_counted_below_zero(self, eigs, counted, fallback):
+        lifting = _ScriptedLifting(eigs)
+        pairs = np.array([3.0, 1.0, 0.0]), np.eye(3)
+        assert sdp_module._counted_request(lifting, None, 0.0, pairs) == counted
+        assert lifting.sigmas == pytest.approx([-3e-6] + fallback * [EIG_TOL])
 
 
 class TestPottsLayout:
@@ -689,7 +704,11 @@ class TestSpectralShift:
         for seed in range(6):
             sdp = make_sdp(make(10, 3, seed=seed), gamma=100.0)
             for r in (1, 4, 9):
-                _assert_start_is_exact(sdp, r, seed)
+                # a Potts C(0) of kernel rank 3 has L + 3 = 6 positive
+                # eigenvalues, so r = 9 reaches its null space at zero,
+                # which the count below zero takes in: it falls back
+                fallback = make is random_potts_problem and r == 9
+                assert len(_assert_start_is_exact(sdp, r, seed)) == 1 + fallback
 
     @pytest.mark.parametrize("make", [
         random_potts_problem, _two_kernel_potts,
@@ -705,7 +724,7 @@ class TestSpectralShift:
             # C(0) = B S B' with S congruent to blockdiag([[0, I], [I, 0]], I_R)
             assert p0 == n_labels + sdp._count_factor.shape[1]
             for r in (1, 4, p0 - 1, p0):
-                _assert_start_is_exact(sdp, r, seed)
+                assert len(_assert_start_is_exact(sdp, r, seed)) == 1
 
     def test_other_starts_run_lanczos(self, monkeypatch):
         calls = []
@@ -722,9 +741,11 @@ class TestSpectralShift:
             mixed = make_sdp(mixed_kernel_problem(12, 3, seed=seed), gamma=100.0)
             blocked = make_sdp(_one_kernel_problem(12, 3, seed, "blocked", False),
                                gamma=100.0)
-            for sdp, r in ((potts, _start_positive_count(potts) + 1), (mixed, 4),
-                           (blocked, 4)):
-                _assert_start_is_exact(sdp, r, seed)
+            # (r past the positive count reaches C(0)'s null space at zero,
+            # and the count below zero falls back)
+            for sdp, r, counts in ((potts, _start_positive_count(potts) + 1, 2),
+                                   (mixed, 4, 1), (blocked, 4, 1)):
+                assert len(_assert_start_is_exact(sdp, r, seed)) == counts
                 assert calls == [r]
                 calls.clear()
 
@@ -740,7 +761,15 @@ class TestSpectralShift:
         p0 = _start_positive_count(sdp)
         assert p0 < 3 + phi.shape[1]
         for r in (1, p0 - 1, p0):
-            _assert_start_is_exact(sdp, r, seed=0)
+            assert len(_assert_start_is_exact(sdp, r, seed=0)) == 1
+
+    def test_a_null_space_at_zero_falls_back_to_the_count_at_eig_tol(self):
+        # kernel rank 3 caps C(0)'s rank at 2L + 3 = 7, below r = 20, so
+        # nu = 0 and C(u0) keeps C(0)'s null space: the count just below
+        # zero takes it in, and the count at EIG_TOL certifies the start
+        for seed in range(3):
+            sdp = make_sdp(random_potts_problem(60, 2, seed=seed), gamma=1000.0)
+            assert _assert_start_is_exact(sdp, 20, seed)[1:] == [EIG_TOL]
 
 
 def _refuse_lanczos(op, k, **kwargs):
@@ -753,20 +782,40 @@ def _start_positive_count(sdp):
     return int(np.count_nonzero(vals > 1e-9 * np.abs(vals).max()))
 
 
+class _RecordedCounts:
+    """A lifting whose inertia counts record every sigma they are made at."""
+
+    def __init__(self, sdp):
+        self.sdp, self.sigmas = sdp, []
+
+    def shifted_inverse(self, parts, sigma):
+        self.sigmas.append(sigma)
+        return self.sdp.shifted_inverse(parts, sigma)
+
+
 def _assert_start_is_exact(sdp, r, seed):
-    """The start's pairs are the dense positive part of C(u0), to 1e-12."""
+    """The start's pairs, under the count the solver certifies them with,
+    are the dense positive part of C(u0), to 1e-12; returns the sigmas
+    counted at: tau just below zero, then EIG_TOL if tau's count fell back."""
     def refuse(d):
         raise AssertionError("no matvec expected")
 
     u0, pairs = spectral_shift_init(sdp, r, seed=seed)
     assert pairs[0].size == r and pairs[0][-1] == 0.0
+    lifting = _RecordedCounts(sdp)
+    count, shift = sdp_module._counted_request(lifting, sdp.assemble(u0), 0.0,
+                                               pairs)
+    assert count is not None and shift is None
     factor = leading_psd_part(SymmetricOperator(sdp.n, refuse), sdp.n,
-                              pairs=pairs)
+                              count=count, pairs=pairs)
     assert not factor.truncated
     vals, vecs = np.linalg.eigh(dense_sdp_pieces(sdp, u0)["C"])
     positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
     error = np.linalg.norm(reconstruct(factor) - positive)
     assert error <= 1e-12 * max(np.linalg.norm(positive), 1.0)
+    tau = -1e-6 * max(abs(pairs[0][0]), 1.0)
+    assert lifting.sigmas in ([tau], [tau, EIG_TOL])
+    return lifting.sigmas
 
 
 class TestIdentityWeights:
@@ -1345,12 +1394,17 @@ class TestCountedRequests:
         monkeypatch.setattr(sdp_module, "leading_psd_part", psd)
         monkeypatch.setattr(eig_module, "leading_eigpairs", lanczos)
         lr_sdcut_solve(problem, seed=1)
-        # C(u0) has an eigenvalue at zero by construction: the start's count
-        # is undecided and takes the uncounted path, which the start's own
-        # Lanczos pairs complete without another run
-        assert calls[0][0] is None
-        assert calls[0][2] == []
-        assert all(count is not None for count, _, _, _ in calls[1:])
+        # C(u0) has an eigenvalue at zero by construction, so the start is
+        # counted once, just below it, which proves the start's own pairs
+        # (exact here, from the dense Potts start) complete without a run
+        sdp = make_sdp(problem, 1000.0)
+        u0, pairs = spectral_shift_init(sdp, 20)
+        lifting = _RecordedCounts(sdp)
+        start = sdp_module._counted_request(lifting, sdp.assemble(u0), 0.0, pairs)
+        assert len(lifting.sigmas) == 1 and lifting.sigmas[0] < 0.0
+        assert calls[0][0] == start[0] == np.count_nonzero(pairs[0] > EIG_TOL)
+        assert calls[0][2] == [] and not calls[0][3].truncated
+        assert all(count is not None for count, _, _, _ in calls)
         for count, cap, requests, factor in calls[1:]:
             if count == 0:
                 assert requests == [] and factor.rank == 0
@@ -1411,6 +1465,39 @@ class TestCountedRequests:
                           "of 1 requested pairs"]
         assert len(calls) == report.extras["dual_evals"] > 2
         assert report.lower_bound is not None
+
+
+class TestStartCertificate:
+    """The start's pairs are proven complete by an inertia count, never by
+    their last value being 0: pairs that miss a leading eigenpair give
+    iteration 0 no bound."""
+
+    def test_pairs_missing_a_leading_pair_are_truncated(self, monkeypatch):
+        # weight 30 leaves C(u0)'s count at EIG_TOL undecided here, so only
+        # the count just below zero can find the pairs incomplete
+        problem = random_potts_problem(8, 2, seed=7, kernel_rank=2, weight=30.0)
+        shift_init = sdp_module.spectral_shift_init
+
+        def missing_leading(sdp, r, seed=0):
+            # C(u0)'s r + 1 leading pairs but the first; the last value is 0
+            u0, (vals, vecs) = shift_init(sdp, r + 1, seed=seed)
+            return u0, (vals[1:], vecs[:, 1:])
+
+        monkeypatch.setattr(sdp_module, "spectral_shift_init", missing_leading)
+        sdp = make_sdp(problem, 1000.0)
+        u0, pairs = missing_leading(sdp, 1)
+        assert sdp.shifted_inverse(sdp.assemble(u0), EIG_TOL) is None
+        # accepted as complete, the pairs' empty positive part would value
+        # u0 above the optimum
+        _, optimum = brute_force_map(problem)
+        empty = PsdFactor(np.zeros((sdp.n, 0)), np.zeros(0))
+        assert sdp.dual_objective(u0, empty) + energy_offset(problem) > optimum
+        # rank_init 1 gives a rank cap of 8, below n - 1 = 9, so the
+        # uncounted Lanczos run that replaces the pairs proves nothing either
+        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
+        assert report.trajectory[0].truncated
+        assert report.lower_bound <= optimum + 1e-9
+        assert optimum <= report.best_energy + 1e-9
 
 
 class TestBoundRejections:
