@@ -9,7 +9,8 @@ Growth is roughly proportional: an inertia count gives the exact number
 p of positive eigenvalues in O(N), so each iteration makes one Lanczos
 request for exactly p pairs, which runs in shift-invert mode on O(N)
 solves with the shifted operator, never on surplus pairs from the slowly
-converging cluster just below zero.  Run on one core for stable numbers.
+converging cluster just below zero, and stops as soon as those p pairs
+converge.  Run on one core for stable numbers.
 """
 
 import numpy as np

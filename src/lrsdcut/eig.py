@@ -2,16 +2,20 @@
 
 The solver repeatedly needs the positive spectral part of a symmetric
 operator that is only available through matrix-vector products, or
-through solves with a copy shifted past its spectrum.  ARPACK's implicitly
-restarted Lanczos (``scipy.sparse.linalg.eigsh``) computes the leading
-eigenpairs, in shift-invert mode when given the solves; this module wraps
-it, at one tolerance (``EIG_TOL``, also the positivity threshold) and one
-restart budget (``EIG_RESTARTS``), with seeded random vectors, a Krylov
-dimension sized per mode, and a dense fallback for operators too small
-for ARPACK.  A positive part takes at most one Lanczos request: exactly
-the caller's count of positive eigenvalues, an inertia count (Parlett's
-spectrum slicing), capped at the caller's rank cap, or the rank cap
-itself where no count is given.  The count is the one proof that a
+through solves with a copy shifted past its spectrum.  On the products,
+ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+computes the leading eigenpairs, within one restart budget
+(``EIG_RESTARTS``) and a Krylov dimension sized for uncounted requests.
+On the solves, an unrestarted Lanczos run with full reorthogonalization
+does, in shift-invert mode, testing convergence as it goes and stopping
+once the wanted pairs pass, within ``LANCZOS_EXTRA`` steps past the
+request.  Both stop at one tolerance (``EIG_TOL``, also the positivity
+threshold) and draw their random vectors from a seeded generator (plain
+runs where eigsh takes ``rng``); a dense fallback serves operators too
+small for ARPACK.  A positive part takes at most one Lanczos request:
+exactly the caller's count of positive eigenvalues, an inertia count
+(Parlett's spectrum slicing), capped at the caller's rank cap, or the
+rank cap itself where no count is given.  The count is the one proof that a
 factor is complete (a Lanczos result that contradicts it is a typed
 failure); without it only the dense fallback's whole spectrum is.
 Eigenpairs already in hand can stand in for that run, and a call that
@@ -24,18 +28,24 @@ import inspect
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstev
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-# ARPACK asks for a new random vector whenever Lanczos reaches an invariant
-# subspace.  eigsh draws it from its ``rng`` argument, or from fresh OS
-# entropy when none is given, so only a seeded draw repeats; scipy releases
-# without the argument leave the draw to ARPACK itself.
+# ARPACK asks for a new random vector whenever a plain run reaches an
+# invariant subspace.  eigsh draws it from its ``rng`` argument, or from
+# fresh OS entropy when none is given, so only a seeded draw repeats; scipy
+# releases without the argument leave the draw to ARPACK itself.  (Shift-
+# invert runs draw theirs from the seeded generator on any release.)
 _SEEDED_RESTARTS = "rng" in inspect.signature(eigsh).parameters
 
 # ARPACK's convergence tolerance and the positivity threshold of a positive part
 EIG_TOL = 1e-8
-# ARPACK restarts before a Lanczos run counts as stalled
+# ARPACK restarts before a plain Lanczos run counts as stalled (shift-invert
+# runs never restart)
 EIG_RESTARTS = 50
+# Lanczos steps past k before a shift-invert run counts as stalled; the
+# benchmark's counted runs took at most 55 past k and 73 in all
+LANCZOS_EXTRA = 110
 
 
 class SymmetricOperator(LinearOperator):
@@ -103,31 +113,94 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
+def _stalled(vals, vecs, k, after):
+    """:class:`EigenConvergenceError` carrying the positive pairs among the
+    converged ``(vals, vecs)``, descending, marked truncated."""
+    order = np.argsort(vals)[::-1]
+    pos = order[vals[order] > 0.0]
+    return EigenConvergenceError(
+        f"eigensolver converged to only {vals.size} of {k} requested pairs "
+        f"after {after}", PsdFactor(vecs[:, pos], vals[pos], truncated=True))
+
+
+def _shift_invert_lanczos(n, k, sigma, solve, rng, v):
+    """Top-k eigenpairs of op from unrestarted Lanczos on ``solve = (op -
+    sigma I)^-1``, with full reorthogonalization, stopping as they converge.
+
+    Each new vector takes two classical Gram-Schmidt passes against the
+    row-major basis ("twice is enough", Parlett), whose unreached rows are
+    never touched.  With sigma above op's spectrum, op's top k are the k
+    most negative Ritz values mu, ``lambda = sigma + 1/mu``; they pass
+    ARPACK's test ``|beta_j y_ji| <= EIG_TOL max(|mu_i|, eps^(2/3))``,
+    tried with ``dstev`` at step k + 3 and then every max(2, j/8) steps.
+    A residual below eps^(2/3) of ``solve``'s output marks an invariant
+    subspace: that step is not tested (its zero residual passes every Ritz
+    pair) and the run goes on from a fresh ``rng`` vector orthogonalized
+    against the basis.  Dropping such a residual moves no Ritz value by
+    more than eps^(2/3) |mu_1|, inside ``EIG_TOL`` |mu_i| for every
+    positive lambda_i unless sigma lies within 0.4% of lambda_1.
+    """
+    eps23 = np.finfo(np.float64).eps ** (2.0 / 3.0)
+    m = min(n, k + LANCZOS_EXTRA)
+    basis = np.empty((m, n))
+    basis[0] = v
+    alpha, beta = np.zeros(m), np.zeros(m)
+    test_at = k + 3
+    for j in range(m):
+        w = solve(basis[j])
+        floor = eps23 * np.linalg.norm(w)
+        for _ in range(2):
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            alpha[j] += h[j]
+        residual = np.linalg.norm(w)
+        beta[j] = residual if residual > floor else 0.0  # 0: invariant
+        s = j + 1
+        if s == m or (beta[j] and s >= test_at):
+            mu, y, _ = dstev(alpha[:s], beta[:s - 1])
+            good = beta[j] * np.abs(y[-1, :k]) <= EIG_TOL * np.maximum(
+                np.abs(mu[:k]), eps23)
+            if good.all() or s == m:
+                break
+            test_at = s + max(2, s // 8)
+        if not beta[j]:
+            w = rng.standard_normal(n)
+            for _ in range(2):
+                w -= (basis[:s] @ w) @ basis[:s]
+        basis[s] = w / np.linalg.norm(w)
+    vals, vecs = sigma + 1.0 / mu[:k], (y[:, :k].T @ basis[:s]).T
+    if not good.all():
+        raise _stalled(vals[good], vecs[:, good], k, f"{m} Lanczos steps")
+    return vals, vecs
+
+
 def leading_eigpairs(op, k, seed, shift=None):
     """Top-k algebraic eigenpairs of a symmetric operator, descending.
 
-    Uses ARPACK (tolerance ``EIG_TOL``, at most ``EIG_RESTARTS`` restarts)
-    with a seeded pseudo-random start vector and Krylov dimension
+    Both runs start from the same seeded pseudo-random vector and stop at
+    tolerance ``EIG_TOL``.  Without ``shift``, ARPACK runs on op's matvecs
+    (at most ``EIG_RESTARTS`` restarts) in a Krylov dimension of
     ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for small k:
     a subspace of only 2k + 10 vectors can converge to k Ritz values
     that are not the top of the spectrum, so a positive part built from
     them misses eigenvalues (a typed failure where counted).
     ``shift = (sigma, solve)``, with sigma above op's spectrum and
-    ``solve(b) = (op - sigma I)^-1 b``, runs ARPACK in shift-invert mode on
-    ``solve`` alone, whose largest-magnitude eigenvalues 1/(lambda - sigma)
-    are op's top k, spread apart (Ericsson & Ruhe 1980), in a Krylov
-    dimension of only ``min(n, max(k + 10, 20))``: every restart builds all
-    ncv Lanczos steps (Lehoucq & Sorensen 1996), and only counted requests
-    run shift-invert, whose count turns a misconvergence into
-    :class:`EigenCountMismatch`.  Plain runs keep the floor of 30, which
-    guards the uncounted requests.
+    ``solve(b) = (op - sigma I)^-1 b``, runs Lanczos on ``solve`` alone,
+    whose extreme eigenvalues 1/(lambda - sigma) are op's top k, spread
+    apart (Ericsson & Ruhe 1980).  That run is unrestarted and tests
+    convergence as it goes (:func:`_shift_invert_lanczos`), where ARPACK
+    builds its whole subspace before each test (Lehoucq & Sorensen 1996);
+    it stops after at most min(n, k + ``LANCZOS_EXTRA``) steps.  Only
+    counted requests give a shift, and their count turns a
+    misconvergence into :class:`EigenCountMismatch`.
     The start is never warm: Lanczos from a combination of a nearby
     operator's eigenvectors can miss new positive directions.  Falls back
     to a dense eigendecomposition built from n matvecs when k >= n - 1
     (ARPACK requires k < n).  Deterministic for fixed (op, seed) in
-    single-threaded mode: the vectors ARPACK draws when Lanczos reaches an
-    invariant subspace come from the start vector's seeded generator (on
-    scipy releases whose eigsh takes ``rng``), never from fresh entropy.
+    single-threaded mode: every vector a run draws after the start, where
+    Lanczos reaches an invariant subspace, comes from the start vector's
+    seeded generator (for plain runs, on scipy releases whose eigsh takes
+    ``rng``), never from fresh entropy.
     """
     n = op.n
     if not 1 <= k <= n:
@@ -139,22 +212,16 @@ def leading_eigpairs(op, k, seed, shift=None):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    mode = {"which": "LA"} if shift is None else {"which": "LM", "sigma": shift[0],
-        "OPinv": LinearOperator((n, n), matvec=shift[1], dtype=np.float64)}
-    ncv = min(n, max(2 * k + 10, 30) if shift is None else max(k + 10, 20))
+    if shift is not None:
+        return _shift_invert_lanczos(n, k, *shift, rng, v0)
     try:
-        vals, vecs = eigsh(op, k=k, v0=v0, ncv=ncv, tol=EIG_TOL,
-                           maxiter=EIG_RESTARTS, **mode,
+        vals, vecs = eigsh(op, k=k, v0=v0, ncv=min(n, max(2 * k + 10, 30)),
+                           tol=EIG_TOL, maxiter=EIG_RESTARTS, which="LA",
                            **({"rng": rng} if _SEEDED_RESTARTS else {}))
     except ArpackNoConvergence as exc:
-        got = np.asarray(exc.eigenvalues, dtype=np.float64)
-        order = np.argsort(got)[::-1]
-        pos = order[got[order] > 0.0]
-        factor = PsdFactor(np.asarray(exc.eigenvectors, dtype=np.float64)[:, pos],
-                           got[pos], truncated=True)
-        raise EigenConvergenceError(
-            f"eigensolver converged to only {got.size} of {k} requested pairs "
-            f"after {EIG_RESTARTS} restarts", factor) from exc
+        raise _stalled(np.asarray(exc.eigenvalues, dtype=np.float64),
+                       np.asarray(exc.eigenvectors, dtype=np.float64), k,
+                       f"{EIG_RESTARTS} restarts") from exc
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

@@ -15,7 +15,8 @@ kernel stack is K/2 = c I + G Diag(s) G' with a thin G and s = +-1
 the inertia count of C(u) - sigma I factors a small Schur complement,
 which also solves with C(u) - sigma I at about a matvec's cost (in
 either lifting): a count proving sigma above the spectrum lets Lanczos
-run in shift-invert mode.  The same blocks give a
+run in shift-invert mode, unrestarted, stopping as the counted pairs
+converge.  The same blocks give a
 cheap lower bound on ||C(u)_+||_F^2 (the pinching inequality over C(u)'s
 diagonal blocks), which values an overshooting line-search trial at -inf,
 below any iterate, before any inertia count or Lanczos run.

@@ -206,8 +206,9 @@ class TestCountedRequests:
 
 class TestKrylovSizing:
     """Plain runs keep the Krylov floor that guards uncounted requests;
-    shift-invert runs, which only counted requests make, run in a smaller
-    subspace, where the count still proves the factor complete."""
+    shift-invert runs, which only counted requests make, are Lanczos runs
+    of their own that stop as their pairs converge, where the count still
+    proves the factor complete."""
 
     @staticmethod
     def record_subspaces(monkeypatch):
@@ -227,10 +228,10 @@ class TestKrylovSizing:
         shift = 4.0, lambda b: b / (diag - 4.0)
         subspaces = self.record_subspaces(monkeypatch)
         plain = leading_eigpairs(operator_from(np.diag(diag)), k, seed=1)
+        assert subspaces == [(False, k, min(n, max(2 * k + 10, 30)))]
         inverted = leading_eigpairs(operator_from(np.diag(diag)), k, seed=1,
                                     shift=shift)
-        assert subspaces == [(False, k, min(n, max(2 * k + 10, 30))),
-                             (True, k, min(n, max(k + 10, 20)))]
+        assert len(subspaces) == 1  # no eigsh call
         np.testing.assert_allclose(inverted[0], plain[0], atol=1e-10)
         np.testing.assert_allclose(plain[0], diag[:k], atol=1e-10)
 
@@ -257,6 +258,45 @@ class TestKrylovSizing:
                                   shift=(sigma, lambda b: inverse @ b))
         assert not factor.truncated and factor.rank == count
         np.testing.assert_allclose(factor.values, positive, rtol=1e-9)
+
+
+class TestShiftInvertLanczos:
+    """The shift-invert run goes on past an invariant Krylov subspace and
+    stops, with a typed failure, at its step cap."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_invariant_subspaces_are_continued(self, seed):
+        # the start vector's Krylov space holds one direction per distinct
+        # value, so it is invariant after 3 steps; the 4-fold positive
+        # eigenvalue takes fresh vectors from the seeded generator.  At step
+        # 7 (k + 3) it is invariant again with 3 copies of 2 in hand, where a
+        # convergence test would pass a -1 among the 4 pairs
+        diag = np.array([2.0] * 4 + [-1.0] * 2 + [-3.0] * 2)
+        shift = 3.0, lambda b: b / (diag - 3.0)
+        first, second = (leading_psd_part(operator_from(np.diag(diag)),
+                                          max_rank=8, seed=seed, count=4,
+                                          shift=shift) for _ in range(2))
+        assert not first.truncated and first.rank == 4
+        np.testing.assert_allclose(first.values, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(first.vectors.T @ first.vectors, np.eye(4),
+                                   atol=1e-12)
+        np.testing.assert_allclose(first.vectors[4:], 0.0, atol=1e-12)
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.vectors, second.vectors)
+
+    def test_step_cap_raises_with_the_converged_pairs(self, monkeypatch):
+        monkeypatch.setattr(eig_module, "LANCZOS_EXTRA", 5)
+        diag = np.concatenate([np.arange(10.0, 5.0, -1.0),
+                               np.linspace(1.0, 0.5, 100),
+                               -np.linspace(0.5, 3.0, 95)])
+        with pytest.raises(EigenConvergenceError) as info:
+            leading_eigpairs(operator_from(np.diag(diag)), 10, seed=3,
+                             shift=(15.0, lambda b: b / (diag - 15.0)))
+        assert "after 15 Lanczos steps" in str(info.value)
+        factor = info.value.factor
+        assert factor.truncated and 0 < factor.rank < 10
+        assert np.all(factor.values > 0) and np.all(np.diff(factor.values) < 0)
+        np.testing.assert_allclose(factor.values, diag[:factor.rank], rtol=1e-8)
 
 
 class TestPairsInHand:
