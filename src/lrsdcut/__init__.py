@@ -18,8 +18,8 @@ from .kernels import (CenteredDiscriminativeKernel, GaussianKernel,
 from .crf import (CrfProblem, InstanceFormatError, build_problem, energy,
                   energy_offset, lifted_energy, lifted_energy_general,
                   load_instance, to_indicator)
-from .eig import (EigenConvergenceError, EigenCountMismatch, PsdFactor,
-                  SymmetricOperator, leading_psd_part)
+from .eig import (EigenConvergenceError, EigenCountMismatch, EigenCountUndecided,
+                  PsdFactor, SymmetricOperator, leading_psd_part)
 from .sdp import (GeneralSdp, LbfgsAscent, PottsSdp, SolveParams, SolveReport,
                   lr_sdcut_solve, make_sdp, round_solution, spectral_shift_init)
 from .meanfield import mf_free_energy, mf_init, mf_solve, mf_update

@@ -5,19 +5,18 @@ operator that is only available through matrix-vector products, or
 through solves with a copy shifted past its spectrum.  On the products,
 ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
 computes the leading eigenpairs, within one restart budget
-(``EIG_RESTARTS``) and a Krylov dimension sized for uncounted requests.
-On the solves, an unrestarted Lanczos run with full reorthogonalization
-does, in shift-invert mode, testing convergence as it goes and stopping
-once the wanted pairs pass, within ``LANCZOS_EXTRA`` steps past the
-request.  Both stop at one tolerance (``EIG_TOL``, also the positivity
-threshold) and draw their random vectors from a seeded generator (plain
-runs where eigsh takes ``rng``); a dense fallback serves operators too
-small for ARPACK.  A positive part takes at most one Lanczos request:
-exactly the caller's count of positive eigenvalues, an inertia count
-(Parlett's spectrum slicing), capped at the caller's rank cap, or the
-rank cap itself where no count is given.  The count is the one proof that a
-factor is complete (a Lanczos result that contradicts it is a typed
-failure); without it only the dense fallback's whole spectrum is.
+(``EIG_RESTARTS``).  On the solves, an unrestarted Lanczos run with full
+reorthogonalization does, in shift-invert mode, testing convergence as it
+goes and stopping once the wanted pairs pass, within ``LANCZOS_EXTRA``
+steps past the request.  Both stop at one tolerance (``EIG_TOL``, also
+the positivity threshold) and draw their random vectors from a seeded
+generator (plain runs where eigsh takes ``rng``); a dense fallback serves
+operators too small for ARPACK.  A positive part takes at most one
+Lanczos request: exactly the caller's count of eigenvalues above a
+threshold, an inertia count (Parlett's spectrum slicing), capped at the
+caller's rank cap.  The count is the one proof that a factor is complete
+(a Lanczos result that contradicts it is a typed failure), and a call
+whose count is undecided is a typed failure with no Lanczos run.
 Eigenpairs already in hand can stand in for that run, and a call that
 the caller has already rejected skips it.  The operator is a
 ``LinearOperator``; a failed proof raises an :class:`EigenFailure`, whose
@@ -106,6 +105,12 @@ class EigenCountMismatch(EigenFailure):
     code = "eigen count mismatch"
 
 
+class EigenCountUndecided(EigenFailure):
+    """No inertia count decided the size of a Lanczos request."""
+
+    code = "undecided count"
+
+
 def _dense_spectrum(op):
     mat = np.column_stack([op.apply(col) for col in np.eye(op.n)])
     mat = 0.5 * (mat + mat.T)
@@ -183,16 +188,16 @@ def leading_eigpairs(op, k, seed, shift=None):
     ``min(n, max(2k + 10, 30))``.  The floor of 30 matters for small k:
     a subspace of only 2k + 10 vectors can converge to k Ritz values
     that are not the top of the spectrum, so a positive part built from
-    them misses eigenvalues (a typed failure where counted).
+    them misses eigenvalues (a typed failure under the count).
     ``shift = (sigma, solve)``, with sigma above op's spectrum and
     ``solve(b) = (op - sigma I)^-1 b``, runs Lanczos on ``solve`` alone,
     whose extreme eigenvalues 1/(lambda - sigma) are op's top k, spread
     apart (Ericsson & Ruhe 1980).  That run is unrestarted and tests
     convergence as it goes (:func:`_shift_invert_lanczos`), where ARPACK
     builds its whole subspace before each test (Lehoucq & Sorensen 1996);
-    it stops after at most min(n, k + ``LANCZOS_EXTRA``) steps.  Only
-    counted requests give a shift, and their count turns a
-    misconvergence into :class:`EigenCountMismatch`.
+    it stops after at most min(n, k + ``LANCZOS_EXTRA``) steps.  A
+    positive part's count turns a misconvergence of either run into
+    :class:`EigenCountMismatch`.
     The start is never warm: Lanczos from a combination of a nearby
     operator's eigenvectors can miss new positive directions.  Falls back
     to a dense eigendecomposition built from n matvecs when k >= n - 1
@@ -226,44 +231,23 @@ def leading_eigpairs(op, k, seed, shift=None):
     return vals[order], vecs[:, order]
 
 
-def _proven_part(vals, vecs, count, max_rank, n):
-    """The positive part that descending leading pairs give, capped at
-    ``max_rank``, and whether they prove it complete (see
-    :func:`leading_psd_part`)."""
-    keep = vals > EIG_TOL * max(np.abs(vals).max(initial=0.0), 1.0)
-    if count is None:  # only the whole spectrum proves itself complete
-        complete = vals.size >= n
-    elif vals[-1] <= EIG_TOL:
-        raise EigenCountMismatch(
-            f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz "
-            f"value {vals.size} of {vals.size} is {vals[-1]:.6g}; factor "
-            "marked truncated",
-            PsdFactor(vecs[:, keep], vals[keep], truncated=True))
-    else:
-        complete = vals.size == count
-    truncated = not complete or np.count_nonzero(keep) > max_rank
-    return PsdFactor(vecs[:, keep][:, :max_rank], vals[keep][:max_rank],
-                     truncated=bool(truncated)), complete
-
-
-def leading_psd_part(op, max_rank, seed=0, rejected=False, count=None,
-                     pairs=None, shift=None):
+def leading_psd_part(op, max_rank, count, seed=0, rejected=False, pairs=None,
+                     shift=None, tau=EIG_TOL):
     """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
     up to ``max_rank`` of them, as a :class:`PsdFactor`, from at most one
     Lanczos run.
 
-    ``count``, when given, is the exact number p of eigenvalues above
-    ``EIG_TOL`` (from an inertia count of the operator).  It sizes the
-    request and proves the factor complete: p = 0 returns an empty factor
-    without a Lanczos run, and otherwise the run asks for exactly
-    min(p, max_rank) pairs; the factor is complete when p Ritz values
-    above ``EIG_TOL`` are in hand and truncated when p exceeds the rank
-    cap.  A returned Ritz value at or below ``EIG_TOL`` among the first p
-    contradicts the count and raises :class:`EigenCountMismatch`,
-    carrying the factor marked truncated.  The count is the one proof:
-    without it (none given, or undecided) the run asks for ``max_rank``
-    pairs, marked truncated however small the last Ritz value, unless the
-    dense fallback (``max_rank >= n - 1``) gives the whole spectrum.
+    ``count`` is the exact number p of eigenvalues above ``tau`` (an
+    inertia count of the operator).  It sizes the request, min(p, max_rank)
+    pairs (none for p = 0), and is the one proof that the factor is
+    complete: it is truncated when p exceeds the rank cap, or when tau
+    exceeds the keep threshold ``EIG_TOL * max(lambda_1, 1)`` (a count above
+    ``EIG_TOL`` misses the eigenvalues in (``EIG_TOL``, tau], which only a
+    keep threshold of at least tau drops anyway).  A Ritz value at or below
+    ``EIG_TOL`` among the first p contradicts the count and raises
+    :class:`EigenCountMismatch`; None, an undecided count, raises
+    :class:`EigenCountUndecided` without a Lanczos run.  Both carry the
+    factor in hand (empty for the latter), marked truncated.
 
     ``rejected`` marks an operator the caller has already rejected (by a
     lower bound on ``||op_+||_F^2``, say): the call returns a rank-0 factor
@@ -273,24 +257,33 @@ def leading_psd_part(op, max_rank, seed=0, rejected=False, count=None,
     ``op`` already in hand (values descending), for instance the exact
     pairs of a shifted copy of the operator, from a Lanczos run or a small
     dense problem in a low-rank range.  They stand in for the Lanczos run
-    under the same proof: with a count, p values above ``EIG_TOL`` prove
-    the positive part complete, and a value at or below ``EIG_TOL`` among
-    the first p raises :class:`EigenCountMismatch`; without one, only
-    pairs that are the whole spectrum do.  Pairs that prove nothing leave
-    the call exactly as it would be without them.  ``shift`` goes to the
+    when their first p values are above ``EIG_TOL``; pairs the count does
+    not prove so are dropped for the counted run.  ``shift`` goes to the
     Lanczos run and changes no proof.
     """
     n = op.n
     if not 1 <= max_rank <= n:
         raise ValueError(f"need 1 <= max_rank <= {n}, got {max_rank}")
     if rejected or count == 0:
-        return PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=rejected)
-    if pairs is not None:
-        factor, complete = _proven_part(pairs[0][:count], pairs[1][:, :count],
-                                        count, max_rank, n)
-        if complete:
-            return factor
-    # uncounted, the dense fallback's request is the whole spectrum
-    k = min(count, max_rank) if count else (n if max_rank >= n - 1 else max_rank)
-    vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
-    return _proven_part(vals, vecs, count, max_rank, n)[0]
+        return PsdFactor(np.zeros((n, 0)), np.zeros(0),
+                         truncated=rejected or tau > EIG_TOL)
+    if count is None:
+        raise EigenCountUndecided(
+            f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
+            "factor left empty and marked truncated",
+            PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=True))
+    if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > EIG_TOL:
+        vals, vecs = pairs[0][:count], pairs[1][:, :count]
+    else:
+        vals, vecs = leading_eigpairs(op, min(count, max_rank), seed=seed, shift=shift)
+    scale = EIG_TOL * max(np.abs(vals).max(), 1.0)
+    keep = vals > scale
+    if vals[-1] <= EIG_TOL:
+        raise EigenCountMismatch(
+            f"{count} eigenvalues above {tau:g} counted, but Ritz value "
+            f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor marked "
+            "truncated", PsdFactor(vecs[:, keep], vals[keep], truncated=True))
+    truncated = (vals.size < count or np.count_nonzero(keep) > max_rank
+                 or tau > scale)
+    return PsdFactor(vecs[:, keep][:, :max_rank], vals[keep][:max_rank],
+                     truncated=bool(truncated))

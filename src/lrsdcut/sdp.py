@@ -54,6 +54,9 @@ from .kernels import CenteredDiscriminativeKernel
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
 # of the Schur complement's entries, leaves the inertia count undecided
 COUNT_REL_TOL = 1e-10
+# an evaluation's count is tried at each in turn until one decides it (one
+# above EIG_TOL certifies less; see leading_psd_part's tau)
+COUNT_THRESHOLDS = (EIG_TOL, 4.0 * EIG_TOL, 16.0 * EIG_TOL)
 
 # L-BFGS ascent: curvature pairs kept, the gradient size (infinity norm)
 # taken as convergence, the sufficient-increase constant, and the failed
@@ -629,27 +632,31 @@ def spectral_shift_init(sdp, r, seed=0):
 
 
 def _counted_request(sdp, parts, sigma, pairs=None):
-    """``(count, shift)`` for a dual evaluation's Lanczos request, from
+    """``(count, tau, shift)`` for a dual evaluation's Lanczos request, from
     :meth:`~SdpLifting.shifted_inverse`: the number of C(u)'s eigenvalues
-    above ``EIG_TOL`` (None where undecided), and ``(sigma, solve)`` for
-    shift-invert Lanczos once a count of 0 at sigma, doubled at most 4
-    times, proves it above the spectrum (else None, as at sigma 0).  The
-    start's ``pairs`` (last value 0, undecided at ``EIG_TOL``) are counted
-    at tau = -1e-6 max(|v_1|, 1) first: len(pairs) there proves every
-    eigenvalue above tau in hand, so the count is that of the pair values;
-    any other count (C(0) singular, say) falls back to ``EIG_TOL``'s."""
+    above tau, the first of ``COUNT_THRESHOLDS`` deciding it (None where
+    none does), and ``(sigma, solve)`` for shift-invert Lanczos once a
+    count of 0 at sigma, doubled at most 4 times, proves it above the
+    spectrum (else None, as at sigma 0).  The start's ``pairs`` (last value
+    0, undecided at ``EIG_TOL``) are counted at -1e-6 max(|v_1|, 1) first:
+    len(pairs) there proves every eigenvalue above it in hand, so the count
+    is that of the pair values; any other count (C(0) singular, say) falls
+    back to the thresholds'."""
     if pairs is not None:
         inverse = sdp.shifted_inverse(parts, -1e-6 * max(abs(pairs[0][0]), 1.0))
         if inverse and inverse[0] == pairs[0].size:
-            return int(np.count_nonzero(pairs[0] > EIG_TOL)), None
-    inverse = sdp.shifted_inverse(parts, EIG_TOL)
+            return int(np.count_nonzero(pairs[0] > EIG_TOL)), EIG_TOL, None
+    for tau in COUNT_THRESHOLDS:
+        inverse = sdp.shifted_inverse(parts, tau)
+        if inverse is not None:
+            break
     count = inverse and inverse[0]
     if count and sigma:
         for sigma in sigma * 2.0 ** np.arange(5):
             inverse = sdp.shifted_inverse(parts, sigma)
             if inverse is None or inverse[0] == 0:
-                return count, inverse and (sigma, inverse[1])
-    return count, None
+                return count, tau, inverse and (sigma, inverse[1])
+    return count, tau, None
 
 
 @dataclass
@@ -935,15 +942,15 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                         and sdp.pinched_norm_sq(parts) > frob_limit)
         bound_rejections += rejected
         pairs = warm.pop("pairs", None)
-        count, shift = ((None, None) if rejected
-                        else _counted_request(sdp, parts, warm["sigma"], pairs))
+        count, tau, shift = ((None, EIG_TOL, None) if rejected else
+                             _counted_request(sdp, parts, warm["sigma"], pairs))
         try:
             # the seed is drawn for every evaluation, so later Lanczos runs
             # keep their seeds whether or not the bound rejects this one
             factor = leading_psd_part(
                 sdp.parts_operator(parts), rank_cap,
                 seed=next_seed(eig_seed_rng), rejected=rejected, count=count,
-                pairs=pairs, shift=shift)
+                pairs=pairs, shift=shift, tau=tau)
         except EigenFailure as exc:
             warnings.append(f"{exc.code}: {exc}")
             factor = exc.factor

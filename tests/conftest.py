@@ -14,6 +14,7 @@ import pytest
 from scipy.special import softmax
 
 from lrsdcut.crf import CrfProblem
+from lrsdcut.eig import EIG_TOL, PsdFactor
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
                              LowRankKernel)
 
@@ -76,6 +77,17 @@ def reconstruct(factor):
     """The dense matrix ``vectors @ diag(values) @ vectors.T`` of a
     :class:`lrsdcut.eig.PsdFactor`."""
     return (factor.vectors * factor.values) @ factor.vectors.T
+
+
+def exact_factor(sdp, u):
+    """C(u)'s positive part from a dense ``eigh`` of its n matvecs, under
+    the solver's keep rule: eigenvalues above ``EIG_TOL max(|lambda|, 1)``,
+    descending."""
+    op = sdp.operator(u)
+    dense = np.column_stack([op.matvec(col) for col in np.eye(sdp.n)])
+    vals, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
+    keep = vals > EIG_TOL * max(np.abs(vals).max(), 1.0)
+    return PsdFactor(vecs[:, keep][:, ::-1], vals[keep][::-1])
 
 
 def mf_site_update(problem, marginals, site):

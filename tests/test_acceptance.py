@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (mf_site_update, primal_objective,
+from conftest import (exact_factor, mf_site_update, primal_objective,
                       random_general_problem, random_potts_problem,
                       reconstruct)
 from lrsdcut.crf import build_problem, energy
-from lrsdcut.eig import PsdFactor, SymmetricOperator, leading_psd_part
+from lrsdcut.eig import EIG_TOL, SymmetricOperator, leading_psd_part
 from lrsdcut.generate import gen_clusters, gen_grid
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
                              hadamard_matvec, nystrom_factor,
@@ -34,10 +34,6 @@ def report(number, name, detail, elapsed, budget):
     print(f"\nACCEPTANCE {number} ({name}): PASS: {detail} "
           f"[{elapsed:.1f}s / budget {budget:.0f}s]")
     assert elapsed < budget, f"criterion {number} exceeded its runtime budget"
-
-
-def exact_factor(sdp, u):
-    return leading_psd_part(sdp.operator(u), max_rank=sdp.n, seed=0)
 
 
 def test_01_lower_bound_sandwich():
@@ -152,9 +148,10 @@ def test_04_lanczos_fidelity():
     matrices.append((basis * degenerate_vals) @ basis.T)
     for a in matrices:
         n = a.shape[0]
-        factor = leading_psd_part(SymmetricOperator(n, lambda d, m=a: m @ d),
-                                  max_rank=n, seed=7)
         vals, vecs = np.linalg.eigh(a)
+        factor = leading_psd_part(SymmetricOperator(n, lambda d, m=a: m @ d),
+                                  max_rank=n, seed=7,
+                                  count=int(np.count_nonzero(vals > EIG_TOL)))
         dense_pos = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         err = np.linalg.norm(reconstruct(factor) - dense_pos)
         worst = max(worst, err)

@@ -7,8 +7,8 @@ from scipy.sparse.linalg import eigsh
 from conftest import reconstruct
 from lrsdcut import eig as eig_module
 from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
-                         PsdFactor, SymmetricOperator, leading_eigpairs,
-                         leading_psd_part)
+                         EigenCountUndecided, PsdFactor, SymmetricOperator,
+                         leading_eigpairs, leading_psd_part)
 
 
 def operator_from(matrix):
@@ -20,10 +20,15 @@ def dense_positive_part(matrix):
     return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
+def dense_count(matrix):
+    """The exact count of eigenvalues above ``EIG_TOL``, from ``eigh``."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(matrix) > EIG_TOL))
+
+
 class TestLeadingPsdPart:
     def test_diagonal_operator(self):
         factor = leading_psd_part(operator_from(np.diag([3.0, 1.0, -2.0])),
-                                  max_rank=3)
+                                  max_rank=3, count=2)
         np.testing.assert_allclose(factor.values, [3.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(factor.vectors),
                                    np.eye(3)[:, :2], atol=1e-10)
@@ -33,21 +38,24 @@ class TestLeadingPsdPart:
         basis = rng.standard_normal((10, 10))
         basis, _ = np.linalg.qr(basis)
         matrix = (basis * -np.arange(1, 11)) @ basis.T
-        factor = leading_psd_part(operator_from(matrix), max_rank=10)
+        factor = leading_psd_part(operator_from(matrix), max_rank=10,
+                                  count=dense_count(matrix))
         assert factor.rank == 0
         assert factor.frob_norm_sq() == 0.0
 
     def test_reconstruction_matches_dense_positive_part(self, rng):
         a = rng.standard_normal((40, 40))
         a = 0.5 * (a + a.T)
-        factor = leading_psd_part(operator_from(a), max_rank=40, seed=4)
+        factor = leading_psd_part(operator_from(a), max_rank=40, seed=4,
+                                  count=dense_count(a))
         err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
     def test_orthonormal_columns_and_residuals(self, rng):
         a = rng.standard_normal((50, 50))
         a = 0.5 * (a + a.T)
-        factor = leading_psd_part(operator_from(a), max_rank=50, seed=5)
+        factor = leading_psd_part(operator_from(a), max_rank=50, seed=5,
+                                  count=dense_count(a))
         gram = factor.vectors.T @ factor.vectors
         np.testing.assert_allclose(gram, np.eye(factor.rank), atol=1e-8)
         assert np.all(np.diff(factor.values) <= 0) and np.all(factor.values > 0)
@@ -60,8 +68,8 @@ class TestLeadingPsdPart:
         a = rng.standard_normal((35, 35))
         a = 0.5 * (a + a.T)
         op = operator_from(a)
-        first = leading_psd_part(op, max_rank=12, seed=9)
-        second = leading_psd_part(op, max_rank=12, seed=9)
+        first = leading_psd_part(op, max_rank=12, seed=9, count=dense_count(a))
+        second = leading_psd_part(op, max_rank=12, seed=9, count=dense_count(a))
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
 
@@ -72,14 +80,16 @@ class TestLeadingPsdPart:
         vals = np.concatenate([[5.0, 5.0, 5.0],
                                np.linspace(1.0, -3.0, 27)])
         a = (basis * vals) @ basis.T
-        factor = leading_psd_part(operator_from(a), max_rank=30, seed=1)
+        factor = leading_psd_part(operator_from(a), max_rank=30, seed=1,
+                                  count=dense_count(a))
         err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
     def test_truncation_flagged_when_rank_cap_hit(self, rng):
         basis, _ = np.linalg.qr(rng.standard_normal((25, 25)))
         a = (basis * np.linspace(10.0, 1.0, 25)) @ basis.T  # 25 positive eigs
-        factor = leading_psd_part(operator_from(a), max_rank=6, seed=2)
+        factor = leading_psd_part(operator_from(a), max_rank=6, seed=2,
+                                  count=dense_count(a))
         assert factor.truncated
         assert factor.rank == 6
 
@@ -96,8 +106,9 @@ class TestLeadingPsdPart:
     def test_unrejected_call_leaves_lanczos_unchanged(self):
         op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
                                                    -np.arange(1.0, 21.0)])))
-        plain = leading_psd_part(op, max_rank=40, seed=6)
-        kept = leading_psd_part(op, max_rank=40, seed=6, rejected=False)
+        plain = leading_psd_part(op, max_rank=40, seed=6, count=20)
+        kept = leading_psd_part(op, max_rank=40, seed=6, rejected=False,
+                                count=20)
         assert kept.rank == 20 and not kept.truncated
         assert np.array_equal(kept.values, plain.values)
         assert np.array_equal(kept.vectors, plain.vectors)
@@ -116,12 +127,12 @@ class TestLeadingPsdPart:
 
     def test_small_operator_falls_back_to_dense(self):
         factor = leading_psd_part(operator_from(np.diag([2.0, -1.0])),
-                                  max_rank=2)
+                                  max_rank=2, count=1)
         np.testing.assert_allclose(factor.values, [2.0], atol=1e-12)
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ValueError):
-            leading_psd_part(operator_from(np.eye(3)), max_rank=0)
+            leading_psd_part(operator_from(np.eye(3)), max_rank=0, count=3)
 
 
 class TestCountedRequests:
@@ -167,30 +178,35 @@ class TestCountedRequests:
         assert requests == [4]
         assert factor.truncated and factor.rank == 4
 
-    # without a count nothing proves a partial run complete: neither a cap
-    # below the 6 positive eigenvalues nor one above them, whose last Ritz
-    # value lies below the threshold (Lanczos may have missed a larger one)
-    @pytest.mark.parametrize("max_rank, capped", [(4, True), (10, False)])
-    def test_uncounted_request_is_the_rank_cap(self, monkeypatch, max_rank,
-                                               capped):
-        requests = self.record_requests(monkeypatch)
-        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=max_rank, seed=3)
-        assert requests == [max_rank]
-        assert factor.truncated
-        assert factor.rank == (max_rank if capped else 6)
-        np.testing.assert_allclose(factor.values, self.DIAG[:min(max_rank, 6)],
-                                   atol=1e-10)
+    def test_undecided_count_is_a_typed_failure_without_a_run(self):
+        def refuse(d):
+            raise AssertionError("no matvec expected")
 
-    # the dense fallback (a cap of n - 1 or n) gives the whole spectrum
-    @pytest.mark.parametrize("max_rank", [59, 60])
-    def test_uncounted_dense_fallback_is_complete(self, monkeypatch, max_rank):
-        requests = self.record_requests(monkeypatch)
+        with pytest.raises(EigenCountUndecided) as info:
+            leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
+                             count=None)
+        factor = info.value.factor
+        assert factor.rank == 0 and factor.truncated
+        assert factor.vectors.shape == (50, 0)
+        assert str(info.value).startswith("no inertia count decided")
+
+    # a count at tau > EIG_TOL misses eigenvalues in (EIG_TOL, tau]; it
+    # proves the factor only when the keep threshold EIG_TOL max(lambda_1,
+    # 1) reaches tau, here 16 EIG_TOL: lambda_1 >= 16
+    @pytest.mark.parametrize("top, certified", [
+        (15.9, False), (16.1, True), (0.5, False)])
+    def test_a_count_above_eig_tol_certifies_from_the_keep_threshold(
+            self, top, certified):
+        diag = np.concatenate([[top, 0.25], -np.linspace(0.5, 3.0, 58)])
+        factor = leading_psd_part(operator_from(np.diag(diag)), max_rank=40,
+                                  seed=3, count=2, tau=16 * EIG_TOL)
+        assert factor.truncated == (not certified)
+        np.testing.assert_allclose(factor.values, diag[:2], rtol=1e-10)
+
+    def test_a_zero_count_above_eig_tol_is_truncated(self):
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=max_rank, seed=3)
-        assert requests == [60]
-        assert not factor.truncated
-        np.testing.assert_allclose(factor.values, self.DIAG[:6], atol=1e-12)
+                                  max_rank=40, count=0, tau=4 * EIG_TOL)
+        assert factor.rank == 0 and factor.truncated
 
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
         # the stub claims 8 eigenvalues above tol where only 6 exist
@@ -205,10 +221,9 @@ class TestCountedRequests:
 
 
 class TestKrylovSizing:
-    """Plain runs keep the Krylov floor that guards uncounted requests;
-    shift-invert runs, which only counted requests make, are Lanczos runs
-    of their own that stop as their pairs converge, where the count still
-    proves the factor complete."""
+    """Plain runs keep the Krylov floor that guards small requests;
+    shift-invert runs are Lanczos runs of their own that stop as their
+    pairs converge, where the count still proves the factor complete."""
 
     @staticmethod
     def record_subspaces(monkeypatch):
@@ -310,21 +325,20 @@ class TestPairsInHand:
         """The k leading eigenpairs of Diag(DIAG), exactly."""
         return cls.DIAG[:k].copy(), np.eye(cls.DIAG.size)[:, :k]
 
-    # counted, pairs past the positive part are complete; uncounted, only
-    # the whole spectrum is
-    @pytest.mark.parametrize("count", [None, 6])
+    # pairs past the positive part are complete under the count
+    @pytest.mark.parametrize("count", [6])
     def test_complete_pairs_need_no_matvec(self, count):
         def refuse(d):
             raise AssertionError("no matvec expected")
 
         factor = leading_psd_part(SymmetricOperator(60, refuse), max_rank=40,
                                   count=count,
-                                  pairs=self.leading(60 if count is None else 8))
+                                  pairs=self.leading(8))
         assert not factor.truncated
         np.testing.assert_array_equal(factor.values, self.DIAG[:6])
         np.testing.assert_array_equal(factor.vectors, np.eye(60)[:, :6])
 
-    @pytest.mark.parametrize("count", [None, 6])
+    @pytest.mark.parametrize("count", [6])
     def test_pairs_that_prove_nothing_leave_the_call_unchanged(self, count):
         op = operator_from(np.diag(self.DIAG))
         plain = leading_psd_part(op, max_rank=40, seed=3, count=count)
@@ -335,23 +349,18 @@ class TestPairsInHand:
         assert np.array_equal(given.vectors, plain.vectors)
         assert given.truncated == plain.truncated
 
-    def test_uncounted_pairs_past_the_positive_part_prove_nothing(self):
-        # the last of 8 pairs is at or below the threshold, yet without a
-        # count the pairs could have missed a leading eigenpair
-        op = operator_from(np.diag(self.DIAG))
-        plain = leading_psd_part(op, max_rank=40, seed=3)
-        given = leading_psd_part(op, max_rank=40, seed=3, pairs=self.leading(8))
-        assert given.truncated and plain.truncated
-        assert np.array_equal(given.values, plain.values)
-        assert np.array_equal(given.vectors, plain.vectors)
-
-    def test_count_above_the_positive_pairs_is_a_typed_failure(self):
+    # the 7th of the 8 pairs is -0.5, so the count of 7 does not prove them:
+    # they are dropped for a counted run, whose Ritz values contradict it
+    def test_count_above_the_positive_pairs_is_a_typed_failure(self,
+                                                              monkeypatch):
+        requests = TestCountedRequests.record_requests(monkeypatch)
         with pytest.raises(EigenCountMismatch) as info:
             leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
                              count=7, pairs=self.leading(8))
+        assert requests == [7]
         factor = info.value.factor
         assert factor.truncated
-        np.testing.assert_array_equal(factor.values, self.DIAG[:6])
+        np.testing.assert_allclose(factor.values, self.DIAG[:6], atol=1e-10)
 
 
 class TestPsdFrobNormSq:
@@ -366,7 +375,8 @@ class TestPsdFrobNormSq:
     def test_matches_dense_frobenius(self, rng):
         a = rng.standard_normal((20, 20))
         a = 0.5 * (a + a.T)
-        factor = leading_psd_part(operator_from(a), max_rank=20)
+        factor = leading_psd_part(operator_from(a), max_rank=20,
+                                  count=dense_count(a))
         dense = np.linalg.norm(reconstruct(factor)) ** 2
         assert factor.frob_norm_sq() == pytest.approx(dense, abs=1e-10)
 
@@ -375,3 +385,4 @@ def test_typed_failures_are_exported_from_the_package():
     import lrsdcut
     assert lrsdcut.EigenConvergenceError is EigenConvergenceError
     assert lrsdcut.EigenCountMismatch is EigenCountMismatch
+    assert lrsdcut.EigenCountUndecided is EigenCountUndecided

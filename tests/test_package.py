@@ -5,7 +5,8 @@ import lrsdcut
 # every name that ``lrsdcut`` has exported, and the submodules it reaches
 PUBLIC = [
     "CenteredDiscriminativeKernel", "CrfProblem", "EigenConvergenceError",
-    "EigenCountMismatch", "GaussianKernel", "GeneralSdp", "InstanceFormatError",
+    "EigenCountMismatch", "EigenCountUndecided", "GaussianKernel", "GeneralSdp",
+    "InstanceFormatError",
     "LbfgsAscent", "LowRankFactor", "LowRankKernel", "PottsSdp", "PsdFactor",
     "SolveParams", "SolveReport", "SymmetricOperator", "build_problem",
     "centered_discriminative_factor", "energy", "energy_offset",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dsytrf
 
-from conftest import (constraint_values, mixed_kernel_problem,
+from conftest import (constraint_values, exact_factor, mixed_kernel_problem,
                       random_general_problem, random_potts_problem,
                       reconstruct)
 from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
@@ -31,10 +31,6 @@ from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, lr_sdcut_solve,
 def priced(sdp, labels):
     """Lifted energy of a labeling."""
     return lifted_energy(sdp.problem, to_indicator(labels, sdp.n_labels))
-
-
-def exact_factor(sdp, u):
-    return leading_psd_part(sdp.operator(u), max_rank=sdp.n, seed=0)
 
 
 class TestPottsMatvec:
@@ -448,11 +444,11 @@ class TestShiftInvert:
         shifts = []  # (start, proven shift or None, dense lambda_max)
 
         def low_start(sdp, parts, sigma, pairs=None):
-            count, shift = counted(sdp, parts, scale * sigma, pairs)
+            count, tau, shift = counted(sdp, parts, scale * sigma, pairs)
             if count and sigma:
                 shifts.append((scale * sigma, shift,
                                np.linalg.eigvalsh(_dense_c(sdp, parts))[-1]))
-            return count, shift
+            return count, tau, shift
 
         monkeypatch.setattr(sdp_module, "_counted_request", low_start)
         calls = _record_psd_calls(monkeypatch)
@@ -491,10 +487,14 @@ class _ScriptedLifting:
         return np.count_nonzero(np.greater(self.eigs, sigma)), f"solve at {sigma}"
 
 
+THRESHOLDS = list(sdp_module.COUNT_THRESHOLDS)  # EIG_TOL, 4 and 16 EIG_TOL
+
+
 class TestCountedRequestHelper:
-    """``_counted_request``'s (count, shift) for one dual evaluation, from
-    inertia counts made in order: the start's pairs at tau just below zero,
-    then at EIG_TOL, then at sigma doubled."""
+    """``_counted_request``'s (count, tau, shift) for one dual evaluation,
+    from inertia counts made in order: the start's pairs at tau just below
+    zero, then at EIG_TOL, 4 EIG_TOL and 16 EIG_TOL until one is decided,
+    then at sigma doubled."""
 
     @staticmethod
     def _request(eigs, sigma):
@@ -502,37 +502,66 @@ class TestCountedRequestHelper:
         return sdp_module._counted_request(lifting, None, sigma), lifting.sigmas
 
     def test_an_undecided_count_gives_neither(self):
-        assert self._request(None, 2.0) == ((None, None), [EIG_TOL])
+        assert self._request(None, 2.0) == ((None, THRESHOLDS[-1], None),
+                                            THRESHOLDS)
 
     def test_a_zero_sigma_gives_the_count_alone(self):
-        assert self._request([3.0, 1.0, -1.0], 0.0) == ((2, None), [EIG_TOL])
+        assert self._request([3.0, 1.0, -1.0], 0.0) == ((2, EIG_TOL, None),
+                                                        [EIG_TOL])
 
     def test_a_zero_count_gives_no_shift(self):
-        assert self._request([-1.0, -2.0], 2.0) == ((0, None), [EIG_TOL])
+        assert self._request([-1.0, -2.0], 2.0) == ((0, EIG_TOL, None), [EIG_TOL])
 
     def test_a_sigma_below_the_spectrum_doubles(self):
         assert self._request([5.0, 1.0, -1.0], 0.75) == (
-            (2, (6.0, "solve at 6.0")), [EIG_TOL, 0.75, 1.5, 3.0, 6.0])
+            (2, EIG_TOL, (6.0, "solve at 6.0")), [EIG_TOL, 0.75, 1.5, 3.0, 6.0])
 
     @pytest.mark.parametrize("eigs, sigmas", [
         ([100.0, -1.0], [1.0, 2.0, 4.0, 8.0, 16.0]), ([4.0, -1.0], [1.0, 2.0, 4.0])],
         ids=["stays-below", "undecided"])
     def test_a_sigma_never_proven_gives_no_shift(self, eigs, sigmas):
-        assert self._request(eigs, 1.0) == ((1, None), [EIG_TOL] + sigmas)
+        assert self._request(eigs, 1.0) == ((1, EIG_TOL, None), [EIG_TOL] + sigmas)
+
+    # an eigenvalue at EIG_TOL leaves that count undecided, so the count is
+    # made at 4 EIG_TOL, or at 16 EIG_TOL past one at 4 EIG_TOL too, before
+    # sigma doubles
+    @pytest.mark.parametrize("eigs, decided", [
+        ([3.0, EIG_TOL, -1.0], 1), ([3.0, 4 * EIG_TOL, EIG_TOL, -1.0], 2)],
+        ids=["at-4", "at-16"])
+    def test_an_undecided_count_is_retried_above_eig_tol(self, eigs, decided):
+        assert self._request(eigs, 2.0) == (
+            (1, THRESHOLDS[decided], (4.0, "solve at 4.0")),
+            THRESHOLDS[:decided + 1] + [2.0, 4.0])
+
+    # decided at 16 EIG_TOL only, the count certifies the factor only where
+    # its keep threshold EIG_TOL max(lambda_1, 1) reaches 16 EIG_TOL
+    @pytest.mark.parametrize("top, truncated", [(15.5, True), (16.5, False)])
+    def test_a_count_decided_at_16_eig_tol_certifies_from_lambda_1(
+            self, top, truncated):
+        eigs = np.concatenate([[top, 2.0, 4 * EIG_TOL, EIG_TOL],
+                               -np.linspace(0.5, 3.0, 56)])
+        lifting = _ScriptedLifting(eigs)
+        count, tau, shift = sdp_module._counted_request(lifting, None, 0.0)
+        assert (count, tau, shift) == (2, THRESHOLDS[-1], None)
+        assert lifting.sigmas == THRESHOLDS
+        factor = leading_psd_part(SymmetricOperator(60, lambda d: eigs * d),
+                                  40, count=count, seed=3, tau=tau)
+        assert factor.truncated == truncated
+        np.testing.assert_allclose(factor.values, eigs[:2], rtol=1e-10)
 
     # the start's pairs [3, 1, 0] are counted at tau = -1e-6 * 3 first; a
-    # count other than their 3 there falls back to the count at EIG_TOL
+    # count other than their 3 there falls back to the thresholds' counts
     @pytest.mark.parametrize("eigs, counted, fallback", [
-        ([3.0, 1.0, 0.0, -1.0], (2, None), False),
-        ([5.0, 3.0, 1.0, 0.0, -1.0], (3, None), True),
-        ([3.0, 1.0, 0.0, 0.0, 0.0, -1.0], (2, None), True),
-        (None, (None, None), True)],
+        ([3.0, 1.0, 0.0, -1.0], (2, EIG_TOL, None), []),
+        ([5.0, 3.0, 1.0, 0.0, -1.0], (3, EIG_TOL, None), [EIG_TOL]),
+        ([3.0, 1.0, 0.0, 0.0, 0.0, -1.0], (2, EIG_TOL, None), [EIG_TOL]),
+        (None, (None, THRESHOLDS[-1], None), THRESHOLDS)],
         ids=["certified", "missing-a-pair", "null-space", "undecided"])
     def test_start_pairs_are_counted_below_zero(self, eigs, counted, fallback):
         lifting = _ScriptedLifting(eigs)
         pairs = np.array([3.0, 1.0, 0.0]), np.eye(3)
         assert sdp_module._counted_request(lifting, None, 0.0, pairs) == counted
-        assert lifting.sigmas == pytest.approx([-3e-6] + fallback * [EIG_TOL])
+        assert lifting.sigmas == pytest.approx([-3e-6] + fallback)
 
 
 class TestPottsLayout:
@@ -675,7 +704,7 @@ class TestSpectralShift:
         u0, _ = spectral_shift_init(stub, r=2)
         np.testing.assert_allclose(-u0, 2.0 * stub.identity)
         # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]): positive rank 1
-        factor = leading_psd_part(stub.operator(u0), max_rank=3)
+        factor = leading_psd_part(stub.operator(u0), max_rank=3, count=1)
         assert factor.rank == 1
         assert factor.values[0] == pytest.approx(1.0)
 
@@ -803,11 +832,11 @@ def _assert_start_is_exact(sdp, r, seed):
     u0, pairs = spectral_shift_init(sdp, r, seed=seed)
     assert pairs[0].size == r and pairs[0][-1] == 0.0
     lifting = _RecordedCounts(sdp)
-    count, shift = sdp_module._counted_request(lifting, sdp.assemble(u0), 0.0,
-                                               pairs)
+    count, tau, shift = sdp_module._counted_request(lifting, sdp.assemble(u0),
+                                                    0.0, pairs)
     assert count is not None and shift is None
     factor = leading_psd_part(SymmetricOperator(sdp.n, refuse), sdp.n,
-                              count=count, pairs=pairs)
+                              count=count, pairs=pairs, tau=tau)
     assert not factor.truncated
     vals, vecs = np.linalg.eigh(dense_sdp_pieces(sdp, u0)["C"])
     positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
@@ -1148,7 +1177,7 @@ class TestIcmPolish:
 
 
 def _dual_eval(sdp, u):
-    factor = leading_psd_part(sdp.operator(u), max_rank=sdp.n, seed=0)
+    factor = exact_factor(sdp, u)
     return sdp.dual_objective(u, factor), sdp.dual_gradient(u, factor), factor
 
 
@@ -1469,13 +1498,16 @@ class TestCountedRequests:
 
 class TestStartCertificate:
     """The start's pairs are proven complete by an inertia count, never by
-    their last value being 0: pairs that miss a leading eigenpair give
-    iteration 0 no bound."""
+    their last value being 0: pairs that miss a leading eigenpair are
+    dropped for a counted Lanczos run, and a start whose count is undecided
+    at every threshold gives iteration 0 no bound."""
+
+    # weight 30 leaves C(u0)'s count at EIG_TOL undecided here
+    PROBLEM = dict(n=8, n_labels=2, seed=7, kernel_rank=2, weight=30.0)
 
     def test_pairs_missing_a_leading_pair_are_truncated(self, monkeypatch):
-        # weight 30 leaves C(u0)'s count at EIG_TOL undecided here, so only
-        # the count just below zero can find the pairs incomplete
-        problem = random_potts_problem(8, 2, seed=7, kernel_rank=2, weight=30.0)
+        # only the count just below zero can find the pairs incomplete
+        problem = random_potts_problem(**self.PROBLEM)
         shift_init = sdp_module.spectral_shift_init
 
         def missing_leading(sdp, r, seed=0):
@@ -1492,12 +1524,62 @@ class TestStartCertificate:
         _, optimum = brute_force_map(problem)
         empty = PsdFactor(np.zeros((sdp.n, 0)), np.zeros(0))
         assert sdp.dual_objective(u0, empty) + energy_offset(problem) > optimum
-        # rank_init 1 gives a rank cap of 8, below n - 1 = 9, so the
-        # uncounted Lanczos run that replaces the pairs proves nothing either
+        # the count at 4 EIG_TOL finds one eigenvalue, which the pairs'
+        # 0 does not prove, so a counted run of one pair certifies u0
         report = lr_sdcut_solve(problem, seed=1, rank_init=1)
-        assert report.trajectory[0].truncated
+        assert not report.trajectory[0].truncated and not report.warnings
+        assert report.trajectory[0].dual == pytest.approx(-1.0751767590694e7,
+                                                          rel=1e-9)
         assert report.lower_bound <= optimum + 1e-9
         assert optimum <= report.best_energy + 1e-9
+
+    def test_a_count_undecided_at_every_threshold_is_a_typed_warning(
+            self, monkeypatch):
+        # at rank_init 1 the start's count is undecided just below zero and
+        # at EIG_TOL, 4 EIG_TOL and 16 EIG_TOL: iteration 0 makes no Lanczos
+        # run and has no bound, and the later evaluations are unchanged
+        problem = random_potts_problem(**self.PROBLEM)
+        calls = []  # the Lanczos requests of each positive-part call
+        psd, lanczos = leading_psd_part, eig_module.leading_eigpairs
+
+        def recording_psd(*args, **kwargs):
+            calls.append([])
+            return psd(*args, **kwargs)
+
+        def recording_lanczos(op, k, **kwargs):
+            calls[-1].append(k)
+            return lanczos(op, k, **kwargs)
+
+        monkeypatch.setattr(sdp_module, "leading_psd_part", recording_psd)
+        monkeypatch.setattr(eig_module, "leading_eigpairs", recording_lanczos)
+        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
+        assert [w.split(":")[0] for w in report.warnings] == ["undecided count"]
+        assert calls[0] == [] and report.trajectory[0].truncated
+        assert len(calls) == report.extras["dual_evals"]
+        # the bound that the solve gave before undecided counts were retried
+        assert report.lower_bound == pytest.approx(-669.9480773640894, rel=1e-12)
+
+    # a centered kernel on an unblocked stack puts C(u0)'s start count on
+    # its cluster at c: undecided at EIG_TOL, decided above it
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_centered_start_is_certified_by_its_pairs(self, monkeypatch,
+                                                        seed):
+        base = mixed_kernel_problem(200, 3, seed)
+        plain = LowRankKernel(base.kernels[0].factor, base.kernels[0].weight)
+        problem = CrfProblem(base.unary, [plain] + base.kernels[1:])
+        calls = _record_psd_calls(monkeypatch)
+        runs = []
+        lanczos = eig_module.leading_eigpairs
+
+        def counting(op, k, **kwargs):
+            runs.append(len(calls))
+            return lanczos(op, k, **kwargs)
+
+        monkeypatch.setattr(eig_module, "leading_eigpairs", counting)
+        report = lr_sdcut_solve(problem, seed=1)
+        assert not report.trajectory[0].truncated and not report.warnings
+        assert 0 not in runs and not calls[0][3].truncated
+        assert report.lower_bound <= report.best_energy
 
 
 class TestBoundRejections:
