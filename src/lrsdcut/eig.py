@@ -12,19 +12,18 @@ steps past the request.  Both stop at one tolerance (``EIG_TOL``, also
 the positivity threshold) and draw their random vectors from a seeded
 generator (plain runs where eigsh takes ``rng``); a dense fallback serves
 operators too small for ARPACK.  A positive part takes at most one
-Lanczos request: exactly the caller's count of eigenvalues above a
-threshold, an inertia count (Parlett's spectrum slicing), capped at the
-caller's rank cap.  The count is the one proof that a factor is complete
-(a Lanczos result that contradicts it is a typed failure), and a call
-whose count is undecided is a typed failure with no Lanczos run.
-Eigenpairs already in hand can stand in for that run, and a call that
-the caller has already rejected skips it.  The operator is a
-``LinearOperator``; a failed proof raises an :class:`EigenFailure`, whose
-``code`` is the stable prefix of the warning a solve records for it.
+Lanczos request, which inertia counts (Parlett's spectrum slicing) size
+and prove complete.  :func:`leading_psd_part` makes every count of it
+through the caller's ``inertia`` callable, and its docstring sets out
+the one count policy: the thresholds, the count of pairs in hand, the
+shift and the rules that keep, contradict or truncate a factor.  The
+operator is a ``LinearOperator``; a failed proof raises an
+:class:`EigenFailure`, whose ``code`` is the stable prefix of the
+warning a solve records for it.
 """
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dstev
@@ -39,12 +38,16 @@ _SEEDED_RESTARTS = "rng" in inspect.signature(eigsh).parameters
 
 # ARPACK's convergence tolerance and the positivity threshold of a positive part
 EIG_TOL = 1e-8
+# a positive part's count is made at each in turn until one decides it (one
+# above EIG_TOL certifies less; see leading_psd_part)
+COUNT_THRESHOLDS = (EIG_TOL, 4.0 * EIG_TOL, 16.0 * EIG_TOL)
 # ARPACK restarts before a plain Lanczos run counts as stalled (shift-invert
 # runs never restart)
 EIG_RESTARTS = 50
 # Lanczos steps past k before a shift-invert run counts as stalled; the
-# benchmark's counted runs took at most 55 past k and 73 in all
-LANCZOS_EXTRA = 110
+# benchmark's counted runs take at most 55 past k, general instances at
+# N = 200 up to 127
+LANCZOS_EXTRA = 160
 
 
 class SymmetricOperator(LinearOperator):
@@ -231,54 +234,78 @@ def leading_eigpairs(op, k, seed, shift=None):
     return vals[order], vecs[:, order]
 
 
-def leading_psd_part(op, max_rank, count, seed=0, rejected=False, pairs=None,
-                     shift=None, tau=EIG_TOL):
+def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
     up to ``max_rank`` of them, as a :class:`PsdFactor`, from at most one
-    Lanczos run.
+    Lanczos run, proven complete by inertia counts made here.
 
-    ``count`` is the exact number p of eigenvalues above ``tau`` (an
-    inertia count of the operator).  It sizes the request, min(p, max_rank)
-    pairs (none for p = 0), and is the one proof that the factor is
-    complete: it is truncated when p exceeds the rank cap, or when tau
-    exceeds the keep threshold ``EIG_TOL * max(lambda_1, 1)`` (a count above
-    ``EIG_TOL`` misses the eigenvalues in (``EIG_TOL``, tau], which only a
-    keep threshold of at least tau drops anyway).  A Ritz value at or below
-    ``EIG_TOL`` among the first p contradicts the count and raises
-    :class:`EigenCountMismatch`; None, an undecided count, raises
-    :class:`EigenCountUndecided` without a Lanczos run.  Both carry the
-    factor in hand (empty for the latter), marked truncated.
+    ``inertia(t)`` returns ``(p, solve)``: the exact number p of op's
+    eigenvalues above t (Sylvester's law of inertia; Parlett's spectrum
+    slicing) and ``solve(b) = (op - t I)^-1 b``; or None where the count at
+    t is undecided.  The count policy, the one proof that the factor is
+    complete:
 
-    ``rejected`` marks an operator the caller has already rejected (by a
-    lower bound on ``||op_+||_F^2``, say): the call returns a rank-0 factor
-    marked truncated at once, without a Lanczos run or a matvec.
+    1. ``pairs``, leading eigenpairs ``(values, vectors)`` of op already in
+       hand (values descending, for instance a dual start's), are counted
+       just below zero, at t = -1e-6 max(|v_1|, 1).  A count of len(values)
+       there proves every eigenvalue above t in hand, so p is the number of
+       values above tau = ``EIG_TOL``; any other count falls back to 2.
+    2. Otherwise p is counted at each of ``COUNT_THRESHOLDS`` in turn, tau
+       being the first that decides it.  None deciding is
+       :class:`EigenCountUndecided`, with no Lanczos run.
+    3. p sizes the one request, min(p, max_rank) pairs (none for p = 0).
+       The pairs in hand stand in for it when their p-th value is above
+       tau.  Otherwise one Lanczos run makes it: in shift-invert mode at
+       the first of sigma, 2 sigma, ..., 16 sigma whose count is 0 (none
+       tried for sigma = 0, and none after an undecided one), else on op's
+       matvecs.
+    4. A last Ritz value at or below tau contradicts the count and raises
+       :class:`EigenCountMismatch`.  The factor is truncated when p exceeds
+       the rank cap, or when tau exceeds the keep threshold
+       ``EIG_TOL * max(lambda_1, 1)`` (a count at tau misses the
+       eigenvalues in (``EIG_TOL``, tau], which only a keep threshold of at
+       least tau drops anyway).
 
-    ``pairs``, when given, are leading eigenpairs ``(values, vectors)`` of
-    ``op`` already in hand (values descending), for instance the exact
-    pairs of a shifted copy of the operator, from a Lanczos run or a small
-    dense problem in a low-rank range.  They stand in for the Lanczos run
-    when their first p values are above ``EIG_TOL``; pairs the count does
-    not prove so are dropped for the counted run.  ``shift`` goes to the
-    Lanczos run and changes no proof.
+    ``inertia=None`` marks an operator the caller has already rejected (by
+    a lower bound on ``||op_+||_F^2``, say): the call returns a rank-0
+    factor marked truncated at once, with no count, Lanczos run or matvec.
+    Failures carry the factor in hand (empty for an undecided count),
+    marked truncated.
     """
     n = op.n
     if not 1 <= max_rank <= n:
         raise ValueError(f"need 1 <= max_rank <= {n}, got {max_rank}")
-    if rejected or count == 0:
-        return PsdFactor(np.zeros((n, 0)), np.zeros(0),
-                         truncated=rejected or tau > EIG_TOL)
-    if count is None:
-        raise EigenCountUndecided(
-            f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
-            "factor left empty and marked truncated",
-            PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=True))
-    if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > EIG_TOL:
+    empty = PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=True)
+    if inertia is None:
+        return empty
+    counted = pairs is not None and inertia(-1e-6 * max(abs(pairs[0][0]), 1.0))
+    if counted and counted[0] == pairs[0].size:
+        count, tau = int(np.count_nonzero(pairs[0] > EIG_TOL)), EIG_TOL
+    else:
+        for tau in COUNT_THRESHOLDS:
+            counted = inertia(tau)
+            if counted is not None:
+                break
+        else:
+            raise EigenCountUndecided(
+                f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
+                "factor left empty and marked truncated", empty)
+        count = counted[0]
+    if count == 0:
+        return replace(empty, truncated=tau > EIG_TOL)
+    if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > tau:
         vals, vecs = pairs[0][:count], pairs[1][:, :count]
     else:
+        shift = None
+        for sigma in sigma * 2.0 ** np.arange(5) if sigma else ():
+            counted = inertia(sigma)
+            if counted is None or counted[0] == 0:
+                shift = counted and (sigma, counted[1])
+                break
         vals, vecs = leading_eigpairs(op, min(count, max_rank), seed=seed, shift=shift)
     scale = EIG_TOL * max(np.abs(vals).max(), 1.0)
     keep = vals > scale
-    if vals[-1] <= EIG_TOL:
+    if vals[-1] <= tau:
         raise EigenCountMismatch(
             f"{count} eigenvalues above {tau:g} counted, but Ritz value "
             f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor marked "

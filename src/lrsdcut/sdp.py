@@ -16,7 +16,9 @@ the inertia count of C(u) - sigma I factors a small Schur complement,
 which also solves with C(u) - sigma I at about a matvec's cost (in
 either lifting): a count proving sigma above the spectrum lets Lanczos
 run in shift-invert mode, unrestarted, stopping as the counted pairs
-converge.  The same blocks give a
+converge.  :func:`~lrsdcut.eig.leading_psd_part` makes every count of a
+dual evaluation through the lifting's ``shifted_inverse``, under the one count
+policy its docstring sets out.  The same blocks give a
 cheap lower bound on ||C(u)_+||_F^2 (the pinching inequality over C(u)'s
 diagonal blocks), which values an overshooting line-search trial at -inf,
 below any iterate, before any inertia count or Lanczos run.
@@ -38,6 +40,7 @@ compatibility and the (N*L)-dimensional one for a general symmetric label
 compatibility matrix (the latter is experimental).
 """
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -47,16 +50,12 @@ from scipy.linalg.lapack import dsytrf, dsytri, dsytrs
 
 from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
-from .eig import (EIG_TOL, EigenFailure, SymmetricOperator, leading_eigpairs,
-                  leading_psd_part)
+from .eig import EigenFailure, SymmetricOperator, leading_eigpairs, leading_psd_part
 from .kernels import CenteredDiscriminativeKernel
 
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
 # of the Schur complement's entries, leaves the inertia count undecided
 COUNT_REL_TOL = 1e-10
-# an evaluation's count is tried at each in turn until one decides it (one
-# above EIG_TOL certifies less; see leading_psd_part's tau)
-COUNT_THRESHOLDS = (EIG_TOL, 4.0 * EIG_TOL, 16.0 * EIG_TOL)
 
 # L-BFGS ascent: curvature pairs kept, the gradient size (infinity norm)
 # taken as convergence, the sufficient-increase constant, and the failed
@@ -621,7 +620,8 @@ def spectral_shift_init(sdp, r, seed=0):
     (``seed`` feeds only that run).  The same pairs give C(u0)'s r leading
     eigenpairs, ``pairs = (values - values[r - 1], vectors)``, whose last
     value is exactly 0; an inertia count just below 0 proves them complete
-    (:func:`_counted_request`), so they stand in for a Lanczos run on C(u0).
+    (step 1 of :func:`~lrsdcut.eig.leading_psd_part`'s count policy), so
+    they stand in for a Lanczos run on C(u0).
     The start's dual value is then a valid bound like any other.
     """
     if not 1 <= r <= sdp.n:
@@ -629,34 +629,6 @@ def spectral_shift_init(sdp, r, seed=0):
     vals, vecs = (_low_rank_start_pairs(sdp, r)
                   or leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed))
     return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
-
-
-def _counted_request(sdp, parts, sigma, pairs=None):
-    """``(count, tau, shift)`` for a dual evaluation's Lanczos request, from
-    :meth:`~SdpLifting.shifted_inverse`: the number of C(u)'s eigenvalues
-    above tau, the first of ``COUNT_THRESHOLDS`` deciding it (None where
-    none does), and ``(sigma, solve)`` for shift-invert Lanczos once a
-    count of 0 at sigma, doubled at most 4 times, proves it above the
-    spectrum (else None, as at sigma 0).  The start's ``pairs`` (last value
-    0, undecided at ``EIG_TOL``) are counted at -1e-6 max(|v_1|, 1) first:
-    len(pairs) there proves every eigenvalue above it in hand, so the count
-    is that of the pair values; any other count (C(0) singular, say) falls
-    back to the thresholds'."""
-    if pairs is not None:
-        inverse = sdp.shifted_inverse(parts, -1e-6 * max(abs(pairs[0][0]), 1.0))
-        if inverse and inverse[0] == pairs[0].size:
-            return int(np.count_nonzero(pairs[0] > EIG_TOL)), EIG_TOL, None
-    for tau in COUNT_THRESHOLDS:
-        inverse = sdp.shifted_inverse(parts, tau)
-        if inverse is not None:
-            break
-    count = inverse and inverse[0]
-    if count and sigma:
-        for sigma in sigma * 2.0 ** np.arange(5):
-            inverse = sdp.shifted_inverse(parts, sigma)
-            if inverse is None or inverse[0] == 0:
-                return count, tau, inverse and (sigma, inverse[1])
-    return count, tau, None
 
 
 @dataclass
@@ -941,16 +913,14 @@ def lr_sdcut_solve(problem, params=None, **overrides):
         rejected = bool(np.isfinite(frob_limit)
                         and sdp.pinched_norm_sq(parts) > frob_limit)
         bound_rejections += rejected
-        pairs = warm.pop("pairs", None)
-        count, tau, shift = ((None, EIG_TOL, None) if rejected else
-                             _counted_request(sdp, parts, warm["sigma"], pairs))
+        inertia = None if rejected else functools.partial(sdp.shifted_inverse, parts)
         try:
             # the seed is drawn for every evaluation, so later Lanczos runs
             # keep their seeds whether or not the bound rejects this one
             factor = leading_psd_part(
-                sdp.parts_operator(parts), rank_cap,
-                seed=next_seed(eig_seed_rng), rejected=rejected, count=count,
-                pairs=pairs, shift=shift, tau=tau)
+                sdp.parts_operator(parts), rank_cap, inertia=inertia,
+                seed=next_seed(eig_seed_rng), pairs=warm.pop("pairs", None),
+                sigma=warm["sigma"])
         except EigenFailure as exc:
             warnings.append(f"{exc.code}: {exc}")
             factor = exc.factor

@@ -11,6 +11,7 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import softmax
 
 from lrsdcut.crf import CrfProblem
@@ -77,6 +78,19 @@ def reconstruct(factor):
     """The dense matrix ``vectors @ diag(values) @ vectors.T`` of a
     :class:`lrsdcut.eig.PsdFactor`."""
     return (factor.vectors * factor.values) @ factor.vectors.T
+
+
+def dense_inertia(matrix, vals=None):
+    """An ``inertia`` for :func:`lrsdcut.eig.leading_psd_part` from a dense
+    symmetric matrix: ``inertia(t)`` is the number of its eigenvalues
+    ``vals`` (from ``eigh`` when not given) above t, with an LU solve with
+    ``matrix - t I``."""
+    vals = np.linalg.eigvalsh(matrix) if vals is None else vals
+
+    def inertia(t):
+        factored = lu_factor(matrix - t * np.eye(len(matrix)))
+        return int(np.count_nonzero(vals > t)), lambda b: lu_solve(factored, b)
+    return inertia
 
 
 def exact_factor(sdp, u):

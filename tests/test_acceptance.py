@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (exact_factor, mf_site_update, primal_objective,
-                      random_general_problem, random_potts_problem,
-                      reconstruct)
+from conftest import (dense_inertia, exact_factor, mf_site_update,
+                      primal_objective, random_general_problem,
+                      random_potts_problem, reconstruct)
 from lrsdcut.crf import build_problem, energy
-from lrsdcut.eig import EIG_TOL, SymmetricOperator, leading_psd_part
+from lrsdcut.eig import SymmetricOperator, leading_psd_part
 from lrsdcut.generate import gen_clusters, gen_grid
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
                              hadamard_matvec, nystrom_factor,
@@ -151,7 +151,7 @@ def test_04_lanczos_fidelity():
         vals, vecs = np.linalg.eigh(a)
         factor = leading_psd_part(SymmetricOperator(n, lambda d, m=a: m @ d),
                                   max_rank=n, seed=7,
-                                  count=int(np.count_nonzero(vals > EIG_TOL)))
+                                  inertia=dense_inertia(a, vals))
         dense_pos = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         err = np.linalg.norm(reconstruct(factor) - dense_pos)
         worst = max(worst, err)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from conftest import reconstruct
+from conftest import dense_inertia, reconstruct
 from lrsdcut import eig as eig_module
-from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch,
-                         EigenCountUndecided, PsdFactor, SymmetricOperator,
-                         leading_eigpairs, leading_psd_part)
+from lrsdcut.eig import (COUNT_THRESHOLDS, EIG_TOL, EigenConvergenceError,
+                         EigenCountMismatch, EigenCountUndecided, PsdFactor,
+                         SymmetricOperator, leading_eigpairs, leading_psd_part)
 
 
 def operator_from(matrix):
@@ -20,15 +20,20 @@ def dense_positive_part(matrix):
     return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
-def dense_count(matrix):
-    """The exact count of eigenvalues above ``EIG_TOL``, from ``eigh``."""
-    return int(np.count_nonzero(np.linalg.eigvalsh(matrix) > EIG_TOL))
+def stated(count, at=COUNT_THRESHOLDS):
+    """An ``inertia`` that states ``count`` eigenvalues above every t in
+    ``at``, true or not, with no solve, and is undecided elsewhere."""
+    return lambda t: (count, None) if t in at else None
+
+
+def refuse(d):
+    raise AssertionError("no matvec expected")
 
 
 class TestLeadingPsdPart:
     def test_diagonal_operator(self):
         factor = leading_psd_part(operator_from(np.diag([3.0, 1.0, -2.0])),
-                                  max_rank=3, count=2)
+                                  max_rank=3, inertia=stated(2))
         np.testing.assert_allclose(factor.values, [3.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(factor.vectors),
                                    np.eye(3)[:, :2], atol=1e-10)
@@ -39,7 +44,7 @@ class TestLeadingPsdPart:
         basis, _ = np.linalg.qr(basis)
         matrix = (basis * -np.arange(1, 11)) @ basis.T
         factor = leading_psd_part(operator_from(matrix), max_rank=10,
-                                  count=dense_count(matrix))
+                                  inertia=dense_inertia(matrix))
         assert factor.rank == 0
         assert factor.frob_norm_sq() == 0.0
 
@@ -47,7 +52,7 @@ class TestLeadingPsdPart:
         a = rng.standard_normal((40, 40))
         a = 0.5 * (a + a.T)
         factor = leading_psd_part(operator_from(a), max_rank=40, seed=4,
-                                  count=dense_count(a))
+                                  inertia=dense_inertia(a))
         err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
@@ -55,7 +60,7 @@ class TestLeadingPsdPart:
         a = rng.standard_normal((50, 50))
         a = 0.5 * (a + a.T)
         factor = leading_psd_part(operator_from(a), max_rank=50, seed=5,
-                                  count=dense_count(a))
+                                  inertia=dense_inertia(a))
         gram = factor.vectors.T @ factor.vectors
         np.testing.assert_allclose(gram, np.eye(factor.rank), atol=1e-8)
         assert np.all(np.diff(factor.values) <= 0) and np.all(factor.values > 0)
@@ -68,8 +73,9 @@ class TestLeadingPsdPart:
         a = rng.standard_normal((35, 35))
         a = 0.5 * (a + a.T)
         op = operator_from(a)
-        first = leading_psd_part(op, max_rank=12, seed=9, count=dense_count(a))
-        second = leading_psd_part(op, max_rank=12, seed=9, count=dense_count(a))
+        first, second = (leading_psd_part(op, max_rank=12, seed=9,
+                                          inertia=dense_inertia(a))
+                         for _ in range(2))
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
 
@@ -81,7 +87,7 @@ class TestLeadingPsdPart:
                                np.linspace(1.0, -3.0, 27)])
         a = (basis * vals) @ basis.T
         factor = leading_psd_part(operator_from(a), max_rank=30, seed=1,
-                                  count=dense_count(a))
+                                  inertia=dense_inertia(a))
         err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
@@ -89,26 +95,26 @@ class TestLeadingPsdPart:
         basis, _ = np.linalg.qr(rng.standard_normal((25, 25)))
         a = (basis * np.linspace(10.0, 1.0, 25)) @ basis.T  # 25 positive eigs
         factor = leading_psd_part(operator_from(a), max_rank=6, seed=2,
-                                  count=dense_count(a))
+                                  inertia=dense_inertia(a))
         assert factor.truncated
         assert factor.rank == 6
 
     def test_rejected_call_needs_no_lanczos_run(self):
-        def refuse(d):
-            raise AssertionError("no matvec expected")
-
+        # no inertia: a call the caller has rejected makes no count either
         factor = leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
-                                  rejected=True, count=3)
+                                  inertia=None)
         assert factor.rank == 0 and factor.truncated
         assert factor.vectors.shape == (50, 0)
         assert factor.frob_norm_sq() == 0.0
 
     def test_unrejected_call_leaves_lanczos_unchanged(self):
+        # the same count, decided at EIG_TOL or only at 4 EIG_TOL, makes the
+        # same Lanczos run
         op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
                                                    -np.arange(1.0, 21.0)])))
-        plain = leading_psd_part(op, max_rank=40, seed=6, count=20)
-        kept = leading_psd_part(op, max_rank=40, seed=6, rejected=False,
-                                count=20)
+        plain = leading_psd_part(op, max_rank=40, seed=6, inertia=stated(20))
+        kept = leading_psd_part(op, max_rank=40, seed=6,
+                                inertia=stated(20, at=[4 * EIG_TOL]))
         assert kept.rank == 20 and not kept.truncated
         assert np.array_equal(kept.values, plain.values)
         assert np.array_equal(kept.vectors, plain.vectors)
@@ -127,12 +133,12 @@ class TestLeadingPsdPart:
 
     def test_small_operator_falls_back_to_dense(self):
         factor = leading_psd_part(operator_from(np.diag([2.0, -1.0])),
-                                  max_rank=2, count=1)
+                                  max_rank=2, inertia=stated(1))
         np.testing.assert_allclose(factor.values, [2.0], atol=1e-12)
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ValueError):
-            leading_psd_part(operator_from(np.eye(3)), max_rank=0, count=3)
+            leading_psd_part(operator_from(np.eye(3)), max_rank=0, inertia=stated(3))
 
 
 class TestCountedRequests:
@@ -154,18 +160,16 @@ class TestCountedRequests:
     DIAG = np.concatenate([np.arange(6.0, 0.0, -1.0), -np.linspace(0.5, 3.0, 54)])
 
     def test_zero_count_needs_no_lanczos_run(self):
-        def refuse(d):
-            raise AssertionError("no matvec expected")
-
         factor = leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
-                                  count=0)
+                                  inertia=stated(0))
         assert factor.rank == 0 and not factor.truncated
         assert factor.vectors.shape == (50, 0)
 
     def test_request_is_exactly_the_count(self, monkeypatch):
         requests = self.record_requests(monkeypatch)
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=40, seed=3, count=6)
+                                  max_rank=40, seed=3,
+                                  inertia=stated(6))
         assert requests == [6]
         assert not factor.truncated
         np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
@@ -174,45 +178,62 @@ class TestCountedRequests:
     def test_count_above_rank_cap_is_truncated(self, monkeypatch):
         requests = self.record_requests(monkeypatch)
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=4, seed=3, count=6)
+                                  max_rank=4, seed=3,
+                                  inertia=stated(6))
         assert requests == [4]
         assert factor.truncated and factor.rank == 4
 
     def test_undecided_count_is_a_typed_failure_without_a_run(self):
-        def refuse(d):
-            raise AssertionError("no matvec expected")
+        tried = []
+
+        def undecided(t):
+            tried.append(t)
 
         with pytest.raises(EigenCountUndecided) as info:
             leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
-                             count=None)
+                             inertia=undecided)
+        assert tried == list(COUNT_THRESHOLDS)
         factor = info.value.factor
         assert factor.rank == 0 and factor.truncated
         assert factor.vectors.shape == (50, 0)
         assert str(info.value).startswith("no inertia count decided")
 
-    # a count at tau > EIG_TOL misses eigenvalues in (EIG_TOL, tau]; it
-    # proves the factor only when the keep threshold EIG_TOL max(lambda_1,
-    # 1) reaches tau, here 16 EIG_TOL: lambda_1 >= 16
+    # a count decided only at tau = 16 EIG_TOL misses eigenvalues in
+    # (EIG_TOL, tau]; it proves the factor only when the keep threshold
+    # EIG_TOL max(lambda_1, 1) reaches tau: lambda_1 >= 16
     @pytest.mark.parametrize("top, certified", [
         (15.9, False), (16.1, True), (0.5, False)])
     def test_a_count_above_eig_tol_certifies_from_the_keep_threshold(
             self, top, certified):
         diag = np.concatenate([[top, 0.25], -np.linspace(0.5, 3.0, 58)])
         factor = leading_psd_part(operator_from(np.diag(diag)), max_rank=40,
-                                  seed=3, count=2, tau=16 * EIG_TOL)
+                                  seed=3, inertia=stated(2, at=[16 * EIG_TOL]))
         assert factor.truncated == (not certified)
         np.testing.assert_allclose(factor.values, diag[:2], rtol=1e-10)
 
     def test_a_zero_count_above_eig_tol_is_truncated(self):
         factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=40, count=0, tau=4 * EIG_TOL)
+                                  max_rank=40, inertia=stated(0, at=[4 * EIG_TOL]))
         assert factor.rank == 0 and factor.truncated
+
+    # a count of 2 above 16 EIG_TOL, where the second Ritz value is 5e-8:
+    # the run (or the pairs in hand) missed an eigenvalue above tau, though
+    # the value lies above EIG_TOL
+    @pytest.mark.parametrize("in_hand", [False, True])
+    def test_ritz_values_are_compared_with_the_count_threshold(self, in_hand):
+        diag = np.concatenate([[20.0, 5e-8], -np.linspace(0.5, 3.0, 58)])
+        pairs = (diag[:3].copy(), np.eye(60)[:, :3]) if in_hand else None
+        with pytest.raises(EigenCountMismatch) as info:
+            leading_psd_part(operator_from(np.diag(diag)), max_rank=40, seed=3,
+                             inertia=stated(2, at=[16 * EIG_TOL]), pairs=pairs)
+        assert "2 eigenvalues above 1.6e-07 counted" in str(info.value)
+        assert info.value.factor.truncated
 
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
         # the stub claims 8 eigenvalues above tol where only 6 exist
         with pytest.raises(EigenCountMismatch) as info:
             leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
-                             seed=3, count=8)
+                             seed=3, inertia=stated(8))
         factor = info.value.factor
         assert factor.truncated
         np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
@@ -266,11 +287,9 @@ class TestKrylovSizing:
         vals = np.linalg.eigvalsh(matrix)[::-1]
         positive = vals[vals > EIG_TOL]
         assert positive.size == count
-        sigma = 1.5 * vals[0]
-        inverse = np.linalg.inv(matrix - sigma * np.eye(n))
         factor = leading_psd_part(operator_from(matrix), max_rank=n,
-                                  seed=count, count=count,
-                                  shift=(sigma, lambda b: inverse @ b))
+                                  seed=count, inertia=dense_inertia(matrix),
+                                  sigma=1.5 * vals[0])
         assert not factor.truncated and factor.rank == count
         np.testing.assert_allclose(factor.values, positive, rtol=1e-9)
 
@@ -287,10 +306,13 @@ class TestShiftInvertLanczos:
         # 7 (k + 3) it is invariant again with 3 copies of 2 in hand, where a
         # convergence test would pass a -1 among the 4 pairs
         diag = np.array([2.0] * 4 + [-1.0] * 2 + [-3.0] * 2)
-        shift = 3.0, lambda b: b / (diag - 3.0)
+
+        def inertia(t):
+            return int(np.count_nonzero(diag > t)), lambda b: b / (diag - t)
         first, second = (leading_psd_part(operator_from(np.diag(diag)),
-                                          max_rank=8, seed=seed, count=4,
-                                          shift=shift) for _ in range(2))
+                                          max_rank=8, seed=seed,
+                                          inertia=inertia, sigma=3.0)
+                         for _ in range(2))
         assert not first.truncated and first.rank == 4
         np.testing.assert_allclose(first.values, 2.0, rtol=1e-12)
         np.testing.assert_allclose(first.vectors.T @ first.vectors, np.eye(4),
@@ -325,15 +347,20 @@ class TestPairsInHand:
         """The k leading eigenpairs of Diag(DIAG), exactly."""
         return cls.DIAG[:k].copy(), np.eye(cls.DIAG.size)[:, :k]
 
-    # pairs past the positive part are complete under the count
+    # pairs past the positive part are complete under the count: just
+    # below zero it finds 6, not 8, and at EIG_TOL the 6 the pairs hold
     @pytest.mark.parametrize("count", [6])
     def test_complete_pairs_need_no_matvec(self, count):
-        def refuse(d):
-            raise AssertionError("no matvec expected")
+        tried = []
+        inertia = dense_inertia(np.diag(self.DIAG))
+
+        def recorded(t):
+            tried.append(t)
+            return inertia(t)
 
         factor = leading_psd_part(SymmetricOperator(60, refuse), max_rank=40,
-                                  count=count,
-                                  pairs=self.leading(8))
+                                  inertia=recorded, pairs=self.leading(8))
+        assert tried == [-count * 1e-6, EIG_TOL]
         assert not factor.truncated
         np.testing.assert_array_equal(factor.values, self.DIAG[:6])
         np.testing.assert_array_equal(factor.vectors, np.eye(60)[:, :6])
@@ -341,9 +368,9 @@ class TestPairsInHand:
     @pytest.mark.parametrize("count", [6])
     def test_pairs_that_prove_nothing_leave_the_call_unchanged(self, count):
         op = operator_from(np.diag(self.DIAG))
-        plain = leading_psd_part(op, max_rank=40, seed=3, count=count)
+        plain = leading_psd_part(op, max_rank=40, seed=3, inertia=stated(count))
         # all four values lie above the threshold
-        given = leading_psd_part(op, max_rank=40, seed=3, count=count,
+        given = leading_psd_part(op, max_rank=40, seed=3, inertia=stated(count),
                                  pairs=self.leading(4))
         assert np.array_equal(given.values, plain.values)
         assert np.array_equal(given.vectors, plain.vectors)
@@ -356,7 +383,7 @@ class TestPairsInHand:
         requests = TestCountedRequests.record_requests(monkeypatch)
         with pytest.raises(EigenCountMismatch) as info:
             leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
-                             count=7, pairs=self.leading(8))
+                             inertia=stated(7), pairs=self.leading(8))
         assert requests == [7]
         factor = info.value.factor
         assert factor.truncated
@@ -376,7 +403,7 @@ class TestPsdFrobNormSq:
         a = rng.standard_normal((20, 20))
         a = 0.5 * (a + a.T)
         factor = leading_psd_part(operator_from(a), max_rank=20,
-                                  count=dense_count(a))
+                                  inertia=dense_inertia(a))
         dense = np.linalg.norm(reconstruct(factor)) ** 2
         assert factor.frob_norm_sq() == pytest.approx(dense, abs=1e-10)
 

@@ -1,5 +1,6 @@
 """Dual solver: structured operators, gradients, dual start, ascent, rounding."""
 
+import functools
 import gc
 import json
 import weakref
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dsytrf
 
-from conftest import (constraint_values, exact_factor, mixed_kernel_problem,
-                      random_general_problem, random_potts_problem,
-                      reconstruct)
+from conftest import (constraint_values, dense_inertia, exact_factor,
+                      mixed_kernel_problem, random_general_problem,
+                      random_potts_problem, reconstruct)
 from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
                          lifted_energy, to_indicator)
-from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, PsdFactor,
-                         SymmetricOperator, leading_eigpairs, leading_psd_part)
+from lrsdcut.eig import (COUNT_THRESHOLDS, EIG_TOL, EigenConvergenceError,
+                         EigenCountUndecided, PsdFactor, SymmetricOperator,
+                         leading_eigpairs, leading_psd_part)
 from lrsdcut import eig as eig_module
 from lrsdcut import sdp as sdp_module
 from lrsdcut.generate import gen_clusters, gen_grid
@@ -24,8 +26,9 @@ from lrsdcut.kernels import (CenteredDiscriminativeKernel, LowRankFactor,
 from lrsdcut.oracle import (brute_force_map, dense_sdp_pieces,
                             general_constraint_matrices,
                             potts_constraint_matrices)
-from lrsdcut.sdp import (GeneralSdp, LbfgsAscent, PottsSdp, lr_sdcut_solve,
-                         make_sdp, round_solution, spectral_shift_init)
+from lrsdcut.sdp import (MAX_HALVINGS, STEP_TOL, GeneralSdp, LbfgsAscent,
+                         PottsSdp, lr_sdcut_solve, make_sdp, round_solution,
+                         spectral_shift_init)
 
 
 def priced(sdp, labels):
@@ -283,6 +286,14 @@ class TestPositiveCount:
         eigs = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
         assert _inertia_count(sdp, u, eigs[-3]) is None
 
+    def test_an_exactly_singular_pivot_is_undecided(self):
+        # dsytrf reports the exactly zero pivot of Diag(1, 0) in its info
+        singular = dsytrf(np.diag([1.0, 0.0]), lower=1)
+        assert singular[2] == 2
+        assert sdp_module._positive_inertia(3, singular, 0.0) is None
+        assert sdp_module._positive_inertia(
+            3, dsytrf(np.diag([1.0, -1.0]), lower=1), 0.0) == 4
+
     def test_schur_inertia_reads_two_by_two_pivots(self, rng):
         # a zero diagonal makes Bunch-Kaufman choose 2 x 2 pivot blocks
         mats = []
@@ -418,13 +429,11 @@ class TestShiftInvert:
         vals, vecs = vals[::-1], vecs[:, ::-1]
         count = sdp.shifted_inverse(parts, EIG_TOL)[0]
         assert count == np.count_nonzero(vals > EIG_TOL) >= 4
-        sigma = 1.5 * vals[0]
-        shift = sigma, sdp.shifted_inverse(parts, sigma)[1]
         rank = count - 2 if capped else count
         # the run needs the solves alone, never C(u) itself
-        factor = leading_psd_part(SymmetricOperator(sdp.n, _refuse_matvec),
-                                  rank, seed=3, count=count,
-                                  shift=shift)
+        factor = leading_psd_part(SymmetricOperator(sdp.n, _refuse_matvec), rank,
+                                  functools.partial(sdp.shifted_inverse, parts),
+                                  seed=3, sigma=1.5 * vals[0])
         assert factor.truncated == capped
         np.testing.assert_allclose(factor.values, vals[:rank], rtol=1e-10)
         np.testing.assert_allclose(factor.vectors @ factor.vectors.T,
@@ -440,18 +449,24 @@ class TestShiftInvert:
         ids=["doubles", "falls-back", "general-doubles", "general-falls-back"])
     def test_a_low_sigma_doubles_or_falls_back(self, monkeypatch, general,
                                                scale, found):
-        counted = sdp_module._counted_request
-        shifts = []  # (start, proven shift or None, dense lambda_max)
-
-        def low_start(sdp, parts, sigma, pairs=None):
-            count, tau, shift = counted(sdp, parts, scale * sigma, pairs)
-            if count and sigma:
-                shifts.append((scale * sigma, shift,
-                               np.linalg.eigvalsh(_dense_c(sdp, parts))[-1]))
-            return count, tau, shift
-
-        monkeypatch.setattr(sdp_module, "_counted_request", low_start)
         calls = _record_psd_calls(monkeypatch)
+        psd, lanczos = sdp_module.leading_psd_part, eig_module.leading_eigpairs
+        shifts = []  # (start, proven shift or None, dense lambda_max)
+        start = {}
+
+        def low_start(op, max_rank, **kwargs):
+            kwargs["sigma"] = start["sigma"] = scale * kwargs["sigma"]
+            return psd(op, max_rank, **kwargs)
+
+        def recording(op, k, **kwargs):
+            if start["sigma"]:
+                dense = np.column_stack([op.apply(col) for col in np.eye(op.n)])
+                shifts.append((start["sigma"], kwargs["shift"],
+                               np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]))
+            return lanczos(op, k, **kwargs)
+
+        monkeypatch.setattr(sdp_module, "leading_psd_part", low_start)
+        monkeypatch.setattr(eig_module, "leading_eigpairs", recording)
         problem = (_general_l3(50, 2) if general
                    else build_problem(gen_grid(12, 12, 3, seed=2)))
         report = lr_sdcut_solve(problem, seed=1)
@@ -487,40 +502,58 @@ class _ScriptedLifting:
         return np.count_nonzero(np.greater(self.eigs, sigma)), f"solve at {sigma}"
 
 
-THRESHOLDS = list(sdp_module.COUNT_THRESHOLDS)  # EIG_TOL, 4 and 16 EIG_TOL
+THRESHOLDS = list(COUNT_THRESHOLDS)  # EIG_TOL, 4 and 16 EIG_TOL
 
 
 class TestCountedRequestHelper:
-    """``_counted_request``'s (count, tau, shift) for one dual evaluation,
-    from inertia counts made in order: the start's pairs at tau just below
-    zero, then at EIG_TOL, 4 EIG_TOL and 16 EIG_TOL until one is decided,
-    then at sigma doubled."""
+    """The counts that :func:`leading_psd_part` makes for one dual
+    evaluation through a lifting's shifted_inverse, in order: the start's
+    pairs at tau just below zero, then at EIG_TOL, 4 EIG_TOL and 16 EIG_TOL
+    until one is decided, then at sigma doubled; and the one Lanczos
+    request (k, shift) they size."""
 
     @staticmethod
-    def _request(eigs, sigma):
-        lifting = _ScriptedLifting(eigs)
-        return sdp_module._counted_request(lifting, None, sigma), lifting.sigmas
+    def _request(monkeypatch, eigs, sigma, pairs=None):
+        """``(requests, sigmas)`` of one call on Diag(eigs) under
+        :class:`_ScriptedLifting`'s counts, with a raised failure's type for
+        the requests; the Lanczos run returns Diag(eigs)'s pairs."""
+        lifting, requests = _ScriptedLifting(eigs), []
 
-    def test_an_undecided_count_gives_neither(self):
-        assert self._request(None, 2.0) == ((None, THRESHOLDS[-1], None),
-                                            THRESHOLDS)
+        def lanczos(op, k, seed, shift=None):
+            requests.append((k, shift))
+            return np.array(eigs[:k]), np.eye(op.n)[:, :k]
 
-    def test_a_zero_sigma_gives_the_count_alone(self):
-        assert self._request([3.0, 1.0, -1.0], 0.0) == ((2, EIG_TOL, None),
-                                                        [EIG_TOL])
+        monkeypatch.setattr(eig_module, "leading_eigpairs", lanczos)
+        n = 60 if eigs is None else len(eigs)
+        try:
+            leading_psd_part(SymmetricOperator(n, _refuse_matvec), n,
+                             functools.partial(lifting.shifted_inverse, None),
+                             pairs=pairs, sigma=sigma)
+        except EigenCountUndecided as exc:
+            return type(exc), lifting.sigmas
+        return requests, lifting.sigmas
 
-    def test_a_zero_count_gives_no_shift(self):
-        assert self._request([-1.0, -2.0], 2.0) == ((0, EIG_TOL, None), [EIG_TOL])
+    def test_an_undecided_count_gives_neither(self, monkeypatch):
+        assert self._request(monkeypatch, None, 2.0) == (EigenCountUndecided,
+                                                         THRESHOLDS)
 
-    def test_a_sigma_below_the_spectrum_doubles(self):
-        assert self._request([5.0, 1.0, -1.0], 0.75) == (
-            (2, EIG_TOL, (6.0, "solve at 6.0")), [EIG_TOL, 0.75, 1.5, 3.0, 6.0])
+    def test_a_zero_sigma_gives_the_count_alone(self, monkeypatch):
+        assert self._request(monkeypatch, [3.0, 1.0, -1.0], 0.0) == (
+            [(2, None)], [EIG_TOL])
+
+    def test_a_zero_count_gives_no_shift(self, monkeypatch):
+        assert self._request(monkeypatch, [-1.0, -2.0], 2.0) == ([], [EIG_TOL])
+
+    def test_a_sigma_below_the_spectrum_doubles(self, monkeypatch):
+        assert self._request(monkeypatch, [5.0, 1.0, -1.0], 0.75) == (
+            [(2, (6.0, "solve at 6.0"))], [EIG_TOL, 0.75, 1.5, 3.0, 6.0])
 
     @pytest.mark.parametrize("eigs, sigmas", [
         ([100.0, -1.0], [1.0, 2.0, 4.0, 8.0, 16.0]), ([4.0, -1.0], [1.0, 2.0, 4.0])],
         ids=["stays-below", "undecided"])
-    def test_a_sigma_never_proven_gives_no_shift(self, eigs, sigmas):
-        assert self._request(eigs, 1.0) == ((1, EIG_TOL, None), [EIG_TOL] + sigmas)
+    def test_a_sigma_never_proven_gives_no_shift(self, monkeypatch, eigs, sigmas):
+        assert self._request(monkeypatch, eigs, 1.0) == ([(1, None)],
+                                                         [EIG_TOL] + sigmas)
 
     # an eigenvalue at EIG_TOL leaves that count undecided, so the count is
     # made at 4 EIG_TOL, or at 16 EIG_TOL past one at 4 EIG_TOL too, before
@@ -528,10 +561,10 @@ class TestCountedRequestHelper:
     @pytest.mark.parametrize("eigs, decided", [
         ([3.0, EIG_TOL, -1.0], 1), ([3.0, 4 * EIG_TOL, EIG_TOL, -1.0], 2)],
         ids=["at-4", "at-16"])
-    def test_an_undecided_count_is_retried_above_eig_tol(self, eigs, decided):
-        assert self._request(eigs, 2.0) == (
-            (1, THRESHOLDS[decided], (4.0, "solve at 4.0")),
-            THRESHOLDS[:decided + 1] + [2.0, 4.0])
+    def test_an_undecided_count_is_retried_above_eig_tol(self, monkeypatch, eigs,
+                                                         decided):
+        assert self._request(monkeypatch, eigs, 2.0) == (
+            [(1, (4.0, "solve at 4.0"))], THRESHOLDS[:decided + 1] + [2.0, 4.0])
 
     # decided at 16 EIG_TOL only, the count certifies the factor only where
     # its keep threshold EIG_TOL max(lambda_1, 1) reaches 16 EIG_TOL
@@ -541,27 +574,29 @@ class TestCountedRequestHelper:
         eigs = np.concatenate([[top, 2.0, 4 * EIG_TOL, EIG_TOL],
                                -np.linspace(0.5, 3.0, 56)])
         lifting = _ScriptedLifting(eigs)
-        count, tau, shift = sdp_module._counted_request(lifting, None, 0.0)
-        assert (count, tau, shift) == (2, THRESHOLDS[-1], None)
+        factor = leading_psd_part(SymmetricOperator(60, lambda d: eigs * d), 40,
+                                  functools.partial(lifting.shifted_inverse, None),
+                                  seed=3)
         assert lifting.sigmas == THRESHOLDS
-        factor = leading_psd_part(SymmetricOperator(60, lambda d: eigs * d),
-                                  40, count=count, seed=3, tau=tau)
         assert factor.truncated == truncated
         np.testing.assert_allclose(factor.values, eigs[:2], rtol=1e-10)
 
     # the start's pairs [3, 1, 0] are counted at tau = -1e-6 * 3 first; a
-    # count other than their 3 there falls back to the thresholds' counts
-    @pytest.mark.parametrize("eigs, counted, fallback", [
-        ([3.0, 1.0, 0.0, -1.0], (2, EIG_TOL, None), []),
-        ([5.0, 3.0, 1.0, 0.0, -1.0], (3, EIG_TOL, None), [EIG_TOL]),
-        ([3.0, 1.0, 0.0, 0.0, 0.0, -1.0], (2, EIG_TOL, None), [EIG_TOL]),
-        (None, (None, THRESHOLDS[-1], None), THRESHOLDS)],
+    # count other than their 3 there falls back to the thresholds' counts,
+    # under which the pairs stand in for the run only if they hold them
+    @pytest.mark.parametrize("eigs, requests, fallback", [
+        ([3.0, 1.0, 0.0, -1.0], [], []),
+        ([5.0, 3.0, 1.0, 0.0, -1.0], [(3, None)], [EIG_TOL]),
+        ([3.0, 1.0, 0.0, 0.0, 0.0, -1.0], [], [EIG_TOL]),
+        (None, EigenCountUndecided, THRESHOLDS)],
         ids=["certified", "missing-a-pair", "null-space", "undecided"])
-    def test_start_pairs_are_counted_below_zero(self, eigs, counted, fallback):
-        lifting = _ScriptedLifting(eigs)
-        pairs = np.array([3.0, 1.0, 0.0]), np.eye(3)
-        assert sdp_module._counted_request(lifting, None, 0.0, pairs) == counted
-        assert lifting.sigmas == pytest.approx([-3e-6] + fallback)
+    def test_start_pairs_are_counted_below_zero(self, monkeypatch, eigs, requests,
+                                                fallback):
+        n = 60 if eigs is None else len(eigs)
+        pairs = np.array([3.0, 1.0, 0.0]), np.eye(n)[:, :3]
+        made, sigmas = self._request(monkeypatch, eigs, 0.0, pairs)
+        assert made == requests
+        assert sigmas == pytest.approx([-3e-6] + fallback)
 
 
 class TestPottsLayout:
@@ -704,7 +739,8 @@ class TestSpectralShift:
         u0, _ = spectral_shift_init(stub, r=2)
         np.testing.assert_allclose(-u0, 2.0 * stub.identity)
         # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]): positive rank 1
-        factor = leading_psd_part(stub.operator(u0), max_rank=3, count=1)
+        factor = leading_psd_part(stub.operator(u0), max_rank=3,
+                                  inertia=dense_inertia(np.diag([1.0, 0.0, -1.0])))
         assert factor.rank == 1
         assert factor.values[0] == pytest.approx(1.0)
 
@@ -832,11 +868,9 @@ def _assert_start_is_exact(sdp, r, seed):
     u0, pairs = spectral_shift_init(sdp, r, seed=seed)
     assert pairs[0].size == r and pairs[0][-1] == 0.0
     lifting = _RecordedCounts(sdp)
-    count, tau, shift = sdp_module._counted_request(lifting, sdp.assemble(u0),
-                                                    0.0, pairs)
-    assert count is not None and shift is None
-    factor = leading_psd_part(SymmetricOperator(sdp.n, refuse), sdp.n,
-                              count=count, pairs=pairs, tau=tau)
+    factor = leading_psd_part(
+        SymmetricOperator(sdp.n, refuse), sdp.n,
+        functools.partial(lifting.shifted_inverse, sdp.assemble(u0)), pairs=pairs)
     assert not factor.truncated
     vals, vecs = np.linalg.eigh(dense_sdp_pieces(sdp, u0)["C"])
     positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
@@ -885,6 +919,14 @@ class TestLbfgsAscent:
         step = opt.step()
         assert step.converged and not step.stalled
         np.testing.assert_array_equal(opt.u, np.zeros(3))
+
+    def test_a_line_search_that_never_ascends_stalls(self):
+        # a gradient of the wrong sign points every trial step downhill
+        opt = LbfgsAscent(lambda u: (-(u @ u), 2.0 * u, None), np.ones(3))
+        step = opt.step()
+        assert step.stalled and not step.converged and step.value == -3.0
+        np.testing.assert_array_equal(opt.u, np.ones(3))
+        assert opt.n_evals == 2 + MAX_HALVINGS
 
     def test_piecewise_quadratic_values_never_decrease(self, rng):
         q = 20
@@ -1279,15 +1321,50 @@ class TestLrSdcutSolve:
         assert [r.dual for r in first.trajectory] == \
             [r.dual for r in second.trajectory]
 
+    def test_a_stalled_line_search_is_a_typed_warning(self, monkeypatch):
+        # the negated gradient sends every trial of iteration 1 downhill
+        gradient = PottsSdp.dual_gradient
+        monkeypatch.setattr(PottsSdp, "dual_gradient",
+                            lambda self, u, psd: -gradient(self, u, psd))
+        report = lr_sdcut_solve(random_potts_problem(12, 2, seed=19), seed=1)
+        assert report.warnings == ["line search stalled at iteration 1"]
+        assert [rec.iteration for rec in report.trajectory] == [0]
+        assert report.extras["dual_evals"] == 2 + MAX_HALVINGS
+        assert report.lower_bound == report.trajectory[0].dual
+
+    def test_a_gradient_below_step_tol_ends_the_solve(self, monkeypatch):
+        monkeypatch.setattr(PottsSdp, "dual_gradient",
+                            lambda self, u, psd: np.full(self.q, 0.5 * STEP_TOL))
+        report = lr_sdcut_solve(random_potts_problem(12, 2, seed=19), seed=1)
+        assert report.warnings == [] and report.extras["dual_evals"] == 1
+        assert [rec.iteration for rec in report.trajectory] == [0]
+
+    def test_a_small_relative_improvement_ends_the_solve(self):
+        # the first iteration k >= 2 whose relative improvement is below every
+        # earlier one; tau between them ends the solve at k, unchanged to k
+        problem = random_potts_problem(30, 2, seed=5)
+        full = lr_sdcut_solve(problem, seed=1, tau=0.0)
+        duals = [rec.dual - full.extras["offset"] for rec in full.trajectory]
+        gains = [(b - a) / max(abs(a), abs(b), 1.0) for a, b in zip(duals, duals[1:])]
+        k = next(k for k in range(2, len(gains))
+                 if gains[k - 1] < 0.5 * min(gains[:k - 1]))
+        tau = 0.5 * (gains[k - 1] + min(gains[:k - 1]))
+        cut = lr_sdcut_solve(problem, seed=1, tau=tau)
+        assert [rec.iteration for rec in cut.trajectory] == list(range(k + 1))
+        assert [rec.dual for rec in cut.trajectory] == \
+            [rec.dual for rec in full.trajectory[:k + 1]]
+        assert len(full.trajectory) > k + 1
+
 
 def _record_psd_calls(monkeypatch):
     """Wrap the solver's positive-part call; returns the list it fills with
-    ``(op, max_rank, count, factor)`` per dual evaluation."""
+    ``(op, max_rank, inertia, factor)`` per dual evaluation (no inertia for
+    a trial that the pinching bound rejected)."""
     calls = []
 
     def recording(op, max_rank, **kwargs):
         factor = leading_psd_part(op, max_rank, **kwargs)
-        calls.append((op, max_rank, kwargs["count"], factor))
+        calls.append((op, max_rank, kwargs["inertia"], factor))
         return factor
 
     monkeypatch.setattr(sdp_module, "leading_psd_part", recording)
@@ -1358,8 +1435,8 @@ class TestLanczosRequests:
         # at most one Lanczos run, or is a trial that the pinching bound
         # rejects with neither a count nor a run
         assert runs.count(0) == 0
-        for index, (op, _, count, factor) in enumerate(calls[1:], start=1):
-            if count is None:
+        for index, (op, _, inertia, factor) in enumerate(calls[1:], start=1):
+            if inertia is None:
                 assert factor.truncated and factor.rank == 0
                 assert runs.count(index) == 0
                 continue
@@ -1406,13 +1483,28 @@ class TestLanczosRequests:
 
 
 class TestCountedRequests:
+    # shift-invert runs that need up to 127 Lanczos steps past the request;
+    # at a step cap of k + 110 this solve warned of an eigensolver stall
+    def test_general_runs_at_n_200_stay_within_the_step_cap(self):
+        report = lr_sdcut_solve(random_general_problem(200, 2, seed=2), seed=1)
+        assert not [w for w in report.warnings if "stall" in w]
+        assert report.lower_bound <= report.best_energy
+
     def test_requests_are_the_counted_size(self, monkeypatch):
         problem = build_problem(gen_grid(30, 30, 2, seed=5))
-        calls = []  # (count, rank cap, Lanczos requests, factor) per evaluation
+        # (counts, rank cap, Lanczos requests, factor) per evaluation, the
+        # counts as (sigma, count) in the order they are made
+        calls = []
 
-        def psd(op, max_rank, **kwargs):
-            calls.append((kwargs["count"], max_rank, []))
-            factor = leading_psd_part(op, max_rank, **kwargs)
+        def psd(op, max_rank, inertia, **kwargs):
+            counts = []
+
+            def recorded(sigma):
+                counted = inertia(sigma)
+                counts.append((sigma, counted and counted[0]))
+                return counted
+            calls.append((counts, max_rank, []))
+            factor = leading_psd_part(op, max_rank, inertia and recorded, **kwargs)
             calls[-1] += (factor,)
             return factor
 
@@ -1426,15 +1518,16 @@ class TestCountedRequests:
         # C(u0) has an eigenvalue at zero by construction, so the start is
         # counted once, just below it, which proves the start's own pairs
         # (exact here, from the dense Potts start) complete without a run
-        sdp = make_sdp(problem, 1000.0)
-        u0, pairs = spectral_shift_init(sdp, 20)
-        lifting = _RecordedCounts(sdp)
-        start = sdp_module._counted_request(lifting, sdp.assemble(u0), 0.0, pairs)
-        assert len(lifting.sigmas) == 1 and lifting.sigmas[0] < 0.0
-        assert calls[0][0] == start[0] == np.count_nonzero(pairs[0] > EIG_TOL)
-        assert calls[0][2] == [] and not calls[0][3].truncated
-        assert all(count is not None for count, _, _, _ in calls)
-        for count, cap, requests, factor in calls[1:]:
+        _, pairs = spectral_shift_init(make_sdp(problem, 1000.0), 20)
+        [(sigma, count)], _, requests, factor = calls[0]
+        assert sigma < 0.0 and count == pairs[0].size
+        assert requests == [] and not factor.truncated
+        assert factor.rank == np.count_nonzero(pairs[0] > EIG_TOL)
+        for counts, cap, requests, factor in calls[1:]:
+            # the count at the first threshold that decides it
+            count = next((c for sigma, c in counts
+                          if sigma in THRESHOLDS and c is not None), None)
+            assert count is not None
             if count == 0:
                 assert requests == [] and factor.rank == 0
                 continue
