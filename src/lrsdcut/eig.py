@@ -12,18 +12,18 @@ steps past the request.  Both stop at one tolerance (``EIG_TOL``, also
 the positivity threshold) and draw their random vectors from a seeded
 generator (plain runs where eigsh takes ``rng``); a dense fallback serves
 operators too small for ARPACK.  A positive part takes at most one
-Lanczos request, which inertia counts (Parlett's spectrum slicing) size
-and prove complete.  :func:`leading_psd_part` makes every count of it
-through the caller's ``inertia`` callable, and its docstring sets out
-the one count policy: the thresholds, the count of pairs in hand, the
-shift and the rules that keep, contradict or truncate a factor.  The
-operator is a ``LinearOperator``; a failed proof raises an
-:class:`EigenFailure`, whose ``code`` is the stable prefix of the
-warning a solve records for it.
+Lanczos request, which one inertia count at ``EIG_TOL`` (Parlett's
+spectrum slicing) sizes and proves complete.  :func:`leading_psd_part`
+makes every count of it through the caller's ``inertia`` callable, and
+its docstring sets out the one count policy: the count, the pairs in
+hand it proves, the shift and the rules that keep, contradict or
+truncate a factor.  The operator is a ``LinearOperator``; a failed
+proof raises an :class:`EigenFailure`, whose ``code`` is the stable
+prefix of the warning a solve records for it.
 """
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstev
@@ -38,9 +38,6 @@ _SEEDED_RESTARTS = "rng" in inspect.signature(eigsh).parameters
 
 # ARPACK's convergence tolerance and the positivity threshold of a positive part
 EIG_TOL = 1e-8
-# a positive part's count is made at each in turn until one decides it (one
-# above EIG_TOL certifies less; see leading_psd_part)
-COUNT_THRESHOLDS = (EIG_TOL, 4.0 * EIG_TOL, 16.0 * EIG_TOL)
 # ARPACK restarts before a plain Lanczos run counts as stalled (shift-invert
 # runs never restart)
 EIG_RESTARTS = 50
@@ -245,26 +242,19 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     t is undecided.  The count policy, the one proof that the factor is
     complete:
 
-    1. ``pairs``, leading eigenpairs ``(values, vectors)`` of op already in
-       hand (values descending, for instance a dual start's), are counted
-       just below zero, at t = -1e-6 max(|v_1|, 1).  A count of len(values)
-       there proves every eigenvalue above t in hand, so p is the number of
-       values above tau = ``EIG_TOL``; any other count falls back to 2.
-    2. Otherwise p is counted at each of ``COUNT_THRESHOLDS`` in turn, tau
-       being the first that decides it.  None deciding is
+    1. p is counted once, at t = ``EIG_TOL``.  An undecided count is
        :class:`EigenCountUndecided`, with no Lanczos run.
-    3. p sizes the one request, min(p, max_rank) pairs (none for p = 0).
-       The pairs in hand stand in for it when their p-th value is above
-       tau.  Otherwise one Lanczos run makes it: in shift-invert mode at
-       the first of sigma, 2 sigma, ..., 16 sigma whose count is 0 (none
-       tried for sigma = 0, and none after an undecided one), else on op's
-       matvecs.
-    4. A last Ritz value at or below tau contradicts the count and raises
-       :class:`EigenCountMismatch`.  The factor is truncated when p exceeds
-       the rank cap, or when tau exceeds the keep threshold
-       ``EIG_TOL * max(lambda_1, 1)`` (a count at tau misses the
-       eigenvalues in (``EIG_TOL``, tau], which only a keep threshold of at
-       least tau drops anyway).
+    2. p sizes the one request, min(p, max_rank) pairs (none for p = 0).
+       ``pairs``, leading eigenpairs ``(values, vectors)`` of op already in
+       hand (values descending, for instance a dual start's), stand in for
+       it when their p-th value is above ``EIG_TOL``: p orthonormal
+       eigenpairs above t are all that the count found.  Otherwise one
+       Lanczos run makes it: in shift-invert mode at the first of sigma,
+       2 sigma, ..., 16 sigma whose count is 0 (none tried for sigma = 0,
+       and none after an undecided one), else on op's matvecs.
+    3. A last Ritz value at or below ``EIG_TOL`` contradicts the count and
+       raises :class:`EigenCountMismatch`.  The factor is truncated when p
+       exceeds the rank cap.
 
     ``inertia=None`` marks an operator the caller has already rejected (by
     a lower bound on ``||op_+||_F^2``, say): the call returns a rank-0
@@ -278,22 +268,15 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     empty = PsdFactor(np.zeros((n, 0)), np.zeros(0), truncated=True)
     if inertia is None:
         return empty
-    counted = pairs is not None and inertia(-1e-6 * max(abs(pairs[0][0]), 1.0))
-    if counted and counted[0] == pairs[0].size:
-        count, tau = int(np.count_nonzero(pairs[0] > EIG_TOL)), EIG_TOL
-    else:
-        for tau in COUNT_THRESHOLDS:
-            counted = inertia(tau)
-            if counted is not None:
-                break
-        else:
-            raise EigenCountUndecided(
-                f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
-                "factor left empty and marked truncated", empty)
-        count = counted[0]
+    counted = inertia(EIG_TOL)
+    if counted is None:
+        raise EigenCountUndecided(
+            f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
+            "factor left empty and marked truncated", empty)
+    count = counted[0]
     if count == 0:
-        return replace(empty, truncated=tau > EIG_TOL)
-    if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > tau:
+        return PsdFactor(empty.vectors, empty.values)
+    if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > EIG_TOL:
         vals, vecs = pairs[0][:count], pairs[1][:, :count]
     else:
         shift = None
@@ -303,14 +286,12 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
                 shift = counted and (sigma, counted[1])
                 break
         vals, vecs = leading_eigpairs(op, min(count, max_rank), seed=seed, shift=shift)
-    scale = EIG_TOL * max(np.abs(vals).max(), 1.0)
-    keep = vals > scale
-    if vals[-1] <= tau:
+    keep = vals > EIG_TOL * max(np.abs(vals).max(), 1.0)
+    if vals[-1] <= EIG_TOL:
         raise EigenCountMismatch(
-            f"{count} eigenvalues above {tau:g} counted, but Ritz value "
+            f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz value "
             f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor marked "
             "truncated", PsdFactor(vecs[:, keep], vals[keep], truncated=True))
-    truncated = (vals.size < count or np.count_nonzero(keep) > max_rank
-                 or tau > scale)
+    truncated = vals.size < count or np.count_nonzero(keep) > max_rank
     return PsdFactor(vecs[:, keep][:, :max_rank], vals[keep][:max_rank],
                      truncated=bool(truncated))

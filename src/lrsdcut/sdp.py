@@ -22,13 +22,14 @@ policy its docstring sets out.  The same blocks give a
 cheap lower bound on ||C(u)_+||_F^2 (the pinching inequality over C(u)'s
 diagonal blocks), which values an overshooting line-search trial at -inf,
 below any iterate, before any inertia count or Lanczos run.
-The solver starts at a dual point where C(u) = -A + nu I has low
-positive rank (the eigenpairs of -A that give nu, exact from a dense
-problem of dimension at most 2L + R for Potts with unblocked low-rank
-kernels only, give its positive part, which an inertia count just below
-zero proves complete), ascends the dual with limited-memory BFGS, rounds
-the implicit primal matrix ``Y = gamma (C(u))_+`` to a feasible labeling
-at every iteration (for Potts the row argmax of Y's variable-by-label
+The solver starts at a dual point where C(u) = -A - nu I has low
+positive rank, nu a hair past -A's r-th eigenvalue (the eigenpairs of
+-A that give nu, exact from a dense problem of dimension at most 2L + R
+for Potts with unblocked low-rank kernels only, give its positive part,
+which the one count at EIG_TOL proves complete, as at every later
+point), ascends the dual with limited-memory BFGS, rounds the implicit
+primal matrix ``Y = gamma (C(u))_+`` to a feasible labeling at every
+iteration (for Potts the row argmax of Y's variable-by-label
 block, the relaxed X; for the general lifting the best of ``n_samples``
 Gaussian samples of N(0, Y), and the row argmax of diag(Y)), polishes it
 with parallel ICM sweeps, keeps the best, and stops early once the
@@ -605,30 +606,31 @@ def _low_rank_start_pairs(sdp, r):
 
 
 def spectral_shift_init(sdp, r, seed=0):
-    """Dual start u0 with rank((C(u0))_+) <= r, and C(u0)'s leading
+    """Dual start u0 with rank((C(u0))_+) <= r - 1, and C(u0)'s leading
     eigenpairs.
 
-    Returns ``(u0, pairs)`` with ``u0 = -nu * sdp.identity``, for which
-    C(u0) = -A + nu I because the identity-weighted constraint matrices
-    sum to I.  Its positive eigenvalues correspond to eigenvalues of A
-    strictly below nu; choosing nu as the r-th smallest eigenvalue of A,
-    from C(0) = -A's r leading eigenpairs, caps the initial positive rank
-    at r (exactly r - 1 for a simple spectrum).  For a Potts lifting with
-    unblocked low-rank kernels only those pairs are exact, from a dense problem of
-    dimension at most 2L + R, whenever C(0) has r positive eigenvalues;
-    otherwise a Lanczos run on C(0) started from ``seed`` finds them
-    (``seed`` feeds only that run).  The same pairs give C(u0)'s r leading
-    eigenpairs, ``pairs = (values - values[r - 1], vectors)``, whose last
-    value is exactly 0; an inertia count just below 0 proves them complete
-    (step 1 of :func:`~lrsdcut.eig.leading_psd_part`'s count policy), so
-    they stand in for a Lanczos run on C(u0).
+    Returns ``(u0, pairs)`` with ``u0 = nu * sdp.identity``, for which
+    C(u0) = C(0) - nu I because the identity-weighted constraint matrices
+    sum to I.  Its positive eigenvalues are those of C(0) = -A above nu;
+    placing nu a hair past C(0)'s r-th eigenvalue v_r, at
+    ``nu = v_r + 1e-6 max(|v_1|, 1)``, caps the initial positive rank at
+    r - 1.  For a Potts lifting with unblocked low-rank kernels only C(0)'s
+    r leading eigenpairs are exact, from a dense problem of dimension at
+    most 2L + R, whenever C(0) has r positive eigenvalues; otherwise a
+    Lanczos run on C(0) started from ``seed`` finds them (``seed`` feeds
+    only that run).  The same pairs give C(u0)'s r leading eigenpairs,
+    ``pairs = (values - nu, vectors)``, whose last value is -1e-6
+    max(|v_1|, 1), well clear of the count at ``EIG_TOL``; that count proves
+    them complete (step 2 of :func:`~lrsdcut.eig.leading_psd_part`'s count
+    policy), so they stand in for a Lanczos run on C(u0).
     The start's dual value is then a valid bound like any other.
     """
     if not 1 <= r <= sdp.n:
         raise ValueError(f"need 1 <= r <= {sdp.n}, got {r}")
     vals, vecs = (_low_rank_start_pairs(sdp, r)
                   or leading_eigpairs(sdp.operator(np.zeros(sdp.q)), r, seed=seed))
-    return vals[r - 1] * sdp.identity, (vals - vals[r - 1], vecs)
+    nu = vals[r - 1] + 1e-6 * max(abs(vals[0]), 1.0)
+    return nu * sdp.identity, (vals - nu, vecs)
 
 
 @dataclass

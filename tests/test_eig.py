@@ -6,8 +6,7 @@ from scipy.sparse.linalg import eigsh
 
 from conftest import dense_inertia, reconstruct
 from lrsdcut import eig as eig_module
-from lrsdcut.eig import (COUNT_THRESHOLDS, EIG_TOL, EigenConvergenceError,
-                         EigenCountMismatch, EigenCountUndecided, PsdFactor,
+from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, EigenCountMismatch, EigenCountUndecided, PsdFactor,
                          SymmetricOperator, leading_eigpairs, leading_psd_part)
 
 
@@ -20,10 +19,10 @@ def dense_positive_part(matrix):
     return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
-def stated(count, at=COUNT_THRESHOLDS):
-    """An ``inertia`` that states ``count`` eigenvalues above every t in
-    ``at``, true or not, with no solve, and is undecided elsewhere."""
-    return lambda t: (count, None) if t in at else None
+def stated(count):
+    """An ``inertia`` that states ``count`` eigenvalues above ``EIG_TOL``,
+    true or not, with no solve, and is undecided elsewhere."""
+    return lambda t: (count, None) if t == EIG_TOL else None
 
 
 def refuse(d):
@@ -108,13 +107,14 @@ class TestLeadingPsdPart:
         assert factor.frob_norm_sq() == 0.0
 
     def test_unrejected_call_leaves_lanczos_unchanged(self):
-        # the same count, decided at EIG_TOL or only at 4 EIG_TOL, makes the
-        # same Lanczos run
-        op = operator_from(np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
-                                                   -np.arange(1.0, 21.0)])))
+        # a real count, whose solve no shift uses without sigma, makes the
+        # same Lanczos run as the bare count
+        matrix = np.diag(np.concatenate([np.arange(20.0, 0.0, -1.0),
+                                         -np.arange(1.0, 21.0)]))
+        op = operator_from(matrix)
         plain = leading_psd_part(op, max_rank=40, seed=6, inertia=stated(20))
         kept = leading_psd_part(op, max_rank=40, seed=6,
-                                inertia=stated(20, at=[4 * EIG_TOL]))
+                                inertia=dense_inertia(matrix))
         assert kept.rank == 20 and not kept.truncated
         assert np.array_equal(kept.values, plain.values)
         assert np.array_equal(kept.vectors, plain.vectors)
@@ -192,41 +192,23 @@ class TestCountedRequests:
         with pytest.raises(EigenCountUndecided) as info:
             leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
                              inertia=undecided)
-        assert tried == list(COUNT_THRESHOLDS)
+        assert tried == [EIG_TOL]
         factor = info.value.factor
         assert factor.rank == 0 and factor.truncated
         assert factor.vectors.shape == (50, 0)
         assert str(info.value).startswith("no inertia count decided")
 
-    # a count decided only at tau = 16 EIG_TOL misses eigenvalues in
-    # (EIG_TOL, tau]; it proves the factor only when the keep threshold
-    # EIG_TOL max(lambda_1, 1) reaches tau: lambda_1 >= 16
-    @pytest.mark.parametrize("top, certified", [
-        (15.9, False), (16.1, True), (0.5, False)])
-    def test_a_count_above_eig_tol_certifies_from_the_keep_threshold(
-            self, top, certified):
-        diag = np.concatenate([[top, 0.25], -np.linspace(0.5, 3.0, 58)])
-        factor = leading_psd_part(operator_from(np.diag(diag)), max_rank=40,
-                                  seed=3, inertia=stated(2, at=[16 * EIG_TOL]))
-        assert factor.truncated == (not certified)
-        np.testing.assert_allclose(factor.values, diag[:2], rtol=1e-10)
-
-    def test_a_zero_count_above_eig_tol_is_truncated(self):
-        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=40, inertia=stated(0, at=[4 * EIG_TOL]))
-        assert factor.rank == 0 and factor.truncated
-
-    # a count of 2 above 16 EIG_TOL, where the second Ritz value is 5e-8:
-    # the run (or the pairs in hand) missed an eigenvalue above tau, though
-    # the value lies above EIG_TOL
+    # a count of 2 above EIG_TOL, where the second Ritz value is 5e-9: the
+    # run (or the pairs in hand) missed an eigenvalue above EIG_TOL, though
+    # the value it returned is positive
     @pytest.mark.parametrize("in_hand", [False, True])
     def test_ritz_values_are_compared_with_the_count_threshold(self, in_hand):
-        diag = np.concatenate([[20.0, 5e-8], -np.linspace(0.5, 3.0, 58)])
+        diag = np.concatenate([[20.0, 5e-9], -np.linspace(0.5, 3.0, 58)])
         pairs = (diag[:3].copy(), np.eye(60)[:, :3]) if in_hand else None
         with pytest.raises(EigenCountMismatch) as info:
             leading_psd_part(operator_from(np.diag(diag)), max_rank=40, seed=3,
-                             inertia=stated(2, at=[16 * EIG_TOL]), pairs=pairs)
-        assert "2 eigenvalues above 1.6e-07 counted" in str(info.value)
+                             inertia=stated(2), pairs=pairs)
+        assert "2 eigenvalues above 1e-08 counted" in str(info.value)
         assert info.value.factor.truncated
 
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
@@ -347,8 +329,8 @@ class TestPairsInHand:
         """The k leading eigenpairs of Diag(DIAG), exactly."""
         return cls.DIAG[:k].copy(), np.eye(cls.DIAG.size)[:, :k]
 
-    # pairs past the positive part are complete under the count: just
-    # below zero it finds 6, not 8, and at EIG_TOL the 6 the pairs hold
+    # pairs past the positive part are complete under the one count: at
+    # EIG_TOL it finds the 6 the pairs hold above it
     @pytest.mark.parametrize("count", [6])
     def test_complete_pairs_need_no_matvec(self, count):
         tried = []
@@ -360,10 +342,10 @@ class TestPairsInHand:
 
         factor = leading_psd_part(SymmetricOperator(60, refuse), max_rank=40,
                                   inertia=recorded, pairs=self.leading(8))
-        assert tried == [-count * 1e-6, EIG_TOL]
+        assert tried == [EIG_TOL]
         assert not factor.truncated
-        np.testing.assert_array_equal(factor.values, self.DIAG[:6])
-        np.testing.assert_array_equal(factor.vectors, np.eye(60)[:, :6])
+        np.testing.assert_array_equal(factor.values, self.DIAG[:count])
+        np.testing.assert_array_equal(factor.vectors, np.eye(60)[:, :count])
 
     @pytest.mark.parametrize("count", [6])
     def test_pairs_that_prove_nothing_leave_the_call_unchanged(self, count):

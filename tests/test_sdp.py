@@ -15,9 +15,9 @@ from conftest import (constraint_values, dense_inertia, exact_factor,
                       random_potts_problem, reconstruct)
 from lrsdcut.crf import (CrfProblem, build_problem, energy, energy_offset,
                          lifted_energy, to_indicator)
-from lrsdcut.eig import (COUNT_THRESHOLDS, EIG_TOL, EigenConvergenceError,
-                         EigenCountUndecided, PsdFactor, SymmetricOperator,
-                         leading_eigpairs, leading_psd_part)
+from lrsdcut.eig import (EIG_TOL, EigenConvergenceError, EigenCountUndecided,
+                         PsdFactor, SymmetricOperator, leading_eigpairs,
+                         leading_psd_part)
 from lrsdcut import eig as eig_module
 from lrsdcut import sdp as sdp_module
 from lrsdcut.generate import gen_clusters, gen_grid
@@ -502,15 +502,11 @@ class _ScriptedLifting:
         return np.count_nonzero(np.greater(self.eigs, sigma)), f"solve at {sigma}"
 
 
-THRESHOLDS = list(COUNT_THRESHOLDS)  # EIG_TOL, 4 and 16 EIG_TOL
-
-
-class TestCountedRequestHelper:
+class TestCountPolicy:
     """The counts that :func:`leading_psd_part` makes for one dual
-    evaluation through a lifting's shifted_inverse, in order: the start's
-    pairs at tau just below zero, then at EIG_TOL, 4 EIG_TOL and 16 EIG_TOL
-    until one is decided, then at sigma doubled; and the one Lanczos
-    request (k, shift) they size."""
+    evaluation through a lifting's shifted_inverse, in order: one at
+    EIG_TOL, then at sigma doubled; and the one Lanczos request (k, shift)
+    they size."""
 
     @staticmethod
     def _request(monkeypatch, eigs, sigma, pairs=None):
@@ -535,7 +531,7 @@ class TestCountedRequestHelper:
 
     def test_an_undecided_count_gives_neither(self, monkeypatch):
         assert self._request(monkeypatch, None, 2.0) == (EigenCountUndecided,
-                                                         THRESHOLDS)
+                                                         [EIG_TOL])
 
     def test_a_zero_sigma_gives_the_count_alone(self, monkeypatch):
         assert self._request(monkeypatch, [3.0, 1.0, -1.0], 0.0) == (
@@ -555,48 +551,21 @@ class TestCountedRequestHelper:
         assert self._request(monkeypatch, eigs, 1.0) == ([(1, None)],
                                                          [EIG_TOL] + sigmas)
 
-    # an eigenvalue at EIG_TOL leaves that count undecided, so the count is
-    # made at 4 EIG_TOL, or at 16 EIG_TOL past one at 4 EIG_TOL too, before
-    # sigma doubles
-    @pytest.mark.parametrize("eigs, decided", [
-        ([3.0, EIG_TOL, -1.0], 1), ([3.0, 4 * EIG_TOL, EIG_TOL, -1.0], 2)],
-        ids=["at-4", "at-16"])
-    def test_an_undecided_count_is_retried_above_eig_tol(self, monkeypatch, eigs,
-                                                         decided):
-        assert self._request(monkeypatch, eigs, 2.0) == (
-            [(1, (4.0, "solve at 4.0"))], THRESHOLDS[:decided + 1] + [2.0, 4.0])
-
-    # decided at 16 EIG_TOL only, the count certifies the factor only where
-    # its keep threshold EIG_TOL max(lambda_1, 1) reaches 16 EIG_TOL
-    @pytest.mark.parametrize("top, truncated", [(15.5, True), (16.5, False)])
-    def test_a_count_decided_at_16_eig_tol_certifies_from_lambda_1(
-            self, top, truncated):
-        eigs = np.concatenate([[top, 2.0, 4 * EIG_TOL, EIG_TOL],
-                               -np.linspace(0.5, 3.0, 56)])
-        lifting = _ScriptedLifting(eigs)
-        factor = leading_psd_part(SymmetricOperator(60, lambda d: eigs * d), 40,
-                                  functools.partial(lifting.shifted_inverse, None),
-                                  seed=3)
-        assert lifting.sigmas == THRESHOLDS
-        assert factor.truncated == truncated
-        np.testing.assert_allclose(factor.values, eigs[:2], rtol=1e-10)
-
-    # the start's pairs [3, 1, 0] are counted at tau = -1e-6 * 3 first; a
-    # count other than their 3 there falls back to the thresholds' counts,
-    # under which the pairs stand in for the run only if they hold them
-    @pytest.mark.parametrize("eigs, requests, fallback", [
-        ([3.0, 1.0, 0.0, -1.0], [], []),
-        ([5.0, 3.0, 1.0, 0.0, -1.0], [(3, None)], [EIG_TOL]),
-        ([3.0, 1.0, 0.0, 0.0, 0.0, -1.0], [], [EIG_TOL]),
-        (None, EigenCountUndecided, THRESHOLDS)],
+    # a start's pairs [3, 1, -3e-6] end a hair below zero, so the one count
+    # at EIG_TOL decides them: they stand in for the run only if they hold
+    # all it finds, and a count that misses the start is undecided
+    @pytest.mark.parametrize("eigs, requests", [
+        ([3.0, 1.0, -3e-6, -1.0], []),
+        ([5.0, 3.0, 1.0, -3e-6, -1.0], [(3, None)]),
+        ([3.0, 1.0, -3e-6, -3e-6, -3e-6, -1.0], []),
+        (None, EigenCountUndecided)],
         ids=["certified", "missing-a-pair", "null-space", "undecided"])
-    def test_start_pairs_are_counted_below_zero(self, monkeypatch, eigs, requests,
-                                                fallback):
+    def test_start_pairs_are_proven_by_the_count_at_eig_tol(
+            self, monkeypatch, eigs, requests):
         n = 60 if eigs is None else len(eigs)
-        pairs = np.array([3.0, 1.0, 0.0]), np.eye(n)[:, :3]
-        made, sigmas = self._request(monkeypatch, eigs, 0.0, pairs)
-        assert made == requests
-        assert sigmas == pytest.approx([-3e-6] + fallback)
+        pairs = np.array([3.0, 1.0, -3e-6]), np.eye(n)[:, :3]
+        assert self._request(monkeypatch, eigs, 0.0, pairs) == (requests,
+                                                                [EIG_TOL])
 
 
 class TestPottsLayout:
@@ -736,13 +705,16 @@ class _DiagonalStub:
 class TestSpectralShift:
     def test_diagonal_example(self):
         stub = _DiagonalStub([1.0, 2.0, 3.0])
-        u0, _ = spectral_shift_init(stub, r=2)
-        np.testing.assert_allclose(-u0, 2.0 * stub.identity)
-        # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]): positive rank 1
+        u0, pairs = spectral_shift_init(stub, r=2)
+        # C(0)'s second eigenvalue is -2, so nu = -2 + 1e-6 max(|-1|, 1)
+        np.testing.assert_allclose(u0, (-2.0 + 1e-6) * stub.identity, rtol=1e-15)
+        np.testing.assert_allclose(pairs[0], [1.0 - 1e-6, -1e-6], rtol=1e-9)
+        # C(u0) = -A - Diag(u0) = Diag([1, 0, -1]) - 1e-6 I: positive rank 1
+        c_u0 = np.diag([1.0, 0.0, -1.0]) - 1e-6 * np.eye(3)
         factor = leading_psd_part(stub.operator(u0), max_rank=3,
-                                  inertia=dense_inertia(np.diag([1.0, 0.0, -1.0])))
+                                  inertia=dense_inertia(c_u0))
         assert factor.rank == 1
-        assert factor.values[0] == pytest.approx(1.0)
+        assert factor.values[0] == pytest.approx(1.0 - 1e-6)
 
     def test_r_equal_one_empties_initial_positive_part(self):
         sdp = make_sdp(random_potts_problem(6, 2, seed=10), gamma=10.0)
@@ -756,7 +728,7 @@ class TestSpectralShift:
         pieces = dense_sdp_pieces(sdp, u0)
         vals = np.linalg.eigvalsh(pieces["C"])
         measured = int(np.sum(vals > 1e-10))
-        assert measured in (4, 5)
+        assert measured == 4
 
     def test_bad_r_rejected(self):
         sdp = make_sdp(random_potts_problem(3, 2, seed=12), gamma=10.0)
@@ -770,10 +742,8 @@ class TestSpectralShift:
             sdp = make_sdp(make(10, 3, seed=seed), gamma=100.0)
             for r in (1, 4, 9):
                 # a Potts C(0) of kernel rank 3 has L + 3 = 6 positive
-                # eigenvalues, so r = 9 reaches its null space at zero,
-                # which the count below zero takes in: it falls back
-                fallback = make is random_potts_problem and r == 9
-                assert len(_assert_start_is_exact(sdp, r, seed)) == 1 + fallback
+                # eigenvalues, so r = 9 reaches its null space at zero
+                _assert_start_is_exact(sdp, r, seed)
 
     @pytest.mark.parametrize("make", [
         random_potts_problem, _two_kernel_potts,
@@ -789,7 +759,7 @@ class TestSpectralShift:
             # C(0) = B S B' with S congruent to blockdiag([[0, I], [I, 0]], I_R)
             assert p0 == n_labels + sdp._count_factor.shape[1]
             for r in (1, 4, p0 - 1, p0):
-                assert len(_assert_start_is_exact(sdp, r, seed)) == 1
+                _assert_start_is_exact(sdp, r, seed)
 
     def test_other_starts_run_lanczos(self, monkeypatch):
         calls = []
@@ -806,11 +776,10 @@ class TestSpectralShift:
             mixed = make_sdp(mixed_kernel_problem(12, 3, seed=seed), gamma=100.0)
             blocked = make_sdp(_one_kernel_problem(12, 3, seed, "blocked", False),
                                gamma=100.0)
-            # (r past the positive count reaches C(0)'s null space at zero,
-            # and the count below zero falls back)
-            for sdp, r, counts in ((potts, _start_positive_count(potts) + 1, 2),
-                                   (mixed, 4, 1), (blocked, 4, 1)):
-                assert len(_assert_start_is_exact(sdp, r, seed)) == counts
+            # (r past the positive count reaches C(0)'s null space at zero)
+            for sdp, r in ((potts, _start_positive_count(potts) + 1),
+                           (mixed, 4), (blocked, 4)):
+                _assert_start_is_exact(sdp, r, seed)
                 assert calls == [r]
                 calls.clear()
 
@@ -826,15 +795,15 @@ class TestSpectralShift:
         p0 = _start_positive_count(sdp)
         assert p0 < 3 + phi.shape[1]
         for r in (1, p0 - 1, p0):
-            assert len(_assert_start_is_exact(sdp, r, seed=0)) == 1
+            _assert_start_is_exact(sdp, r, seed=0)
 
-    def test_a_null_space_at_zero_falls_back_to_the_count_at_eig_tol(self):
+    def test_a_null_space_at_zero_is_certified_by_the_count_at_eig_tol(self):
         # kernel rank 3 caps C(0)'s rank at 2L + 3 = 7, below r = 20, so
-        # nu = 0 and C(u0) keeps C(0)'s null space: the count just below
-        # zero takes it in, and the count at EIG_TOL certifies the start
+        # C(0)'s r-th eigenvalue is 0 and C(u0) keeps C(0)'s null space, at
+        # -1e-6 max(|v_1|, 1): the count at EIG_TOL certifies the start
         for seed in range(3):
             sdp = make_sdp(random_potts_problem(60, 2, seed=seed), gamma=1000.0)
-            assert _assert_start_is_exact(sdp, 20, seed)[1:] == [EIG_TOL]
+            _assert_start_is_exact(sdp, 20, seed)
 
 
 def _refuse_lanczos(op, k, **kwargs):
@@ -859,14 +828,19 @@ class _RecordedCounts:
 
 
 def _assert_start_is_exact(sdp, r, seed):
-    """The start's pairs, under the count the solver certifies them with,
-    are the dense positive part of C(u0), to 1e-12; returns the sigmas
-    counted at: tau just below zero, then EIG_TOL if tau's count fell back."""
+    """The start's pairs end at -1e-6 max(|v_1|, 1), for C(0)'s leading
+    eigenvalue v_1, and under the one count at EIG_TOL that the solver
+    certifies them with they are the dense positive part of C(u0), to
+    1e-12."""
     def refuse(d):
         raise AssertionError("no matvec expected")
 
     u0, pairs = spectral_shift_init(sdp, r, seed=seed)
-    assert pairs[0].size == r and pairs[0][-1] == 0.0
+    nu = (u0 @ sdp.identity) / (sdp.identity @ sdp.identity)
+    np.testing.assert_allclose(u0, nu * sdp.identity, rtol=1e-15)
+    assert pairs[0].size == r
+    assert pairs[0][-1] == pytest.approx(
+        -1e-6 * max(abs(pairs[0][0] + nu), 1.0), rel=1e-8)
     lifting = _RecordedCounts(sdp)
     factor = leading_psd_part(
         SymmetricOperator(sdp.n, refuse), sdp.n,
@@ -876,9 +850,7 @@ def _assert_start_is_exact(sdp, r, seed):
     positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
     error = np.linalg.norm(reconstruct(factor) - positive)
     assert error <= 1e-12 * max(np.linalg.norm(positive), 1.0)
-    tau = -1e-6 * max(abs(pairs[0][0]), 1.0)
-    assert lifting.sigmas in ([tau], [tau, EIG_TOL])
-    return lifting.sigmas
+    assert lifting.sigmas == [EIG_TOL]
 
 
 class TestIdentityWeights:
@@ -1515,19 +1487,20 @@ class TestCountedRequests:
         monkeypatch.setattr(sdp_module, "leading_psd_part", psd)
         monkeypatch.setattr(eig_module, "leading_eigpairs", lanczos)
         lr_sdcut_solve(problem, seed=1)
-        # C(u0) has an eigenvalue at zero by construction, so the start is
-        # counted once, just below it, which proves the start's own pairs
-        # (exact here, from the dense Potts start) complete without a run
+        # C(u0)'s r-th eigenvalue lies a hair below zero by construction, so
+        # the start is counted once, at EIG_TOL, which proves the start's
+        # own pairs (exact here, from the dense Potts start) complete
+        # without a run
         _, pairs = spectral_shift_init(make_sdp(problem, 1000.0), 20)
         [(sigma, count)], _, requests, factor = calls[0]
-        assert sigma < 0.0 and count == pairs[0].size
+        assert sigma == EIG_TOL
+        assert count == factor.rank == np.count_nonzero(pairs[0] > EIG_TOL)
         assert requests == [] and not factor.truncated
-        assert factor.rank == np.count_nonzero(pairs[0] > EIG_TOL)
         for counts, cap, requests, factor in calls[1:]:
-            # the count at the first threshold that decides it
-            count = next((c for sigma, c in counts
-                          if sigma in THRESHOLDS and c is not None), None)
-            assert count is not None
+            # every evaluation is counted first, and once, at EIG_TOL
+            (sigma, count), *tries = counts
+            assert sigma == EIG_TOL and count is not None
+            assert all(sigma != EIG_TOL for sigma, _ in tries)
             if count == 0:
                 assert requests == [] and factor.rank == 0
                 continue
@@ -1565,6 +1538,29 @@ class TestCountedRequests:
         assert all(rec.truncated for rec in report.trajectory)
         assert report.lower_bound is None
 
+    def test_an_undecided_count_is_a_typed_warning(self, monkeypatch):
+        # the start's count is left undecided: iteration 0 makes no Lanczos
+        # run and has no bound, and every later evaluation is counted (at
+        # rank_init 1 C(u0) has no positive part, so the empty factor that
+        # an undecided count leaves values u0 right)
+        problem = random_potts_problem(30, 2, seed=23)
+        exact = PottsSdp.shifted_inverse
+        counted = []
+
+        def undecided_first(self, parts, sigma):
+            counted.append(sigma)
+            return None if len(counted) == 1 else exact(self, parts, sigma)
+
+        monkeypatch.setattr(PottsSdp, "shifted_inverse", undecided_first)
+        calls = TestStartCertificate.record_requests(monkeypatch)
+        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
+        assert [w.split(":")[0] for w in report.warnings] == ["undecided count"]
+        assert counted[0] == EIG_TOL and calls[0] == []
+        assert report.trajectory[0].truncated and report.trajectory[0].rank == 0
+        assert len(calls) == report.extras["dual_evals"] > 2
+        assert not any(rec.truncated for rec in report.trajectory[1:])
+        assert report.lower_bound <= report.best_energy
+
     def test_eigensolver_stall_is_a_typed_warning(self, monkeypatch):
         problem = random_potts_problem(30, 2, seed=23)
         exact = sdp_module.leading_psd_part
@@ -1590,49 +1586,19 @@ class TestCountedRequests:
 
 
 class TestStartCertificate:
-    """The start's pairs are proven complete by an inertia count, never by
-    their last value being 0: pairs that miss a leading eigenpair are
-    dropped for a counted Lanczos run, and a start whose count is undecided
-    at every threshold gives iteration 0 no bound."""
+    """The start's pairs are proven complete by the one inertia count at
+    EIG_TOL, which their last value, a hair below zero, never sits next to:
+    pairs that miss a leading eigenpair are dropped for a counted Lanczos
+    run, and every start is decided by that one count."""
 
-    # weight 30 leaves C(u0)'s count at EIG_TOL undecided here
+    # at weight 30 a start whose last value were exactly 0 would leave the
+    # count at EIG_TOL undecided here
     PROBLEM = dict(n=8, n_labels=2, seed=7, kernel_rank=2, weight=30.0)
 
-    def test_pairs_missing_a_leading_pair_are_truncated(self, monkeypatch):
-        # only the count just below zero can find the pairs incomplete
-        problem = random_potts_problem(**self.PROBLEM)
-        shift_init = sdp_module.spectral_shift_init
-
-        def missing_leading(sdp, r, seed=0):
-            # C(u0)'s r + 1 leading pairs but the first; the last value is 0
-            u0, (vals, vecs) = shift_init(sdp, r + 1, seed=seed)
-            return u0, (vals[1:], vecs[:, 1:])
-
-        monkeypatch.setattr(sdp_module, "spectral_shift_init", missing_leading)
-        sdp = make_sdp(problem, 1000.0)
-        u0, pairs = missing_leading(sdp, 1)
-        assert sdp.shifted_inverse(sdp.assemble(u0), EIG_TOL) is None
-        # accepted as complete, the pairs' empty positive part would value
-        # u0 above the optimum
-        _, optimum = brute_force_map(problem)
-        empty = PsdFactor(np.zeros((sdp.n, 0)), np.zeros(0))
-        assert sdp.dual_objective(u0, empty) + energy_offset(problem) > optimum
-        # the count at 4 EIG_TOL finds one eigenvalue, which the pairs'
-        # 0 does not prove, so a counted run of one pair certifies u0
-        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
-        assert not report.trajectory[0].truncated and not report.warnings
-        assert report.trajectory[0].dual == pytest.approx(-1.0751767590694e7,
-                                                          rel=1e-9)
-        assert report.lower_bound <= optimum + 1e-9
-        assert optimum <= report.best_energy + 1e-9
-
-    def test_a_count_undecided_at_every_threshold_is_a_typed_warning(
-            self, monkeypatch):
-        # at rank_init 1 the start's count is undecided just below zero and
-        # at EIG_TOL, 4 EIG_TOL and 16 EIG_TOL: iteration 0 makes no Lanczos
-        # run and has no bound, and the later evaluations are unchanged
-        problem = random_potts_problem(**self.PROBLEM)
-        calls = []  # the Lanczos requests of each positive-part call
+    @staticmethod
+    def record_requests(monkeypatch):
+        """The Lanczos requests of each positive-part call of a solve."""
+        calls = []
         psd, lanczos = leading_psd_part, eig_module.leading_eigpairs
 
         def recording_psd(*args, **kwargs):
@@ -1645,15 +1611,83 @@ class TestStartCertificate:
 
         monkeypatch.setattr(sdp_module, "leading_psd_part", recording_psd)
         monkeypatch.setattr(eig_module, "leading_eigpairs", recording_lanczos)
-        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
-        assert [w.split(":")[0] for w in report.warnings] == ["undecided count"]
-        assert calls[0] == [] and report.trajectory[0].truncated
-        assert len(calls) == report.extras["dual_evals"]
-        # the bound that the solve gave before undecided counts were retried
-        assert report.lower_bound == pytest.approx(-669.9480773640894, rel=1e-12)
+        return calls
 
-    # a centered kernel on an unblocked stack puts C(u0)'s start count on
-    # its cluster at c: undecided at EIG_TOL, decided above it
+    def test_pairs_missing_a_leading_pair_are_truncated(self, monkeypatch):
+        problem = random_potts_problem(**self.PROBLEM)
+        shift_init = sdp_module.spectral_shift_init
+
+        def missing_leading(sdp, r, seed=0):
+            # C(u0)'s r + 1 leading pairs but the first; the last value is
+            # a hair below zero
+            u0, (vals, vecs) = shift_init(sdp, r + 1, seed=seed)
+            return u0, (vals[1:], vecs[:, 1:])
+
+        monkeypatch.setattr(sdp_module, "spectral_shift_init", missing_leading)
+        calls = self.record_requests(monkeypatch)
+        sdp = make_sdp(problem, 1000.0)
+        u0, pairs = missing_leading(sdp, 1)
+        # accepted as complete, the pairs' empty positive part would value
+        # u0 above the optimum
+        _, optimum = brute_force_map(problem)
+        offset = energy_offset(problem)
+        empty = PsdFactor(np.zeros((sdp.n, 0)), np.zeros(0))
+        assert sdp.dual_objective(u0, empty) + offset > optimum
+        # the count at EIG_TOL finds one eigenvalue, which the pairs' last
+        # value does not prove, so a counted run of one pair certifies u0
+        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
+        assert calls[0] == [1]
+        assert not report.trajectory[0].truncated and not report.warnings
+        exact = sdp.dual_objective(u0, exact_factor(sdp, u0)) + offset
+        assert report.trajectory[0].dual == pytest.approx(exact, rel=1e-9)
+        assert report.lower_bound <= optimum + 1e-9
+        assert optimum <= report.best_energy + 1e-9
+
+    def test_a_weight_30_start_is_certified_by_one_count(self, monkeypatch):
+        # at rank_init 1 the start's one pair lies a hair below zero, so
+        # the one count at EIG_TOL finds C(u0) with no positive part, and
+        # iteration 0 is a bound with no Lanczos run
+        problem = random_potts_problem(**self.PROBLEM)
+        calls = self.record_requests(monkeypatch)
+        report = lr_sdcut_solve(problem, seed=1, rank_init=1)
+        assert not report.warnings and not report.trajectory[0].truncated
+        assert calls[0] == [] and report.trajectory[0].rank == 0
+        assert len(calls) == report.extras["dual_evals"]
+        _, optimum = brute_force_map(problem)
+        assert report.lower_bound == pytest.approx(-669.1496321242105, rel=1e-9)
+        assert report.lower_bound <= optimum + 1e-9
+        assert optimum <= report.best_energy + 1e-9
+
+    # every kernel form and lifting, at start ranks below, at and past the
+    # positive count of C(0)
+    @pytest.mark.parametrize("form, general", KERNEL_CASES, ids=KERNEL_CASE_IDS)
+    def test_every_start_is_decided_by_one_count(self, monkeypatch, form,
+                                                 general):
+        psd = sdp_module.leading_psd_part
+        counts = []  # the sigmas counted at, per positive-part call
+
+        def recording(op, max_rank, inertia, **kwargs):
+            counts.append([])
+
+            def recorded(sigma):
+                counts[-1].append(sigma)
+                return inertia(sigma)
+            return psd(op, max_rank, inertia and recorded, **kwargs)
+
+        monkeypatch.setattr(sdp_module, "leading_psd_part", recording)
+        for seed in range(3):
+            problem = _kernel_case(form, general, 12, 400 + seed)
+            for rank_init in (1, 3, 20):
+                counts.clear()
+                report = lr_sdcut_solve(problem, seed=seed, rank_init=rank_init)
+                assert counts[0] == [EIG_TOL]
+                assert not report.trajectory[0].truncated
+                assert not [w for w in report.warnings
+                            if w.startswith("undecided count")]
+
+    # a centered kernel on an unblocked stack puts the start on its cluster
+    # at c, where a start whose last value were exactly 0 would leave the
+    # count at EIG_TOL undecided
     @pytest.mark.parametrize("seed", range(4))
     def test_a_centered_start_is_certified_by_its_pairs(self, monkeypatch,
                                                         seed):
