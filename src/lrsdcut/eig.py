@@ -16,10 +16,10 @@ Lanczos request, which one inertia count at ``EIG_TOL`` (Parlett's
 spectrum slicing) sizes and proves complete.  :func:`leading_psd_part`
 makes every count of it through the caller's ``inertia`` callable, and
 its docstring sets out the one count policy: the count, the pairs in
-hand it proves, the shift and the rules that keep, contradict or
-truncate a factor.  The operator is a ``LinearOperator``; a failed
-proof raises an :class:`EigenFailure`, whose ``code`` is the stable
-prefix of the warning a solve records for it.
+hand it proves, the shift and the rules that contradict or truncate a
+factor.  The operator is a ``LinearOperator``; a failed proof raises an
+:class:`EigenFailure`, which carries no factor, and whose ``code`` is
+the stable prefix of the warning a solve records for it.
 """
 
 import inspect
@@ -65,10 +65,10 @@ class PsdFactor:
     ``vectors`` has orthonormal columns, ``values`` is strictly positive
     and descending; the represented matrix is
     ``vectors @ diag(values) @ vectors.T``.  ``truncated`` marks factors
-    whose positive spectrum may extend past the rank cap or an early stop,
-    in which case dual values derived from them are not certified lower
-    bounds.  Downstream code must depend only on the projector and the
-    eigenvalue multiset, never on single eigenvectors (clusters may rotate).
+    that may miss part of the positive spectrum (past the rank cap, or
+    unread); they give no dual value.  Downstream code must depend only on
+    the projector and the eigenvalue multiset, never on single eigenvectors
+    (clusters may rotate).
     """
 
     vectors: np.ndarray
@@ -84,12 +84,9 @@ class PsdFactor:
 
 
 class EigenFailure(RuntimeError):
-    """A positive part not proven complete; carries the best-effort
-    factor, marked truncated, and a class-level warning prefix ``code``."""
-
-    def __init__(self, message, factor):
-        super().__init__(message)
-        self.factor = factor
+    """A positive part not proven complete; carries no factor (an unproven
+    one has no dual value), only its message and a class-level warning
+    prefix ``code``."""
 
 
 class EigenConvergenceError(EigenFailure):
@@ -118,14 +115,12 @@ def _dense_spectrum(op):
     return vals[::-1].copy(), vecs[:, ::-1].copy()  # descending
 
 
-def _stalled(vals, vecs, k, after):
-    """:class:`EigenConvergenceError` carrying the positive pairs among the
-    converged ``(vals, vecs)``, descending, marked truncated."""
-    order = np.argsort(vals)[::-1]
-    pos = order[vals[order] > 0.0]
+def _stalled(converged, k, after):
+    """:class:`EigenConvergenceError` for a run that converged only
+    ``converged`` of its ``k`` pairs."""
     return EigenConvergenceError(
-        f"eigensolver converged to only {vals.size} of {k} requested pairs "
-        f"after {after}", PsdFactor(vecs[:, pos], vals[pos], truncated=True))
+        f"eigensolver converged to only {converged} of {k} requested pairs "
+        f"after {after}")
 
 
 def _shift_invert_lanczos(n, k, sigma, solve, rng, v):
@@ -173,10 +168,9 @@ def _shift_invert_lanczos(n, k, sigma, solve, rng, v):
             for _ in range(2):
                 w -= (basis[:s] @ w) @ basis[:s]
         basis[s] = w / np.linalg.norm(w)
-    vals, vecs = sigma + 1.0 / mu[:k], (y[:, :k].T @ basis[:s]).T
     if not good.all():
-        raise _stalled(vals[good], vecs[:, good], k, f"{m} Lanczos steps")
-    return vals, vecs
+        raise _stalled(np.count_nonzero(good), k, f"{m} Lanczos steps")
+    return sigma + 1.0 / mu[:k], (y[:, :k].T @ basis[:s]).T
 
 
 def leading_eigpairs(op, k, seed, shift=None):
@@ -224,17 +218,16 @@ def leading_eigpairs(op, k, seed, shift=None):
                            tol=EIG_TOL, maxiter=EIG_RESTARTS, which="LA",
                            **({"rng": rng} if _SEEDED_RESTARTS else {}))
     except ArpackNoConvergence as exc:
-        raise _stalled(np.asarray(exc.eigenvalues, dtype=np.float64),
-                       np.asarray(exc.eigenvectors, dtype=np.float64), k,
+        raise _stalled(len(exc.eigenvalues), k,
                        f"{EIG_RESTARTS} restarts") from exc
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
 
 def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
-    """All eigenpairs with eigenvalue above ``EIG_TOL * max(|lambda|, 1)``,
-    up to ``max_rank`` of them, as a :class:`PsdFactor`, from at most one
-    Lanczos run, proven complete by inertia counts made here.
+    """The leading min(p, ``max_rank``) eigenpairs of op, p the number of
+    its eigenvalues above ``EIG_TOL``, as a :class:`PsdFactor` from at most
+    one Lanczos run, proven by an inertia count made here.
 
     ``inertia(t)`` returns ``(p, solve)``: the exact number p of op's
     eigenvalues above t (Sylvester's law of inertia; Parlett's spectrum
@@ -253,14 +246,14 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
        2 sigma, ..., 16 sigma whose count is 0 (none tried for sigma = 0,
        and none after an undecided one), else on op's matvecs.
     3. A last Ritz value at or below ``EIG_TOL`` contradicts the count and
-       raises :class:`EigenCountMismatch`.  The factor is truncated when p
-       exceeds the rank cap.
+       raises :class:`EigenCountMismatch`.  Otherwise the factor holds the
+       requested pairs, column-major, truncated exactly when p > max_rank.
 
     ``inertia=None`` marks an operator the caller has already rejected (by
     a lower bound on ``||op_+||_F^2``, say): the call returns a rank-0
     factor marked truncated at once, with no count, Lanczos run or matvec.
-    Failures carry the factor in hand (empty for an undecided count),
-    marked truncated.
+    A failure returns no factor: a positive part its count does not prove
+    has no dual value.
     """
     n = op.n
     if not 1 <= max_rank <= n:
@@ -272,12 +265,13 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     if counted is None:
         raise EigenCountUndecided(
             f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
-            "factor left empty and marked truncated", empty)
+            "factor left empty and marked truncated")
     count = counted[0]
     if count == 0:
         return PsdFactor(empty.vectors, empty.values)
+    k = min(count, max_rank)
     if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > EIG_TOL:
-        vals, vecs = pairs[0][:count], pairs[1][:, :count]
+        vals, vecs = pairs[0][:k], pairs[1][:, :k]
     else:
         shift = None
         for sigma in sigma * 2.0 ** np.arange(5) if sigma else ():
@@ -285,13 +279,11 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
             if counted is None or counted[0] == 0:
                 shift = counted and (sigma, counted[1])
                 break
-        vals, vecs = leading_eigpairs(op, min(count, max_rank), seed=seed, shift=shift)
-    keep = vals > EIG_TOL * max(np.abs(vals).max(), 1.0)
+        vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
     if vals[-1] <= EIG_TOL:
         raise EigenCountMismatch(
             f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz value "
             f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor marked "
-            "truncated", PsdFactor(vecs[:, keep], vals[keep], truncated=True))
-    truncated = vals.size < count or np.count_nonzero(keep) > max_rank
-    return PsdFactor(vecs[:, keep][:, :max_rank], vals[keep][:max_rank],
-                     truncated=bool(truncated))
+            "truncated")
+    return PsdFactor(np.asfortranarray(vecs), vals,
+                     truncated=bool(count > max_rank))

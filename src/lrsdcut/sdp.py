@@ -33,8 +33,10 @@ iteration (for Potts the row argmax of Y's variable-by-label
 block, the relaxed X; for the general lifting the best of ``n_samples``
 Gaussian samples of N(0, Y), and the row argmax of diag(Y)), polishes it
 with parallel ICM sweeps, keeps the best, and stops early once the
-relative dual improvement falls below a threshold.  Any untruncated dual
-value is a certified lower bound on the optimal lifted energy.
+relative dual improvement falls below a threshold.  Only a factor that
+its count proves complete gives a dual value, a certified lower bound on
+the optimal lifted energy; any other evaluation is valued -inf, never
+accepted.
 
 Two liftings are supported: the compact (N+L)-dimensional one for Potts
 compatibility and the (N*L)-dimensional one for a general symmetric label
@@ -51,7 +53,8 @@ from scipy.linalg.lapack import dsytrf, dsytri, dsytrs
 
 from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
-from .eig import EigenFailure, SymmetricOperator, leading_eigpairs, leading_psd_part
+from .eig import (EigenFailure, PsdFactor, SymmetricOperator, leading_eigpairs,
+                  leading_psd_part)
 from .kernels import CenteredDiscriminativeKernel
 
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
@@ -256,9 +259,8 @@ class SdpLifting:
     def dual_objective(self, u, psd):
         """Dual value at u given the positive part of C(u) for that exact u.
 
-        The value is a lower bound on the optimal lifted energy whenever
-        the factor is untruncated (the ``truncated`` flag on the factor
-        marks the exceptions).
+        A lower bound on the optimal lifted energy for a factor that is not
+        truncated, the only kind the solver values.
         """
         return (-0.5 * self.gamma * psd.frob_norm_sq() - u @ self.b
                 - self.eta ** 2 / (2.0 * self.gamma))
@@ -328,8 +330,6 @@ class PottsSdp(SdpLifting):
         """
         L = self.n_labels
         lam = psd.values
-        if lam.size == 0:
-            return -self.b.copy()
         g_lab = psd.vectors[:L]
         g_var = psd.vectors[L:]
         inner_u1 = (g_lab ** 2) @ lam
@@ -480,8 +480,6 @@ class GeneralSdp(SdpLifting):
 
     def dual_gradient(self, u, psd):
         lam = psd.values
-        if lam.size == 0:
-            return -self.b.copy()
         g = psd.vectors.reshape(self.n_vars, self.n_labels, lam.size)
         inner_u1 = np.einsum("ilr,r->i", g ** 2, lam)
         block_gram = np.einsum("ilr,r,imr->ilm", g, lam, g)
@@ -652,7 +650,8 @@ class LbfgsAscent:
     recursion over at most ``LBFGS_MEMORY`` curvature pairs (pairs with
     ``s'y <= 1e-12`` are skipped), then backtracks from a unit step,
     halving until the sufficient-increase condition with constant
-    ``ARMIJO`` holds.  ``MAX_HALVINGS`` failed halvings mark the step
+    ``ARMIJO`` holds, never for a trial valued -inf, not even from a start
+    valued -inf.  ``MAX_HALVINGS`` failed halvings mark the step
     stalled and leave the iterate unchanged; a gradient below ``STEP_TOL``
     marks convergence.
     """
@@ -703,7 +702,7 @@ class LbfgsAscent:
             u_try = self.u + rho * direction
             value, grad, payload = self._eval(u_try)
             self.n_evals += 1
-            if -value <= f0 + ARMIJO * rho * slope:
+            if value > -np.inf and -value <= f0 + ARMIJO * rho * slope:
                 s = u_try - self.u
                 y = self.grad - grad  # gradient of -d increases by this
                 if s @ y > 1e-12:
@@ -825,7 +824,7 @@ class SolveParams:
 @dataclass
 class IterationRecord:
     iteration: int
-    dual: float
+    dual: float | None  # None (JSON null) for a start with no value
     rounded_energy: float
     rank: int
     truncated: bool
@@ -844,9 +843,9 @@ class SolveReport:
     Energies and dual values include the constant pairwise offset
     ``0.5 * 1'K1``, so ``best_energy``, ``lower_bound`` and every
     trajectory entry are directly comparable to full CRF energies of
-    labelings and across methods.  ``lower_bound`` is the best dual value
-    among iterations whose eigenfactor was not truncated; it is None when
-    every iteration was truncated.
+    labelings and across methods.  ``lower_bound`` is the best trajectory
+    dual value, each from a factor its count proves complete; it is None
+    when no iteration has one.
     """
 
     method: str
@@ -925,8 +924,9 @@ def lr_sdcut_solve(problem, params=None, **overrides):
                 sigma=warm["sigma"])
         except EigenFailure as exc:
             warnings.append(f"{exc.code}: {exc}")
-            factor = exc.factor
-        value = -np.inf if rejected else sdp.dual_objective(u, factor)
+            factor = PsdFactor(np.zeros((sdp.n, 0)), np.zeros(0), truncated=True)
+        # only a factor its count proves complete gives a dual value
+        value = -np.inf if factor.truncated else sdp.dual_objective(u, factor)
         return value, sdp.dual_gradient(u, factor), factor
 
     trajectory = []
@@ -944,7 +944,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             best_lifted = lifted
             best_labels = labels
         trajectory.append(IterationRecord(
-            iteration=iteration, dual=value + offset,
+            iteration=iteration, dual=None if value == -np.inf else value + offset,
             rounded_energy=lifted + offset, rank=factor.rank,
             truncated=factor.truncated,
             ms=1e3 * (time.perf_counter() - started)))
@@ -964,19 +964,19 @@ def lr_sdcut_solve(problem, params=None, **overrides):
             warnings.append(f"line search stalled at iteration {k}")
             break
         record(k, step.value, step.payload, started)
-        improvement = ((step.value - previous)
-                       / max(abs(step.value), abs(previous), 1.0))
-        previous = step.value
-        if improvement <= params.tau:
+        # a start with no value has no relative improvement to exit on
+        if previous > -np.inf and (step.value - previous) / max(
+                abs(step.value), abs(previous), 1.0) <= params.tau:
             break
+        previous = step.value
 
-    untruncated = [rec.dual for rec in trajectory if not rec.truncated]
-    if not untruncated:
+    bounds = [rec.dual for rec in trajectory if rec.dual is not None]
+    if not bounds:
         warnings.append("all iterations truncated; no certified lower bound")
     return SolveReport(
         method="lrsdcut",
         best_energy=best_lifted + offset,
-        lower_bound=max(untruncated) if untruncated else None,
+        lower_bound=max(bounds) if bounds else None,
         labels=best_labels,
         trajectory=trajectory,
         warnings=warnings,

@@ -94,13 +94,12 @@ def dense_inertia(matrix, vals=None):
 
 
 def exact_factor(sdp, u):
-    """C(u)'s positive part from a dense ``eigh`` of its n matvecs, under
-    the solver's keep rule: eigenvalues above ``EIG_TOL max(|lambda|, 1)``,
-    descending."""
+    """C(u)'s positive part from a dense ``eigh`` of its n matvecs, as the
+    solver counts it: eigenvalues above ``EIG_TOL``, descending."""
     op = sdp.operator(u)
     dense = np.column_stack([op.matvec(col) for col in np.eye(sdp.n)])
     vals, vecs = np.linalg.eigh(0.5 * (dense + dense.T))
-    keep = vals > EIG_TOL * max(np.abs(vals).max(), 1.0)
+    keep = vals > EIG_TOL
     return PsdFactor(vecs[:, keep][:, ::-1], vals[keep][::-1])
 
 

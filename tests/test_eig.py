@@ -1,5 +1,7 @@
 """Partial eigendecomposition against dense references."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
@@ -119,17 +121,13 @@ class TestLeadingPsdPart:
         assert np.array_equal(kept.values, plain.values)
         assert np.array_equal(kept.vectors, plain.vectors)
 
-    def test_nonconvergence_carries_best_effort_factor(self, rng,
-                                                       monkeypatch):
+    def test_nonconvergence_is_a_typed_failure(self, rng, monkeypatch):
         monkeypatch.setattr(eig_module, "EIG_RESTARTS", 1)
         a = rng.standard_normal((300, 300))
         a = 0.5 * (a + a.T)
         with pytest.raises(EigenConvergenceError) as info:
             leading_eigpairs(operator_from(a), k=40, seed=3)
-        factor = info.value.factor
-        assert isinstance(factor, PsdFactor) and factor.truncated
-        assert factor.rank < 40 and np.all(factor.values > 0)
-        assert np.all(np.diff(factor.values) <= 0)
+        assert str(info.value).endswith("of 40 requested pairs after 1 restarts")
 
     def test_small_operator_falls_back_to_dense(self):
         factor = leading_psd_part(operator_from(np.diag([2.0, -1.0])),
@@ -193,10 +191,16 @@ class TestCountedRequests:
             leading_psd_part(SymmetricOperator(50, refuse), max_rank=10,
                              inertia=undecided)
         assert tried == [EIG_TOL]
-        factor = info.value.factor
-        assert factor.rank == 0 and factor.truncated
-        assert factor.vectors.shape == (50, 0)
         assert str(info.value).startswith("no inertia count decided")
+
+    # the count proves both pairs, so both are returned, though 5e-7 is
+    # below EIG_TOL * lambda_1 = 1e-6
+    def test_every_counted_pair_is_returned(self):
+        diag = np.concatenate([[100.0, 5e-7], -np.linspace(0.5, 3.0, 58)])
+        factor = leading_psd_part(operator_from(np.diag(diag)), max_rank=40,
+                                  seed=3, inertia=dense_inertia(np.diag(diag)))
+        assert factor.rank == 2 and not factor.truncated
+        np.testing.assert_allclose(factor.values, diag[:2], rtol=1e-8)
 
     # a count of 2 above EIG_TOL, where the second Ritz value is 5e-9: the
     # run (or the pairs in hand) missed an eigenvalue above EIG_TOL, though
@@ -209,17 +213,12 @@ class TestCountedRequests:
             leading_psd_part(operator_from(np.diag(diag)), max_rank=40, seed=3,
                              inertia=stated(2), pairs=pairs)
         assert "2 eigenvalues above 1e-08 counted" in str(info.value)
-        assert info.value.factor.truncated
 
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
         # the stub claims 8 eigenvalues above tol where only 6 exist
         with pytest.raises(EigenCountMismatch) as info:
             leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
                              seed=3, inertia=stated(8))
-        factor = info.value.factor
-        assert factor.truncated
-        np.testing.assert_allclose(factor.values, np.arange(6.0, 0.0, -1.0),
-                                   atol=1e-10)
         assert "8 eigenvalues above" in str(info.value)
 
 
@@ -311,11 +310,10 @@ class TestShiftInvertLanczos:
         with pytest.raises(EigenConvergenceError) as info:
             leading_eigpairs(operator_from(np.diag(diag)), 10, seed=3,
                              shift=(15.0, lambda b: b / (diag - 15.0)))
-        assert "after 15 Lanczos steps" in str(info.value)
-        factor = info.value.factor
-        assert factor.truncated and 0 < factor.rank < 10
-        assert np.all(factor.values > 0) and np.all(np.diff(factor.values) < 0)
-        np.testing.assert_allclose(factor.values, diag[:factor.rank], rtol=1e-8)
+        converged = re.fullmatch(r"eigensolver converged to only (\d+) of 10 "
+                                 r"requested pairs after 15 Lanczos steps",
+                                 str(info.value))
+        assert converged and 0 < int(converged[1]) < 10
 
 
 class TestPairsInHand:
@@ -367,9 +365,7 @@ class TestPairsInHand:
             leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
                              inertia=stated(7), pairs=self.leading(8))
         assert requests == [7]
-        factor = info.value.factor
-        assert factor.truncated
-        np.testing.assert_allclose(factor.values, self.DIAG[:6], atol=1e-10)
+        assert "7 eigenvalues above 1e-08 counted" in str(info.value)
 
 
 class TestPsdFrobNormSq:

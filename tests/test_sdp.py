@@ -4,7 +4,6 @@ import functools
 import gc
 import json
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -900,6 +899,24 @@ class TestLbfgsAscent:
         np.testing.assert_array_equal(opt.u, np.ones(3))
         assert opt.n_evals == 2 + MAX_HALVINGS
 
+    def test_a_trial_with_no_value_is_never_accepted(self):
+        # the start and the first trial are valued -inf, the halved trial
+        # is finite: only that one may be accepted, even from a start that
+        # has no value to increase
+        values = iter([-np.inf, -np.inf, -5.0])
+        trials = []
+
+        def obj(u):
+            trials.append(u.copy())
+            return next(values), np.ones(2), None
+
+        opt = LbfgsAscent(obj, np.zeros(2))
+        assert opt.value == -np.inf
+        step = opt.step()
+        assert not step.stalled and step.value == opt.value == -5.0
+        assert opt.n_evals == 3
+        np.testing.assert_array_equal(opt.u, trials[2])
+
     def test_piecewise_quadratic_values_never_decrease(self, rng):
         q = 20
         a = rng.uniform(0.5, 2.0, q)
@@ -1540,9 +1557,8 @@ class TestCountedRequests:
 
     def test_an_undecided_count_is_a_typed_warning(self, monkeypatch):
         # the start's count is left undecided: iteration 0 makes no Lanczos
-        # run and has no bound, and every later evaluation is counted (at
-        # rank_init 1 C(u0) has no positive part, so the empty factor that
-        # an undecided count leaves values u0 right)
+        # run and has no value, so the first trial with a proven factor is
+        # accepted, and every later evaluation is counted
         problem = random_potts_problem(30, 2, seed=23)
         exact = PottsSdp.shifted_inverse
         counted = []
@@ -1561,6 +1577,43 @@ class TestCountedRequests:
         assert not any(rec.truncated for rec in report.trajectory[1:])
         assert report.lower_bound <= report.best_energy
 
+    def test_an_undecided_start_has_no_value(self, monkeypatch):
+        # at the default rank_init C(u0) has a positive part, which an
+        # undecided count leaves unread: valued from an empty factor,
+        # iteration 0 read 19.74 against a true -62,999.69, the pinching
+        # bound rejected every trial, and the solve gave no bound
+        problem = random_potts_problem(30, 2, seed=23)
+        exact = PottsSdp.shifted_inverse
+        counted = []
+
+        def undecided_first(self, parts, sigma):
+            counted.append(sigma)
+            return None if len(counted) == 1 else exact(self, parts, sigma)
+
+        monkeypatch.setattr(PottsSdp, "shifted_inverse", undecided_first)
+        report = lr_sdcut_solve(problem, seed=1)
+        assert [w.split(":")[0] for w in report.warnings] == ["undecided count"]
+        assert report.trajectory[0].dual is None
+        assert report.trajectory[0].truncated
+        assert not any(rec.truncated for rec in report.trajectory[1:])
+        assert report.lower_bound is not None
+        assert report.lower_bound <= report.best_energy
+        record = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert record["trajectory"][0]["dual"] is None
+
+    # a general stack with no kernel at rank_init 1, whose count passes the
+    # rank cap of 8 at later points: a capped factor has no value, so the
+    # ascent accepts none (it accepted 5 when capped factors were valued)
+    def test_no_capped_factor_is_accepted(self, monkeypatch):
+        calls = _record_psd_calls(monkeypatch)
+        report = lr_sdcut_solve(_kernel_case("empty", True, 200, 2), seed=2,
+                                rank_init=1)
+        assert any(factor.truncated and factor.rank == 8
+                   for _, _, _, factor in calls)
+        assert not any(rec.truncated for rec in report.trajectory[1:])
+        assert all(rec.dual is not None for rec in report.trajectory)
+        assert report.lower_bound <= report.best_energy
+
     def test_eigensolver_stall_is_a_typed_warning(self, monkeypatch):
         problem = random_potts_problem(30, 2, seed=23)
         exact = sdp_module.leading_psd_part
@@ -1572,8 +1625,7 @@ class TestCountedRequests:
             calls.append(factor)
             if len(calls) == 2:
                 raise EigenConvergenceError(
-                    "eigensolver converged to only 0 of 1 requested pairs",
-                    replace(factor, truncated=True))
+                    "eigensolver converged to only 0 of 1 requested pairs")
             return factor
 
         monkeypatch.setattr(sdp_module, "leading_psd_part", stall_once)
