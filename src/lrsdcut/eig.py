@@ -64,11 +64,12 @@ class PsdFactor:
 
     ``vectors`` has orthonormal columns, ``values`` is strictly positive
     and descending; the represented matrix is
-    ``vectors @ diag(values) @ vectors.T``.  ``truncated`` marks factors
-    that may miss part of the positive spectrum (past the rank cap, or
-    unread); they give no dual value.  Downstream code must depend only on
-    the projector and the eigenvalue multiset, never on single eigenvectors
-    (clusters may rotate).
+    ``vectors @ diag(values) @ vectors.T``.  ``truncated`` marks a factor
+    that does not hold the whole positive spectrum (its count passed the
+    rank cap, or was never read); it holds no pairs and gives no dual
+    value.  Downstream code must depend only on the projector and the
+    eigenvalue multiset, never on single eigenvectors (clusters may
+    rotate).
     """
 
     vectors: np.ndarray
@@ -127,18 +128,22 @@ def _shift_invert_lanczos(n, k, sigma, solve, rng, v):
     """Top-k eigenpairs of op from unrestarted Lanczos on ``solve = (op -
     sigma I)^-1``, with full reorthogonalization, stopping as they converge.
 
-    Each new vector takes two classical Gram-Schmidt passes against the
-    row-major basis ("twice is enough", Parlett), whose unreached rows are
-    never touched.  With sigma above op's spectrum, op's top k are the k
+    Each new vector w loses the three-term recurrence's alpha_j v_j +
+    beta_(j-1) v_(j-1), then takes one classical Gram-Schmidt pass against
+    the row-major basis, whose unreached rows are never touched.  The pass
+    is repeated once, only where it shrank w below 1/sqrt(2) of its norm
+    ("twice is enough": Daniel, Gragg, Kaufman & Stewart 1976; Parlett,
+    section 6.9).  With sigma above op's spectrum, op's top k are the k
     most negative Ritz values mu, ``lambda = sigma + 1/mu``; they pass
     ARPACK's test ``|beta_j y_ji| <= EIG_TOL max(|mu_i|, eps^(2/3))``,
     tried with ``dstev`` at step k + 3 and then every max(2, j/8) steps.
     A residual below eps^(2/3) of ``solve``'s output marks an invariant
     subspace: that step is not tested (its zero residual passes every Ritz
-    pair) and the run goes on from a fresh ``rng`` vector orthogonalized
-    against the basis.  Dropping such a residual moves no Ritz value by
-    more than eps^(2/3) |mu_1|, inside ``EIG_TOL`` |mu_i| for every
-    positive lambda_i unless sigma lies within 0.4% of lambda_1.
+    pair) and the run goes on from a fresh ``rng`` vector, which has no
+    recurrence to lose and takes two full passes.  Dropping such a
+    residual moves no Ritz value by more than eps^(2/3) |mu_1|, inside
+    ``EIG_TOL`` |mu_i| for every positive lambda_i unless sigma lies
+    within 0.4% of lambda_1.
     """
     eps23 = np.finfo(np.float64).eps ** (2.0 / 3.0)
     m = min(n, k + LANCZOS_EXTRA)
@@ -149,11 +154,18 @@ def _shift_invert_lanczos(n, k, sigma, solve, rng, v):
     for j in range(m):
         w = solve(basis[j])
         floor = eps23 * np.linalg.norm(w)
+        alpha[j] = basis[j] @ w
+        w -= alpha[j] * basis[j]
+        if j:  # a beta of 0 (an invariant restart) subtracts nothing
+            w -= beta[j - 1] * basis[j - 1]
+        residual = np.linalg.norm(w)
         for _ in range(2):
             h = basis[:j + 1] @ w
             w -= h @ basis[:j + 1]
             alpha[j] += h[j]
-        residual = np.linalg.norm(w)
+            residual, before = np.linalg.norm(w), residual
+            if residual > np.sqrt(0.5) * before:
+                break  # DGKS: the pass kept w orthogonal to working precision
         beta[j] = residual if residual > floor else 0.0  # 0: invariant
         s = j + 1
         if s == m or (beta[j] and s >= test_at):
@@ -225,9 +237,9 @@ def leading_eigpairs(op, k, seed, shift=None):
 
 
 def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
-    """The leading min(p, ``max_rank``) eigenpairs of op, p the number of
-    its eigenvalues above ``EIG_TOL``, as a :class:`PsdFactor` from at most
-    one Lanczos run, proven by an inertia count made here.
+    """The leading p eigenpairs of op, p the number of its eigenvalues
+    above ``EIG_TOL``, as a :class:`PsdFactor` from at most one Lanczos
+    run, proven by an inertia count made here; none past ``max_rank``.
 
     ``inertia(t)`` returns ``(p, solve)``: the exact number p of op's
     eigenvalues above t (Sylvester's law of inertia; Parlett's spectrum
@@ -237,17 +249,20 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
 
     1. p is counted once, at t = ``EIG_TOL``.  An undecided count is
        :class:`EigenCountUndecided`, with no Lanczos run.
-    2. p sizes the one request, min(p, max_rank) pairs (none for p = 0).
-       ``pairs``, leading eigenpairs ``(values, vectors)`` of op already in
-       hand (values descending, for instance a dual start's), stand in for
-       it when their p-th value is above ``EIG_TOL``: p orthonormal
-       eigenpairs above t are all that the count found.  Otherwise one
-       Lanczos run makes it: in shift-invert mode at the first of sigma,
-       2 sigma, ..., 16 sigma whose count is 0 (none tried for sigma = 0,
-       and none after an undecided one), else on op's matvecs.
+    2. p sizes the one request, p pairs (none for p = 0).  A count past
+       ``max_rank`` makes none either: it returns the rank-0 factor marked
+       truncated, since a capped factor has no dual value whatever pairs
+       it held.  ``pairs``, leading eigenpairs ``(values, vectors)`` of op
+       already in hand (values descending, for instance a dual start's),
+       stand in for it when their p-th value is above ``EIG_TOL``: p
+       orthonormal eigenpairs above t are all that the count found.
+       Otherwise one Lanczos run makes it: in shift-invert mode at the
+       first of sigma, 2 sigma, ..., 16 sigma whose count is 0 (none tried
+       for sigma = 0, and none after an undecided one), else on op's
+       matvecs.
     3. A last Ritz value at or below ``EIG_TOL`` contradicts the count and
        raises :class:`EigenCountMismatch`.  Otherwise the factor holds the
-       requested pairs, column-major, truncated exactly when p > max_rank.
+       p requested pairs, column-major.
 
     ``inertia=None`` marks an operator the caller has already rejected (by
     a lower bound on ``||op_+||_F^2``, say): the call returns a rank-0
@@ -269,9 +284,10 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     count = counted[0]
     if count == 0:
         return PsdFactor(empty.vectors, empty.values)
-    k = min(count, max_rank)
+    if count > max_rank:
+        return empty
     if pairs is not None and pairs[0].size >= count and pairs[0][count - 1] > EIG_TOL:
-        vals, vecs = pairs[0][:k], pairs[1][:, :k]
+        vals, vecs = pairs[0][:count], pairs[1][:, :count]
     else:
         shift = None
         for sigma in sigma * 2.0 ** np.arange(5) if sigma else ():
@@ -279,11 +295,10 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
             if counted is None or counted[0] == 0:
                 shift = counted and (sigma, counted[1])
                 break
-        vals, vecs = leading_eigpairs(op, k, seed=seed, shift=shift)
+        vals, vecs = leading_eigpairs(op, count, seed=seed, shift=shift)
     if vals[-1] <= EIG_TOL:
         raise EigenCountMismatch(
             f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz value "
             f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor marked "
             "truncated")
-    return PsdFactor(np.asfortranarray(vecs), vals,
-                     truncated=bool(count > max_rank))
+    return PsdFactor(np.asfortranarray(vecs), vals)

@@ -92,13 +92,16 @@ class TestLeadingPsdPart:
         err = np.linalg.norm(reconstruct(factor) - dense_positive_part(a))
         assert err < 1e-7
 
-    def test_truncation_flagged_when_rank_cap_hit(self, rng):
+    def test_truncation_flagged_when_rank_cap_hit(self, rng, monkeypatch):
+        # a count past the cap makes no Lanczos run: a capped factor has no
+        # dual value, whatever pairs it would hold
+        monkeypatch.setattr(eig_module, "leading_eigpairs", refuse)
         basis, _ = np.linalg.qr(rng.standard_normal((25, 25)))
         a = (basis * np.linspace(10.0, 1.0, 25)) @ basis.T  # 25 positive eigs
         factor = leading_psd_part(operator_from(a), max_rank=6, seed=2,
                                   inertia=dense_inertia(a))
         assert factor.truncated
-        assert factor.rank == 6
+        assert factor.rank == 0 and factor.vectors.shape == (25, 0)
 
     def test_rejected_call_needs_no_lanczos_run(self):
         # no inertia: a call the caller has rejected makes no count either
@@ -175,11 +178,10 @@ class TestCountedRequests:
 
     def test_count_above_rank_cap_is_truncated(self, monkeypatch):
         requests = self.record_requests(monkeypatch)
-        factor = leading_psd_part(operator_from(np.diag(self.DIAG)),
-                                  max_rank=4, seed=3,
-                                  inertia=stated(6))
-        assert requests == [4]
-        assert factor.truncated and factor.rank == 4
+        factor = leading_psd_part(SymmetricOperator(60, refuse), max_rank=4,
+                                  seed=3, inertia=stated(6))
+        assert requests == []
+        assert factor.truncated and factor.rank == 0
 
     def test_undecided_count_is_a_typed_failure_without_a_run(self):
         tried = []
@@ -276,8 +278,9 @@ class TestKrylovSizing:
 
 
 class TestShiftInvertLanczos:
-    """The shift-invert run goes on past an invariant Krylov subspace and
-    stops, with a typed failure, at its step cap."""
+    """The shift-invert run goes on past an invariant Krylov subspace,
+    keeps its basis orthonormal, and stops, with a typed failure, at its
+    step cap."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_subspaces_are_continued(self, seed):
@@ -301,6 +304,20 @@ class TestShiftInvertLanczos:
         np.testing.assert_allclose(first.vectors[4:], 0.0, atol=1e-12)
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cancelling_pass_is_repeated(self, seed):
+        # sigma 1e-14 above lambda_1 makes every output of the solve nearly
+        # e_1, so one Gram-Schmidt pass cancels almost all of it and leaves
+        # a vector far from orthogonal: the DGKS test must repeat the pass
+        # (one pass alone gave max |V'V - I| up to 4.8e-13 over these seeds)
+        diag = np.concatenate([np.linspace(1.0, 0.5, 6),
+                               -np.linspace(0.1, 3.0, 194)])
+        sigma = 1.0 + 1e-14
+        _, vectors = leading_eigpairs(
+            operator_from(np.diag(diag)), 6, seed=seed,
+            shift=(sigma, lambda b: b / (diag - sigma)))
+        assert np.abs(vectors.T @ vectors - np.eye(6)).max() <= 2e-14
 
     def test_step_cap_raises_with_the_converged_pairs(self, monkeypatch):
         monkeypatch.setattr(eig_module, "LANCZOS_EXTRA", 5)

@@ -417,7 +417,8 @@ class TestShiftInvert:
         (False, False), (False, True), (True, False), (True, True)],
         ids=["complete", "rank-capped", "general-complete",
              "general-rank-capped"])
-    def test_positive_part_matches_the_dense_one(self, rng, general, capped):
+    def test_positive_part_matches_the_dense_one(self, rng, monkeypatch,
+                                                 general, capped):
         problem = (_general_l3(40, 2) if general
                    else build_problem(gen_grid(8, 8, 3, seed=2)))
         sdp = make_sdp(problem, 1000.0)
@@ -429,13 +430,31 @@ class TestShiftInvert:
         count = sdp.shifted_inverse(parts, EIG_TOL)[0]
         assert count == np.count_nonzero(vals > EIG_TOL) >= 4
         rank = count - 2 if capped else count
+        requests = []
+
+        def recording(op, k, **kwargs):
+            requests.append(k)
+            return leading_eigpairs(op, k, **kwargs)
+
+        monkeypatch.setattr(eig_module, "leading_eigpairs", recording)
         # the run needs the solves alone, never C(u) itself
-        factor = leading_psd_part(SymmetricOperator(sdp.n, _refuse_matvec), rank,
-                                  functools.partial(sdp.shifted_inverse, parts),
-                                  seed=3, sigma=1.5 * vals[0])
-        assert factor.truncated == capped
-        np.testing.assert_allclose(factor.values, vals[:rank], rtol=1e-10)
-        np.testing.assert_allclose(factor.vectors @ factor.vectors.T,
+        op = SymmetricOperator(sdp.n, _refuse_matvec)
+        inertia = functools.partial(sdp.shifted_inverse, parts)
+        sigma = 1.5 * vals[0]
+        factor = leading_psd_part(op, rank, inertia, seed=3, sigma=sigma)
+        if capped:
+            # a count past the cap makes no run; a shift-invert run for
+            # fewer pairs than the count still finds the leading ones
+            assert factor.truncated and factor.rank == 0 and requests == []
+            above, solve = inertia(sigma)
+            assert above == 0
+            values, vectors = leading_eigpairs(op, rank, seed=3,
+                                               shift=(sigma, solve))
+        else:
+            assert not factor.truncated and requests == [rank]
+            values, vectors = factor.values, factor.vectors
+        np.testing.assert_allclose(values, vals[:rank], rtol=1e-10)
+        np.testing.assert_allclose(vectors @ vectors.T,
                                    vecs[:, :rank] @ vecs[:, :rank].T,
                                    atol=1e-8)
 
@@ -1602,14 +1621,29 @@ class TestCountedRequests:
         assert record["trajectory"][0]["dual"] is None
 
     # a general stack with no kernel at rank_init 1, whose count passes the
-    # rank cap of 8 at later points: a capped factor has no value, so the
-    # ascent accepts none (it accepted 5 when capped factors were valued)
+    # rank cap of 8 at later points: a capped factor has no value, so it
+    # takes no Lanczos run and the ascent accepts none (it accepted 5 when
+    # capped factors were valued)
     def test_no_capped_factor_is_accepted(self, monkeypatch):
         calls = _record_psd_calls(monkeypatch)
+        runs = []  # the index of the positive-part call each run serves
+        lanczos = eig_module.leading_eigpairs
+
+        def recording(*args, **kwargs):
+            runs.append(len(calls))
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(eig_module, "leading_eigpairs", recording)
         report = lr_sdcut_solve(_kernel_case("empty", True, 200, 2), seed=2,
                                 rank_init=1)
-        assert any(factor.truncated and factor.rank == 8
-                   for _, _, _, factor in calls)
+        # every call returned, so a run's index names its call
+        assert len(calls) == report.extras["dual_evals"]
+        capped = [i for i, (_, cap, inertia, _) in enumerate(calls)
+                  if inertia is not None and inertia(EIG_TOL)[0] > cap]
+        assert capped and runs
+        for i in capped:
+            assert calls[i][3].truncated and calls[i][3].rank == 0
+            assert i not in runs
         assert not any(rec.truncated for rec in report.trajectory[1:])
         assert all(rec.dual is not None for rec in report.trajectory)
         assert report.lower_bound <= report.best_energy
