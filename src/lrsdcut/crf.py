@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .kernels import (CenteredDiscriminativeKernel, GaussianKernel,
-                      LowRankKernel, load_factor)
+                      LowRankKernel, half_kernel_factor, load_factor)
 
 
 class InstanceFormatError(ValueError):
@@ -62,7 +62,7 @@ class CrfProblem:
             if np.any(mu < 0.0) or np.any(mu > 1.0):
                 raise ValueError("mu entries must lie in [0, 1]")
             self.mu = 0.5 * (mu + mu.T)  # exact for symmetric input
-        self._kernel_diag = None
+        self._half_kernel = self._kernel_diag = None
 
     @property
     def n_vars(self):
@@ -93,11 +93,19 @@ class CrfProblem:
             out = out + k.matvec(d)
         return out
 
+    def half_kernel(self):
+        """:func:`~lrsdcut.kernels.half_kernel_factor` of the stack, built on
+        first use and cached, its G read-only."""
+        if self._half_kernel is None:
+            self._half_kernel = half_kernel_factor(self.kernels, self.n_vars)
+            self._half_kernel[1].flags.writeable = False
+        return self._half_kernel
+
     def kernel_diag(self):
-        """diag(K) of the combined weighted kernel, cached read-only."""
+        """diag(K) = 2 (c + (G o G) s) from :meth:`half_kernel`, cached read-only."""
         if self._kernel_diag is None:
-            self._kernel_diag = sum((k.diag() for k in self.kernels),
-                                    np.zeros(self.n_vars))
+            c, g, s = self.half_kernel()[:3]
+            self._kernel_diag = 2.0 * (c + (g * g) @ s)
             self._kernel_diag.flags.writeable = False
         return self._kernel_diag
 

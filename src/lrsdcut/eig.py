@@ -279,8 +279,7 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     counted = inertia(EIG_TOL)
     if counted is None:
         raise EigenCountUndecided(
-            f"no inertia count decided the eigenvalues above {EIG_TOL:g}; "
-            "factor left empty and marked truncated")
+            f"no inertia count decided the eigenvalues above {EIG_TOL:g}")
     count = counted[0]
     if count == 0:
         return PsdFactor(empty.vectors, empty.values)
@@ -299,6 +298,5 @@ def leading_psd_part(op, max_rank, inertia, seed=0, pairs=None, sigma=0.0):
     if vals[-1] <= EIG_TOL:
         raise EigenCountMismatch(
             f"{count} eigenvalues above {EIG_TOL:g} counted, but Ritz value "
-            f"{vals.size} of {vals.size} is {vals[-1]:.6g}; factor marked "
-            "truncated")
+            f"{vals.size} of {vals.size} is {vals[-1]:.6g}")
     return PsdFactor(np.asfortranarray(vecs), vals)

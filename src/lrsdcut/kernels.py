@@ -15,8 +15,9 @@ class whose ``matvec`` is that product:
   ``K = w (Omega - phi phi') / (kappa N)`` with ``Omega = I - 11'/N``
   (row/column sums of K are exactly zero)
 
-:func:`hadamard_matvec` multiplies by the elementwise product of two
-factored kernels without forming either one.
+Beside ``matvec``, only :func:`half_kernel_factor` knows each form: it
+writes a whole stack as K/2 = c I + G Diag(s) G'.  :func:`hadamard_matvec`
+multiplies by the elementwise product of two factored kernels, forming neither.
 """
 
 import struct
@@ -287,9 +288,6 @@ class LowRankKernel:
             out[a:b] = pb @ (pb.T @ d[a:b])
         return self.weight * out
 
-    def diag(self):
-        return self.weight * np.sum(self.factor.phi ** 2, axis=1)
-
 
 class CenteredDiscriminativeKernel:
     """Weighted centered inverse kernel ``w (Omega - phi phi') / (kappa N)``.
@@ -315,10 +313,40 @@ class CenteredDiscriminativeKernel:
         centered = d - d.mean(axis=0)
         return self.weight * self.scale * (centered - phi @ (phi.T @ d))
 
-    def diag(self):
-        omega_diag = 1.0 - 1.0 / self.n
-        return self.weight * self.scale * (omega_diag
-                                           - np.sum(self.factor.phi ** 2, axis=1))
+
+def half_kernel_factor(kernels, n):
+    """``(c, G, s, spans, k)`` with K/2 = c I + G Diag(s) G' for a stack of
+    ``kernels`` over n variables (G is n x 0 for none): G is column-major,
+    s = +-1, and G's first k columns stand for one copy per block j, kept
+    on its rows ``spans[j] = (lo, hi)`` (no spans and k = 0 without a
+    blocked kernel).  A low-rank kernel w phi phi' adds the columns
+    sqrt(w/2) phi, among the first k when block-diagonal over the first
+    blocked kernel's blocks (padded when over others); a centered kernel
+    w scale (Omega - phi phi'), Omega = I - 11'/N, adds c = w scale / 2 and
+    the negative columns sqrt(c) [1/sqrt(N), phi]."""
+    c, cols, signs, blocked = 0.0, [], [], []
+    offsets = next((k.blocks for k in kernels
+                    if getattr(k, "blocks", None) is not None), None)
+    for k in kernels:
+        if isinstance(k, CenteredDiscriminativeKernel):
+            half, sign = 0.5 * k.weight * k.scale, -1.0
+            c += half
+            col = np.sqrt(half) * np.column_stack([np.full(n, n ** -0.5),
+                                                  k.factor.phi])
+        elif k.blocks is not None and np.array_equal(k.blocks, offsets):
+            blocked.append(np.sqrt(0.5 * k.weight) * k.factor.phi)
+            continue
+        else:  # member[i, j] = 1 where variable i lies in block j
+            edges, sign = [0, n] if k.blocks is None else k.blocks, 1.0
+            member = np.repeat(np.eye(len(edges) - 1), np.diff(edges), axis=0)
+            col = (member[:, :, None] * np.sqrt(0.5 * k.weight)
+                   * k.factor.phi[:, None, :]).reshape(n, -1)
+        cols.append(col)
+        signs.append(np.full(col.shape[1], sign))
+    width = sum(col.shape[1] for col in blocked)
+    return (c, np.asfortranarray(np.hstack([np.zeros((n, 0))] + blocked + cols)),
+            np.concatenate([np.ones(width)] + signs),
+            [] if offsets is None else list(zip(offsets[:-1], offsets[1:])), width)
 
 
 class GaussianKernel:

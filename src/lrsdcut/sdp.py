@@ -55,7 +55,6 @@ from .crf import (energy_offset, lifted_energy, lifted_energy_general, messages,
                   to_indicator)
 from .eig import (EigenFailure, PsdFactor, SymmetricOperator, leading_eigpairs,
                   leading_psd_part)
-from .kernels import CenteredDiscriminativeKernel
 
 # a pivot or Schur pivot this close to zero, relative to the roundoff scale
 # of the Schur complement's entries, leaves the inertia count undecided
@@ -68,41 +67,6 @@ LBFGS_MEMORY = 10
 STEP_TOL = 1e-10
 ARMIJO = 1e-4
 MAX_HALVINGS = 30
-
-
-def _half_kernel_factor(problem):
-    """``(c, G, s, spans, k)`` with K/2 = c I + G Diag(s) G' for the
-    kernel stack: G is column-major, s = +-1 per column, and G's first k
-    columns stand for one copy per block j, kept on its rows
-    ``spans[j] = (lo, hi)`` and zero elsewhere (no spans and k = 0 without
-    a blocked kernel).  A low-rank kernel w phi phi' adds the columns
-    sqrt(w/2) phi, among the first k when block-diagonal over the first
-    blocked kernel's blocks (padded when over others); a centered kernel
-    w scale (Omega - phi phi'), Omega = I - 11'/N, adds c = w scale / 2
-    and the negative columns sqrt(c) [1/sqrt(N), phi]."""
-    n, c, cols, signs, blocked = problem.n_vars, 0.0, [], [], []
-    offsets = next((k.blocks for k in problem.kernels
-                    if getattr(k, "blocks", None) is not None), None)
-    for k in problem.kernels:
-        if isinstance(k, CenteredDiscriminativeKernel):
-            half, sign = 0.5 * k.weight * k.scale, -1.0
-            c += half
-            col = np.sqrt(half) * np.column_stack([np.full(n, n ** -0.5),
-                                                  k.factor.phi])
-        elif k.blocks is not None and np.array_equal(k.blocks, offsets):
-            blocked.append(np.sqrt(0.5 * k.weight) * k.factor.phi)
-            continue
-        else:  # member[i, j] = 1 where variable i lies in block j
-            edges, sign = [0, n] if k.blocks is None else k.blocks, 1.0
-            member = np.repeat(np.eye(len(edges) - 1), np.diff(edges), axis=0)
-            col = (member[:, :, None] * np.sqrt(0.5 * k.weight)
-                   * k.factor.phi[:, None, :]).reshape(n, -1)
-        cols.append(col)
-        signs.append(np.full(col.shape[1], sign))
-    width = sum(col.shape[1] for col in blocked)
-    return (c, np.asfortranarray(np.hstack([np.zeros((n, 0))] + blocked + cols)),
-            np.concatenate([np.ones(width)] + signs),
-            [] if offsets is None else list(zip(offsets[:-1], offsets[1:])), width)
 
 
 def _positive_inertia(pivots_positive, factored, noise):
@@ -210,7 +174,7 @@ class SdpLifting:
     product with a vector; ``shifted_inverse(parts, sigma)``, the number of
     eigenvalues of C(u) above sigma from an inertia count that needs no
     Lanczos run, with a solve with C(u) - sigma I from the same
-    factorization (every kernel stack is counted, :func:`_half_kernel_factor`),
+    factorization (every kernel stack is counted, from ``problem.half_kernel()``),
     or None where a pivot leaves the count undecided; and
     ``pinched_norm_sq(parts)``, a lower bound on ||C(u)_+||_F^2.  They
     also supply the gradient from a positive-part factor.  C(0) = -A, so
@@ -235,10 +199,10 @@ class SdpLifting:
         self.q = b.size
         self.identity = identity
         self.tril_rows, self.tril_cols = np.tril_indices(self.n_labels, -1)
-        # K/2 = c I + G Diag(s) G' for shifted_inverse's inertia count, with
-        # G's first k columns block-diagonal over the spans
+        # the problem's K/2 = c I + G Diag(s) G' for shifted_inverse's inertia
+        # count, built once per problem, G's first k columns blocked over spans
         (self._count_shift, self._count_factor, self._count_signs,
-         self._count_spans, self._blocked_width) = _half_kernel_factor(problem)
+         self._count_spans, self._blocked_width) = problem.half_kernel()
         self._count_row_sq = np.sum(self._count_factor ** 2, axis=1)
 
     def _vector(self, d):
@@ -577,8 +541,8 @@ def make_sdp(problem, gamma):
 def _low_rank_start_pairs(sdp, r):
     """C(0)'s r leading eigenpairs, descending, from a small dense problem,
     or None unless ``sdp`` is a Potts lifting whose kernel stack is
-    K/2 = F F' with F = :func:`_half_kernel_factor`'s G (unblocked low-rank
-    kernels only) and C(0) has at least r positive eigenvalues.
+    K/2 = F F', F the G of its problem's ``half_kernel()`` (unblocked
+    low-rank kernels only), and C(0) has at least r positive eigenvalues.
 
     C(0) = [[0, E'], [E, F F']] with E = -H/2 has rank at
     most 2L + R.  With the thin QR W = [E, F] = Q [R_E, R_F] it is
@@ -901,7 +865,8 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     # state across dual evaluations.  "floor" is the current iterate's value:
     # a trial whose pinching bound on ||C(u)_+||_F^2 puts its dual below it
     # cannot be accepted and is valued -inf, with no Lanczos run or count.
-    # the start's "pairs" stand in for its Lanczos run; "sigma" seeds the shift
+    # the start's "pairs" stand in for its Lanczos run; "sigma" seeds the
+    # shift, 1.5 lambda_1 of the last iterate of positive rank (0 until one)
     warm = {"floor": -np.inf, "pairs": start_pairs, "sigma": 0.0}
     bound_rejections = 0
 
@@ -956,7 +921,7 @@ def lr_sdcut_solve(problem, params=None, **overrides):
     for k in range(1, params.k_max + 1):
         started = time.perf_counter()
         warm["floor"] = optimizer.value
-        warm["sigma"] = 1.5 * optimizer.payload.values.max(initial=0.0)
+        warm["sigma"] = 1.5 * optimizer.payload.values.max(initial=0.0) or warm["sigma"]
         step = optimizer.step()
         if step.converged:
             break

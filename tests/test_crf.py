@@ -185,6 +185,28 @@ class TestEnergyOffset:
 
 
 class TestKernelDiag:
+    def test_half_kernel_is_built_once_and_lazily(self, monkeypatch):
+        # building a problem makes no factor; diag(K), both liftings' counts
+        # and a solve all read the one cached K/2 = c I + G Diag(s) G'
+        from lrsdcut import crf as crf_module
+        from lrsdcut.sdp import lr_sdcut_solve, make_sdp
+        built = []
+        factor = crf_module.half_kernel_factor
+        monkeypatch.setattr(crf_module, "half_kernel_factor",
+                            lambda *args: built.append(args) or factor(*args))
+        problem = build_problem(gen_clusters(30, 3, seed=3))
+        general = mixed_kernel_problem(13, 3, seed=19, general=True)
+        assert not built
+        diag = problem.kernel_diag()
+        g = problem.half_kernel()[1]
+        assert not g.flags.writeable
+        assert make_sdp(problem, 10.0)._count_factor is g
+        lr_sdcut_solve(problem, k_max=2)
+        lr_sdcut_solve(general, k_max=2)
+        assert problem.kernel_diag() is diag
+        assert [len(args[0]) for args in built] == [1, len(general.kernels)]
+        assert make_sdp(general, 10.0)._count_factor is general.half_kernel()[1]
+
     def test_one_read_only_array_on_every_call(self):
         for problem in (mixed_kernel_problem(13, 2, seed=19),
                         CrfProblem(np.zeros((4, 2)), [])):

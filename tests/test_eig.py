@@ -216,6 +216,22 @@ class TestCountedRequests:
                              inertia=stated(2), pairs=pairs)
         assert "2 eigenvalues above 1e-08 counted" in str(info.value)
 
+    # no failure carries a factor, so no message that a solve copies into
+    # its warnings, behind the failure's code, speaks of one
+    def test_count_failures_say_nothing_of_a_factor(self):
+        failures = []
+        for inertia in (lambda t: None, stated(8)):
+            with pytest.raises((EigenCountUndecided, EigenCountMismatch)) as info:
+                leading_psd_part(operator_from(np.diag(self.DIAG)), max_rank=40,
+                                 seed=3, inertia=inertia)
+            failures.append(info.value)
+        assert [(type(f), f.code) for f in failures] == [
+            (EigenCountUndecided, "undecided count"),
+            (EigenCountMismatch, "eigen count mismatch")]
+        for failure in failures:
+            assert "factor" not in str(failure)
+            assert "truncated" not in str(failure)
+
     def test_count_contradicted_by_ritz_values_is_a_typed_failure(self):
         # the stub claims 8 eigenvalues above tol where only 6 exist
         with pytest.raises(EigenCountMismatch) as info:

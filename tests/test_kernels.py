@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import distance
 
 from lrsdcut import kernels as kernels_module
+from lrsdcut.crf import CrfProblem
 from lrsdcut.kernels import (CenteredDiscriminativeKernel, GaussianKernel,
                              LowRankFactor, LowRankKernel,
                              centered_discriminative_factor, hadamard_matvec,
@@ -379,11 +380,17 @@ class TestKernelInvariants:
                     np.linalg.norm(ref), 1.0)
 
     def test_diag_matches_dense_oracle(self, rng):
+        # diag(K) = 2 (c + (G o G) s) from the stack's K/2 = c I + G Diag(s) G':
+        # every kernel kind alone, the whole zoo (blocked over two different
+        # partitions, so one is padded) and no kernel at all
         from lrsdcut.oracle import dense_kernel
-        for kernel in _kernel_zoo(rng):
-            np.testing.assert_allclose(kernel.diag(),
-                                       np.diag(dense_kernel(kernel)),
-                                       atol=1e-10)
+        zoo = _kernel_zoo(rng)
+        for stack in [[kernel] for kernel in zoo] + [zoo, []]:
+            problem = CrfProblem(np.zeros((30, 2)), stack)
+            np.testing.assert_allclose(
+                problem.kernel_diag(),
+                sum((np.diag(dense_kernel(k)) for k in stack), np.zeros(30)),
+                atol=1e-10)
 
     def test_block_product_matches_column_by_column(self, rng):
         for kernel in _kernel_zoo(rng):

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg.lapack import dsytrf
 
 from conftest import (constraint_values, dense_inertia, exact_factor,
@@ -280,10 +281,17 @@ class TestPositiveCount:
         assert _inertia_count(sdp, u, 0.2) is None
 
     def test_sigma_at_an_eigenvalue_is_undecided(self, rng):
-        sdp = make_sdp(random_potts_problem(10, 3, seed=3), 1000.0)
-        u = rng.standard_normal(sdp.q)
-        eigs = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
-        assert _inertia_count(sdp, u, eigs[-3]) is None
+        # the Potts and general Schur pivots, and in both liftings the pivots
+        # left after the image-block stack's blocks are eliminated
+        for problem in (random_potts_problem(10, 3, seed=3),
+                        random_general_problem(10, 3, seed=3),
+                        _image_block_problem(12, 3, 3),
+                        _image_block_problem(12, 3, 3, general=True)):
+            sdp = make_sdp(problem, 1000.0)
+            u = rng.standard_normal(sdp.q)
+            eigs = np.linalg.eigvalsh(dense_sdp_pieces(sdp, u)["C"])
+            assert _inertia_count(sdp, u, 0.5 * (eigs[-3] + eigs[-4])) == 3
+            assert _inertia_count(sdp, u, eigs[-3]) is None
 
     def test_an_exactly_singular_pivot_is_undecided(self):
         # dsytrf reports the exactly zero pivot of Diag(1, 0) in its info
@@ -329,12 +337,52 @@ class TestPositiveCount:
         # the two kernels over the four image blocks count 2 + 2 columns
         # once, not once per block; the kernel over two other blocks is
         # padded (2 x 2), the plain one adds 2 and the centered one 1 + 2
-        sdp = make_sdp(_image_block_problem(40, 3, 0, general), 1000.0)
-        assert sdp._blocked_width == 4
-        assert sdp._count_spans == [(0, 10), (10, 20), (20, 30), (30, 40)]
-        assert sdp._count_factor.shape == (40, 4 + 4 + 2 + 3)
-        np.testing.assert_array_equal(sdp._count_signs,
-                                      [1.0] * 10 + [-1.0] * 3)
+        _, g, signs, spans, width = _image_block_problem(
+            40, 3, 0, general).half_kernel()
+        assert width == 4
+        assert spans == [(0, 10), (10, 20), (20, 30), (30, 40)]
+        assert g.shape == (40, 4 + 4 + 2 + 3)
+        np.testing.assert_array_equal(signs, [1.0] * 10 + [-1.0] * 3)
+
+
+class TestBlockedInertia:
+    """``_blocked_inertia`` against the dense Schur complement S = [[A, C],
+    [C', T]], A = blockdiag(A_j), that it eliminates block by block."""
+
+    @staticmethod
+    def _pieces(rng, blocks, k=2, p=3):
+        """``(border, tops, gram, S)`` for symmetric A_j (k x k), C_j
+        (k x p) and T (p x p)."""
+        border = np.diag(rng.choice([-1.0, 1.0], k + p))
+        a = rng.standard_normal((blocks, k, k))
+        a += a.transpose(0, 2, 1)
+        cross = rng.standard_normal((blocks, k, p))
+        t = rng.standard_normal((p, p))
+        t += t.T
+        tops = np.concatenate([border[:k, :k] - a, -cross], axis=2)
+        stacked = cross.reshape(-1, p)
+        return border, tops, border[k:, k:] - t, np.block(
+            [[scipy.linalg.block_diag(*a), stacked], [stacked.T, t]])
+
+    def test_count_and_solve_match_the_dense_complement(self, rng):
+        for blocks in (1, 4):
+            border, tops, gram, dense = self._pieces(rng, blocks)
+            count, solve = sdp_module._blocked_inertia(
+                border, tops, gram, [1e-12] * blocks, 1e-12, 5)
+            assert count == 5 + np.count_nonzero(np.linalg.eigvalsh(dense) > 0.0)
+            r_b, r = rng.standard_normal((blocks, 2)), rng.standard_normal(3)
+            z_b, z = solve(r_b, r)
+            np.testing.assert_allclose(
+                np.concatenate([z_b.ravel(), z]),
+                np.linalg.solve(dense, np.concatenate([r_b.ravel(), r])),
+                rtol=1e-9, atol=1e-9)
+
+    def test_a_singular_block_is_undecided(self, rng):
+        border, tops, gram, _ = self._pieces(rng, 3)
+        # A_1 = Diag(1, 0): its second pivot is exactly zero
+        tops[1, :, :2] = border[:2, :2] - np.diag([1.0, 0.0])
+        assert sdp_module._blocked_inertia(
+            border, tops, gram, [1e-12] * 3, 1e-12, 5) is None
 
 
 def _dense_c(sdp, parts):
@@ -747,6 +795,27 @@ class TestSpectralShift:
         vals = np.linalg.eigvalsh(pieces["C"])
         measured = int(np.sum(vals > 1e-10))
         assert measured == 4
+
+    # an empty general stack's C(0) is N blocks of L x L, a centered one's
+    # adds c I: clustered spectra, on which an unrestarted Lanczos start
+    # stalled (14 of 20 pairs after 180 steps) where ARPACK's restarts converge
+    @pytest.mark.parametrize("form", ["empty", "centered"])
+    def test_general_start_on_a_clustered_spectrum(self, monkeypatch, form):
+        sdp = make_sdp(_kernel_case(form, True, 500, 0), 1000.0)
+        u0, pairs = spectral_shift_init(sdp, 20)
+        assert pairs[0].size == 20
+        op, lifting = sdp.operator(u0), _RecordedCounts(sdp)
+        residual = np.column_stack([op.apply(v) for v in pairs[1].T]) \
+            - pairs[1] * pairs[0]
+        assert np.abs(residual).max() <= 1e-8 * abs(pairs[0][0])
+        # the one count at EIG_TOL proves them complete, with no Lanczos run
+        monkeypatch.setattr(eig_module, "leading_eigpairs", _refuse_lanczos)
+        factor = leading_psd_part(
+            op, sdp.n, functools.partial(lifting.shifted_inverse, sdp.assemble(u0)),
+            pairs=pairs)
+        assert lifting.sigmas == [EIG_TOL]
+        assert not factor.truncated
+        assert factor.rank == np.count_nonzero(pairs[0] > EIG_TOL) >= 1
 
     def test_bad_r_rejected(self):
         sdp = make_sdp(random_potts_problem(3, 2, seed=12), gamma=10.0)
@@ -1541,6 +1610,30 @@ class TestCountedRequests:
                 assert requests == [] and factor.rank == 0
                 continue
             assert requests == [min(count, cap)]
+
+    def test_a_rank_0_iterate_keeps_the_shift_seed(self, monkeypatch):
+        # this solve accepts an iterate of rank 0 after the start; its next
+        # count still seeds the shift (from the last iterate of positive
+        # rank), so it makes no plain ARPACK run for one small, slowly
+        # converging top eigenvalue
+        plain = []
+
+        def recording(lanczos):
+            def run(op, k, seed, shift=None):
+                if shift is None:
+                    plain.append(k)
+                return lanczos(op, k, seed=seed, shift=shift)
+            return run
+
+        for module in (eig_module, sdp_module):
+            monkeypatch.setattr(module, "leading_eigpairs",
+                                recording(module.leading_eigpairs))
+        report = lr_sdcut_solve(_general_l3(300, 7))
+        assert any(rec.rank == 0 for rec in report.trajectory[1:])
+        # only the general start's 20 pairs run on C(u)'s matvecs
+        assert plain == [20]
+        assert not [w for w in report.warnings if "stall" in w]
+        assert report.lower_bound <= report.best_energy
 
     def test_solves_repeat_bit_for_bit(self):
         # a counted request of two pairs on this instance reaches an
